@@ -38,7 +38,7 @@ from .object_gating import (
 from .style_memory_bank import StyleMemoryBank, StylePrototype, UpdateReport, load
 from .style_projection import ProjectionResult, project, project_pyramid
 from .style_statistics import EPSILON, ChannelStats, compute_stats, style_distance
-from .tensor_core import matmul, softmax
+from .tensor_core import softmax
 
 __version__ = "0.1.0"
 
@@ -70,7 +70,6 @@ __all__ = [
     "load",
     "load_config",
     "load_tensors",
-    "matmul",
     "parse_annotations",
     "project",
     "project_pyramid",

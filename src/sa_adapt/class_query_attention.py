@@ -287,9 +287,11 @@ def load_tensors(blob: bytes) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", blob, off)
             off += 2
-            name = blob[off : off + name_len].decode("utf-8")
             if len(blob) < off + name_len:
                 raise FormatError("truncated tensor name")
+            name = blob[off : off + name_len].decode("utf-8")
+            if name in tensors:
+                raise FormatError(f"duplicate tensor name {name!r}")
             off += name_len
             (ndim,) = struct.unpack_from("<B", blob, off)
             off += 1
@@ -298,7 +300,7 @@ def load_tensors(blob: bytes) -> dict[str, np.ndarray]:
                 (extent,) = struct.unpack_from("<I", blob, off)
                 off += 4
                 shape.append(extent)
-            size = int(np.prod(shape)) if shape else 1
+            size = math.prod(shape)  # exact integer; int64 np.prod can wrap
             end = off + 8 * size
             if end > len(blob):
                 raise FormatError(f"truncated payload for tensor {name!r}")
@@ -307,8 +309,10 @@ def load_tensors(blob: bytes) -> dict[str, np.ndarray]:
                 raise FormatError(f"non-finite values in tensor {name!r}")
             tensors[name] = arr.astype(DTYPE)
             off = end
-    except struct.error as exc:
-        raise FormatError(f"truncated tensor container: {exc}") from exc
+    except FormatError:
+        raise
+    except (struct.error, ValueError) as exc:  # truncation, non-UTF-8 name, ndim > numpy's
+        raise FormatError(f"malformed tensor container: {exc}") from exc
     if off != len(blob):
         raise FormatError("trailing bytes after last tensor")
     return tensors

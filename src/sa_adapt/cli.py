@@ -8,7 +8,8 @@ with gradient verification), ``bench`` (latency protocol) and
 
 Flags mirror the RunConfig fields; ``--config`` points at a ``key = value``
 file that flags override, and the ``SA_ADAPT_SEED`` environment variable
-overrides the seed from both.
+overrides the seed from both. User errors (missing file, malformed blob,
+bad value) print one ``sa-adapt: error: <msg>`` line and return 2.
 """
 
 from __future__ import annotations
@@ -141,7 +142,14 @@ def main(argv: list[str] | None = None) -> int:
     p_inspect.add_argument("path")
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except (OSError, ValueError) as exc:  # user input: files, blobs (FormatError), values
+        print(f"sa-adapt: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "inspect-bank":
         bank = load(Path(args.path).read_bytes())
         sys.stdout.write(harness.describe_bank(bank))
@@ -202,8 +210,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(harness.format_report(report.records))
         return 0
 
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    raise ValueError(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ measured durations and are exempt.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -34,11 +33,12 @@ from .class_query_attention import (
 from .config import RunConfig
 from .contrastive_alignment import ContrastiveBatch, contrastive_loss, total_loss
 from .object_gating import Annotation, align_to_tokens, build_masks
-from .style_memory_bank import StyleMemoryBank, StylePrototype, load
+from .style_memory_bank import StyleMemoryBank, load
 from .style_projection import project
-from .style_statistics import ChannelStats, compute_stats, style_distance
+from .style_statistics import ChannelStats, compute_stats, sq_distances, style_vector
 
 BANK_FILE_PATTERN = "bank_level{level}.sabank"
+style_vector_of = style_vector  # the prototype spelling, kept for importers
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def offline_kmeans(
         centers = points[rng.choice(len(points), size=k, replace=False)].copy()
         assign = np.zeros(len(points), dtype=int)
         for _ in range(200):
-            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            d2 = sq_distances(points, centers)
             assign = d2.argmin(axis=1)
             new_centers = centers.copy()
             for j in range(k):
@@ -152,26 +152,42 @@ def offline_kmeans(
 def match_to_centers(
     vectors: np.ndarray, centers: np.ndarray
 ) -> tuple[list[int], list[float]]:
-    """Optimal bijective matching (min total squared distance), brute force.
+    """Optimal bijective matching (min total squared distance).
 
-    Suitable for the small K used here; returns per-vector center index
-    and squared distance.
+    Hungarian method (Kuhn 1955) by shortest augmenting paths with row and
+    column potentials, O(K^3). Returns per-vector center index and squared
+    distance.
     """
     k = len(vectors)
     if len(centers) != k:
         raise ValueError("need equally many vectors and centers")
-    d2 = ((vectors[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    best_perm, best_cost = None, np.inf
-    for perm in itertools.permutations(range(k)):
-        cost = sum(d2[i, perm[i]] for i in range(k))
-        if cost < best_cost:
-            best_perm, best_cost = perm, cost
-    return list(best_perm), [float(d2[i, best_perm[i]]) for i in range(k)]
-
-
-def style_vector(s: ChannelStats) -> np.ndarray:
-    """Concatenated [mean, std] so euclidean^2 equals the style distance."""
-    return np.concatenate([s.mean, s.std])
+    d2 = sq_distances(vectors, centers)
+    # Rows and columns are numbered from 1; column 0 roots each augmenting path.
+    u, v = np.zeros(k + 1), np.zeros(k + 1)
+    owner = np.zeros(k + 1, dtype=int)  # row matched to each column, 0 if free
+    for row in range(1, k + 1):
+        owner[0] = row
+        col = 0
+        slack = np.full(k + 1, np.inf)
+        via = np.zeros(k + 1, dtype=int)
+        used = np.zeros(k + 1, dtype=bool)
+        while owner[col] != 0:
+            used[col] = True
+            cur = d2[owner[col] - 1] - u[owner[col]] - v[1:]
+            better = ~used[1:] & (cur < slack[1:])
+            slack[1:][better] = cur[better]
+            via[1:][better] = col
+            nxt = 1 + int(np.argmin(np.where(used[1:], np.inf, slack[1:])))
+            delta = slack[nxt]
+            u[owner[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+            col = nxt
+        while col:
+            owner[col] = owner[via[col]]
+            col = via[col]
+    matched = np.argsort(owner[1:]).tolist()
+    return matched, [float(d2[i, matched[i]]) for i in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +298,10 @@ def run_train_phase(
         centers, assign, inertia = offline_kmeans(
             points, config.k, restarts=50, seed=config.seed
         )
-        prot = np.stack([style_vector_of(p) for p in banks[li].prototypes])
+        prot = banks[li].vectors()
         matched, dists = match_to_centers(prot, centers)
         spreads = [
-            float(((points[assign == j] - centers[j]) ** 2).sum(axis=1).mean())
+            float(sq_distances(points[assign == j], centers[j : j + 1]).mean())
             for j in range(config.k)
         ]
         center_distances.append(dists)
@@ -314,10 +330,6 @@ def run_train_phase(
     return banks, report
 
 
-def style_vector_of(p: StylePrototype) -> np.ndarray:
-    return np.concatenate([p.p_mean, p.p_std])
-
-
 def load_banks(bank_dir: str | Path, levels: int) -> list[StyleMemoryBank]:
     bank_dir = Path(bank_dir)
     banks = []
@@ -339,9 +351,10 @@ def run_tta_phase(
 ) -> Report:
     """Project every pyramid of the unseen stream with fusion-only bank updates.
 
-    Banks are switched to tta mode; per level the report tracks the
-    nearest-prototype distance before projection, after projection, and
-    the d_min trajectory, plus a prototype-count delta (always 0).
+    Banks are switched to tta mode; per level the report tracks the d_min
+    trajectory, a prototype-count delta (always 0), and the nearest-prototype
+    distance of the input to the bank the projection used (pre) and of the
+    output to the bank after this sample's update (post).
     """
     if len(banks) != len(spec.pyramid_shapes):
         raise ValueError(f"{len(banks)} banks for {len(spec.pyramid_shapes)} levels")
@@ -360,16 +373,11 @@ def run_tta_phase(
             s = compute_stats(fmap, config.epsilon)[0]
             if config.tta_order == "observe-first":
                 rep = bank.observe(s)
-                result = project(
-                    bank, fmap, config.weighting, config.softmax_temperature, config.epsilon
-                )[0]
-            else:
-                result = project(
-                    bank, fmap, config.weighting, config.softmax_temperature, config.epsilon
-                )[0]
+            result = project(bank, fmap, config.weighting, config.softmax_temperature, [s])[0]
+            pre_d[li].append(float(np.min(bank.distances(s))))
+            if config.tta_order == "project-first":
                 rep = bank.observe(s)
             dmin_traj[li].append(rep.d_min if rep.d_min is not None else 0.0)
-            pre_d[li].append(float(np.min(bank.distances(s))))
             rect_stats = compute_stats(result.rectified, config.epsilon)[0]
             post_d[li].append(float(np.min(bank.distances(rect_stats))))
 
@@ -571,7 +579,8 @@ def bench(
 
     def projection_pass():
         for bank, fmap in zip(banks, pyramid):
-            project(bank, fmap, config.weighting, config.softmax_temperature, config.epsilon)
+            level_stats = compute_stats(fmap, config.epsilon)
+            project(bank, fmap, config.weighting, config.softmax_temperature, level_stats)
 
     def observe_pass():
         for bank, s in zip(banks, stats):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, StateError
-from .style_statistics import ChannelStats, style_distance
+from .style_statistics import ChannelStats, sq_distances, style_vector
 from .tensor_core import DTYPE, require_finite
 
 MAGIC = b"SABANK"
@@ -116,12 +116,16 @@ class StyleMemoryBank:
         if c is not None and s.channels != c:
             raise ValueError(f"channel mismatch: bank has C={c}, stats have C={s.channels}")
 
+    def vectors(self) -> np.ndarray:
+        """The prototypes' style vectors stacked in storage order, shape (K, 2C)."""
+        if not self.prototypes:
+            raise StateError("empty bank holds no prototype vectors")
+        return np.stack([style_vector(p) for p in self.prototypes])
+
     def distances(self, s: ChannelStats) -> np.ndarray:
         """Style distance from ``s`` to every stored prototype, storage order."""
-        if not self.prototypes:
-            raise StateError("distances() on an empty bank")
         self._check_channels(s)
-        return np.array([style_distance(s, p) for p in self.prototypes], dtype=DTYPE)
+        return sq_distances(style_vector(s)[None], self.vectors())[0]
 
     def observe(self, s: ChannelStats) -> UpdateReport:
         """Absorb one style observation; exactly one prototype is credited.
@@ -194,8 +198,8 @@ def load(blob: bytes) -> StyleMemoryBank:
     """Rebuild a bank from :meth:`StyleMemoryBank.save` output.
 
     Raises FormatError on bad magic, unsupported version, inconsistent
-    lengths, or non-finite / non-positive prototype values; a malformed
-    blob never yields a partially-built bank.
+    lengths or counters, or non-finite / non-positive prototype values; a
+    malformed blob never yields a partially-built bank.
     """
     if len(blob) < _HEADER.size:
         raise FormatError("bank blob shorter than header")
@@ -212,6 +216,8 @@ def load(blob: bytes) -> StyleMemoryBank:
         raise FormatError(f"prototype count {count} exceeds capacity {capacity}")
     if not np.isfinite(alpha) or not np.isfinite(momentum):
         raise FormatError("non-finite hyperparameters in header")
+    if (channels == 0) != (count == 0):
+        raise FormatError(f"{count} prototypes of {channels} channels")
     record = 16 * channels + _COUNTERS.size
     expected = _HEADER.size + count * record
     if len(blob) != expected:
@@ -230,6 +236,8 @@ def load(blob: bytes) -> StyleMemoryBank:
             raise FormatError("non-finite prototype values")
         if np.any(p_std <= 0.0):
             raise FormatError("non-positive prototype std")
+        if use_count == 0 or last_update > step:
+            raise FormatError(f"inconsistent counters use={use_count} last={last_update}")
         prototypes.append(
             StylePrototype(p_mean, p_std, use_count=use_count, last_update=last_update)
         )

@@ -1,10 +1,11 @@
 """Rectify feature-map styles toward the bank's prototype manifold.
 
-For each sample the bank distances are turned into softmax weights, the
-weighted prototype statistics (mu', sigma') are formed by a 1xK times KxC
-matrix product, and the map is remapped per channel by the instance
-renormalization ``((f - mu) / sigma) * sigma' + mu'``. All K prototypes
-participate; there is no KNN pruning.
+For each sample the bank distances are turned into softmax weights, one
+product ``w @ bank.vectors()`` forms both targets (mu', sigma'), and the
+map is remapped per channel by the affine instance renormalization (AdaIN)
+``f * scale + shift`` with ``scale = sigma' / sigma`` and
+``shift = mu' - mu * scale``. A caller that has measured (mu, sigma)
+passes them as ``stats``. All K prototypes participate; no KNN pruning.
 
 Weighting modes:
   * ``neg-distance`` (default): weights = softmax(-d / temperature), so the
@@ -20,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StateError
 from .style_memory_bank import StyleMemoryBank
 from .style_statistics import ChannelStats, compute_stats
-from .tensor_core import check_feature_map, matmul, softmax
+from .tensor_core import check_feature_map, softmax
 
 WEIGHTINGS = ("neg-distance", "raw-distance")
 
@@ -36,15 +36,6 @@ class ProjectionResult:
     target_mean: np.ndarray  # (C,)
     target_std: np.ndarray  # (C,)
     weights: np.ndarray  # (K,)
-
-
-def prototype_matrices(bank: StyleMemoryBank) -> tuple[np.ndarray, np.ndarray]:
-    """Stack the bank's prototypes into (K, C) mean and std matrices."""
-    if not bank.prototypes:
-        raise StateError("bank holds no prototypes")
-    p_mu = np.stack([p.p_mean for p in bank.prototypes])
-    p_sigma = np.stack([p.p_std for p in bank.prototypes])
-    return p_mu, p_sigma
 
 
 def projection_weights(
@@ -67,28 +58,28 @@ def project(
     f: np.ndarray,
     weighting: str = "neg-distance",
     temperature: float = 1.0,
-    epsilon: float | None = None,
+    stats: list[ChannelStats] | None = None,
 ) -> list[ProjectionResult]:
     """Project every sample of a (B, C, H, W) map onto the bank's style manifold.
 
+    ``stats`` is :func:`compute_stats` of ``f``, measured here when omitted.
     Returns one ProjectionResult per batch sample; ``rectified`` keeps the
-    (1, C, H, W) layout. The division uses the epsilon-floored std from the
-    statistics pass, so it is always well defined.
+    (1, C, H, W) layout. The scale divides by the epsilon-floored std from
+    the statistics pass, so it is always well defined.
     """
     f = check_feature_map(f)
-    if not bank.prototypes:
-        raise StateError("cannot project against an empty bank")
-    kwargs = {} if epsilon is None else {"epsilon": epsilon}
-    stats = compute_stats(f, **kwargs)
-    p_mu, p_sigma = prototype_matrices(bank)
+    if stats is None:
+        stats = compute_stats(f)
+    if len(stats) != f.shape[0]:
+        raise ValueError(f"{len(stats)} statistics for a batch of {f.shape[0]}")
+    vectors = bank.vectors()
     results = []
     for b, s in enumerate(stats):
         w = projection_weights(bank.distances(s), weighting, temperature)
-        target_mean = matmul(w[None, :], p_mu)[0]
-        target_std = matmul(w[None, :], p_sigma)[0]
-        sample = f[b : b + 1]
-        normalized = (sample - s.mean[None, :, None, None]) / s.std[None, :, None, None]
-        rectified = normalized * target_std[None, :, None, None] + target_mean[None, :, None, None]
+        target_mean, target_std = np.split(w @ vectors, 2)
+        scale = target_std / s.std
+        shift = target_mean - s.mean * scale
+        rectified = f[b : b + 1] * scale[None, :, None, None] + shift[None, :, None, None]
         results.append(ProjectionResult(rectified, target_mean, target_std, w))
     return results
 
@@ -108,8 +99,9 @@ def project_pyramid(
         raise ValueError(f"{len(banks)} banks for {len(pyramid)} pyramid levels")
     if not pyramid:
         raise ValueError("empty pyramid")
+    kwargs = {} if epsilon is None else {"epsilon": epsilon}
     return [
-        project(bank, level, weighting, temperature, epsilon)
+        project(bank, level, weighting, temperature, compute_stats(level, **kwargs))
         for bank, level in zip(banks, pyramid)
     ]
 

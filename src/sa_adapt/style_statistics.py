@@ -61,24 +61,27 @@ def compute_stats(f: np.ndarray, epsilon: float = EPSILON) -> list[ChannelStats]
     return [ChannelStats(mean[b], std[b]) for b in range(f.shape[0])]
 
 
+def style_vector(s) -> np.ndarray:
+    """Concatenated ``[mean, std]`` of a ChannelStats or of a stored prototype
+    (``p_mean``/``p_std``), so squared euclidean distance is style distance."""
+    if isinstance(s, ChannelStats):
+        return np.concatenate([s.mean, s.std])
+    return np.concatenate([s.p_mean, s.p_std])
+
+
+def sq_distances(a, b) -> np.ndarray:
+    """(n, m) squared euclidean distances between the rows of (n, D) ``a`` and
+    (m, D) ``b``; each is a sum of squares, so never negative."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ValueError(f"need (n, D) and (m, D) row sets, got {a.shape} and {b.shape}")
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+
+
 def style_distance(s: ChannelStats, p) -> float:
     """Squared 2-Wasserstein distance between two diagonal-Gaussian styles.
 
-    ``p`` may be another ChannelStats or any object with per-channel
-    ``p_mean``/``p_std`` vectors (a stored prototype). Non-negative,
-    symmetric, and zero exactly when the statistics coincide.
+    ``p`` may be another ChannelStats or a stored prototype (see
+    :func:`style_vector`). Non-negative, symmetric, and zero exactly when
+    the statistics coincide.
     """
-    p_mean, p_std = _style_vectors(p)
-    if p_mean.shape != s.mean.shape:
-        raise ValueError(
-            f"channel counts disagree: {s.mean.shape[0]} vs {p_mean.shape[0]}"
-        )
-    mean_term = np.sum((s.mean - p_mean) ** 2)
-    std_term = np.sum(s.std**2 + p_std**2 - 2.0 * s.std * p_std)
-    return float(mean_term + std_term)
-
-
-def _style_vectors(p) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(p, ChannelStats):
-        return p.mean, p.std
-    return np.asarray(p.p_mean, dtype=DTYPE), np.asarray(p.p_std, dtype=DTYPE)
+    return float(sq_distances(style_vector(s)[None], style_vector(p)[None])[0, 0])

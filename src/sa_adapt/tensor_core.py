@@ -13,23 +13,6 @@ import numpy as np
 DTYPE = np.float64
 
 
-def as_dense(data, shape=None) -> np.ndarray:
-    """Convert ``data`` to a finite, C-contiguous float64 array.
-
-    Args:
-        data: anything ``np.asarray`` accepts.
-        shape: optional shape to reshape to (must preserve size).
-
-    Raises:
-        ValueError: on non-finite entries or a size-incompatible shape.
-    """
-    arr = np.ascontiguousarray(np.asarray(data, dtype=DTYPE))
-    if shape is not None:
-        arr = arr.reshape(shape)
-    require_finite(arr, "dense array")
-    return arr
-
-
 def require_finite(arr: np.ndarray, what: str = "array") -> None:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite values")
@@ -64,13 +47,3 @@ def softmax(x, axis: int = -1) -> np.ndarray:
         e = np.exp(shifted)
     return e / np.sum(e, axis=axis, keepdims=True)
 
-
-def matmul(a, b) -> np.ndarray:
-    """Standard matrix product of two 2-D arrays with shape validation."""
-    a = np.asarray(a, dtype=DTYPE)
-    b = np.asarray(b, dtype=DTYPE)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b

@@ -6,25 +6,10 @@ textbook algorithm), independent of the library code paths it checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
-
-
-def matmul_triple_loop(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
 
 
 def stats_double_loop(f, epsilon=1e-6):
@@ -167,3 +152,18 @@ def lloyd_kmeans(points, k, restarts=50, seed=0):
         if cost < best_cost:
             best_centers, best_labels, best_cost = centers.copy(), labels.copy(), cost
     return best_centers, best_labels
+
+
+def match_permutations(vectors, centers):
+    """Bijective vector-to-center matching of least total squared distance,
+    by trying every permutation (first minimum in lexicographic order)."""
+    vectors = np.asarray(vectors, dtype=float)
+    centers = np.asarray(centers, dtype=float)
+    k = len(vectors)
+    d2 = ((vectors[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    best_perm, best_cost = None, np.inf
+    for perm in itertools.permutations(range(k)):
+        cost = sum(d2[i, perm[i]] for i in range(k))
+        if cost < best_cost:
+            best_perm, best_cost = perm, cost
+    return list(best_perm)

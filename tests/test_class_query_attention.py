@@ -1,5 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sa_adapt.class_query_attention import (
     AttentionParams,
@@ -8,6 +11,8 @@ from sa_adapt.class_query_attention import (
     init_class_queries,
     load_tensors,
     run_encoder_side,
+    TENSOR_MAGIC,
+    TENSOR_VERSION,
     save_tensors,
     sine_positions,
     tokens_from_pyramid,
@@ -16,6 +21,22 @@ from sa_adapt.errors import FormatError
 from sa_adapt.object_gating import GatingMaskSet
 
 import oracles
+
+
+VALID_HEAD = struct.pack("<6sI", TENSOR_MAGIC, TENSOR_VERSION)
+
+
+@st.composite
+def mutated_tensor_blobs(draw):
+    """A saved container with a few bytes overwritten, then cut or extended."""
+    shapes = st.lists(st.integers(0, 3), max_size=3)
+    tensors = draw(st.dictionaries(st.text(max_size=3), shapes, max_size=3))
+    arrays = {n: np.arange(float(np.prod(shape))).reshape(shape) for n, shape in tensors.items()}
+    blob = bytearray(save_tensors(arrays))
+    for _ in range(draw(st.integers(0, 3))):
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    cut = draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob))))
+    return bytes(blob[:cut]) + draw(st.one_of(st.just(b""), st.binary(max_size=16)))
 
 
 def make_masks(token_masks, image_size=(8, 8)):
@@ -241,6 +262,33 @@ class TestTensorContainer:
         blob = save_tensors({"w": np.ones(2)}) + b"junk"
         with pytest.raises(FormatError):
             load_tensors(blob)
+
+    def test_non_utf8_name_rejected(self):
+        blob = bytearray(save_tensors({"ab": np.ones(2)}))
+        blob[16:18] = b"\xff\xfe"  # the name follows the 14-byte header and its u16 length
+        with pytest.raises(FormatError):
+            load_tensors(bytes(blob))
+
+    def test_overflowing_extents_rejected(self):
+        blob = struct.pack("<6sIIH", TENSOR_MAGIC, TENSOR_VERSION, 1, 1) + b"w"
+        blob += struct.pack("<B4I", 4, *[65536] * 4)  # 2**64 elements
+        with pytest.raises(FormatError):
+            load_tensors(blob)
+
+    def test_duplicate_names_rejected(self):
+        entry = save_tensors({"w": np.ones(2)})[14:]
+        blob = struct.pack("<6sII", TENSOR_MAGIC, TENSOR_VERSION, 2) + entry + entry
+        with pytest.raises(FormatError):
+            load_tensors(blob)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.one_of(st.binary(max_size=80).map(VALID_HEAD.__add__), mutated_tensor_blobs()))
+    def test_any_blob_is_rejected_or_round_trips(self, blob):
+        try:
+            tensors = load_tensors(blob)
+        except FormatError:
+            return
+        assert save_tensors(tensors) == blob
 
     def test_missing_parameter_name(self):
         blob = save_tensors({"w_q": np.eye(2), "w_k": np.eye(2), "w_v": np.eye(2)})

@@ -121,6 +121,26 @@ class TestKmeansHelpers:
         assert matched == [1, 0]
         assert dists[0] == pytest.approx(0.04)
 
+    def test_matches_permutation_oracle(self):
+        rng = np.random.default_rng(21)
+        for _ in range(500):
+            k = int(rng.integers(1, 8))
+            vectors = rng.normal(size=(k, 3))
+            centers = rng.normal(size=(k, 3))
+            matched, dists = match_to_centers(vectors, centers)
+            assert matched == oracles.match_permutations(vectors, centers)
+            d2 = ((vectors - centers[matched]) ** 2).sum(axis=1)
+            np.testing.assert_array_equal(dists, d2)
+
+    def test_large_k_is_a_bijection(self):
+        rng = np.random.default_rng(22)
+        vectors = rng.normal(size=(64, 5))
+        perm = rng.permutation(64)
+        centers = vectors[perm] + 1e-3 * rng.normal(size=(64, 5))
+        matched, _ = match_to_centers(vectors, centers)
+        assert sorted(matched) == list(range(64))
+        assert matched == np.argsort(perm).tolist()
+
 
 class TestTrainPhase:
     def test_prototypes_match_kmeans_centers(self, tmp_path):
@@ -216,6 +236,16 @@ class TestTtaPhase:
         run_train_phase(cfg, small_spec(), tmp_path)
         report = run_tta_phase(cfg, load_banks(tmp_path, 1), small_spec(seed=5), tmp_path)
         assert report.value("tta.samples") == 100
+
+    def test_project_first_pre_distance_is_measured_before_the_update(self, tmp_path):
+        cfg = small_config(tta_order="project-first")
+        levels = ((6, 6), (4, 4))
+        run_train_phase(cfg, small_spec(levels=levels), tmp_path)
+        report = run_tta_phase(cfg, load_banks(tmp_path, 2), small_spec(seed=5, levels=levels))
+        pre, dmin = report.extra["pre_distance"], report.extra["dmin_trajectory"]
+        assert len(pre) == 2
+        for level_pre, level_dmin in zip(pre, dmin):
+            assert level_pre == level_dmin
 
     def test_level_count_mismatch_rejected(self, tmp_path):
         cfg = small_config()
@@ -363,6 +393,34 @@ class TestCli:
         captured = capsys.readouterr().out
         assert "prototypes 4" in captured
         assert "mode train" in captured
+
+    @staticmethod
+    def user_error(capsys, argv):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("sa-adapt: error: ")
+        assert captured.err.count("\n") == 1
+        return captured.err
+
+    def test_missing_bank_file_is_a_user_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        argv = ["tta-run", "--bank-dir", str(missing), "--out-dir", str(tmp_path)]
+        assert "bank_level0.sabank" in self.user_error(capsys, argv)
+        self.user_error(capsys, ["inspect-bank", str(missing / "bank_level0.sabank")])
+
+    def test_missing_annotation_file_is_a_user_error(self, tmp_path, capsys):
+        missing = tmp_path / "none.txt"
+        argv = ["ocl-demo", "--annotations", str(missing), "--out-dir", str(tmp_path)]
+        assert "none.txt" in self.user_error(capsys, argv)
+
+    def test_corrupt_blob_is_a_user_error(self, tmp_path, capsys):
+        path = tmp_path / "bank_level0.sabank"
+        path.write_bytes(b"SABANK" + bytes(10))
+        assert "shorter than header" in self.user_error(capsys, ["inspect-bank", str(path)])
+
+    def test_invalid_config_value_is_a_user_error(self, tmp_path, capsys):
+        err = self.user_error(capsys, ["train-bank", "--k", "0", "--out-dir", str(tmp_path)])
+        assert "k must be >= 1" in err
 
     def test_cli_determinism_byte_identical_banks(self, tmp_path):
         args = [

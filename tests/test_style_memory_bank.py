@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sa_adapt.errors import FormatError, StateError
 from sa_adapt.style_memory_bank import StyleMemoryBank, StylePrototype, load
@@ -14,6 +15,21 @@ def stats(mean, std):
 
 def random_stats(rng, channels=6):
     return ChannelStats(rng.normal(size=channels), rng.uniform(0.3, 2.5, channels))
+
+
+@st.composite
+def mutated_blobs(draw):
+    """A saved bank with a few bytes overwritten, then cut or extended."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bank = StyleMemoryBank(capacity=int(rng.integers(1, 4)), mode="train")
+    channels = int(rng.integers(1, 3))
+    for _ in range(int(rng.integers(0, 6))):
+        bank.observe(random_stats(rng, channels))
+    blob = bytearray(bank.save())
+    for _ in range(draw(st.integers(0, 3))):
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    cut = draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob))))
+    return bytes(blob[:cut]) + draw(st.one_of(st.just(b""), st.binary(max_size=24)))
 
 
 def full_bank(rng, channels=6, k=4, **kwargs):
@@ -314,6 +330,44 @@ class TestPersistence:
         blob[header : header + 8] = np.array([np.nan]).tobytes()
         with pytest.raises(FormatError):
             load(bytes(blob))
+
+    def test_zero_channels_with_prototypes_rejected(self):
+        blob = bytearray(StyleMemoryBank().save())
+        blob[18:22] = (1).to_bytes(4, "little")  # count 1 with channels 0
+        blob += (1).to_bytes(8, "little") + (0).to_bytes(8, "little")
+        with pytest.raises(FormatError):
+            load(bytes(blob))
+
+    def test_channels_without_prototypes_rejected(self):
+        blob = bytearray(StyleMemoryBank().save())
+        blob[14:18] = (3).to_bytes(4, "little")  # channels 3 with count 0
+        with pytest.raises(FormatError):
+            load(bytes(blob))
+
+    def test_zero_use_count_rejected(self):
+        bank = StyleMemoryBank()
+        bank.observe(stats([1.0, 2.0], [0.5, 0.25]))
+        blob = bytearray(bank.save())
+        blob[-16:-8] = (0).to_bytes(8, "little")
+        with pytest.raises(FormatError):
+            load(bytes(blob))
+
+    def test_update_after_step_rejected(self):
+        bank = StyleMemoryBank()
+        bank.observe(stats([1.0, 2.0], [0.5, 0.25]))
+        blob = bytearray(bank.save())
+        blob[-8:] = (bank.step + 1).to_bytes(8, "little")
+        with pytest.raises(FormatError):
+            load(bytes(blob))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.one_of(st.binary(max_size=120), mutated_blobs()))
+    def test_any_blob_is_rejected_or_round_trips(self, blob):
+        try:
+            bank = load(blob)
+        except FormatError:
+            return
+        assert bank.save() == blob
 
 
 class TestValidation:

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sa_adapt.tensor_core import as_dense, check_feature_map, matmul, softmax
-
-import oracles
+from sa_adapt.tensor_core import check_feature_map, softmax
 
 
 class TestSoftmax:
@@ -55,51 +53,7 @@ class TestSoftmax:
         assert abs(w.sum() - 1.0) < 1e-12
 
 
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(5, 5))
-        np.testing.assert_array_equal(matmul(np.eye(5), a), a)
-
-    def test_one_by_one(self):
-        assert matmul([[2.0]], [[3.0]]).tolist() == [[6.0]]
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2))
-        np.testing.assert_allclose(matmul(a, b), oracles.matmul_triple_loop(a, b), atol=1e-12)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = rng.normal(size=(3, 4))
-            b = rng.normal(size=(4, 5))
-            c = rng.normal(size=(5, 2))
-            np.testing.assert_allclose(
-                matmul(matmul(a, b), c), matmul(a, matmul(b, c)), atol=1e-9
-            )
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_non_2d_rejected(self):
-        with pytest.raises(ValueError):
-            matmul(np.zeros(3), np.zeros((3, 2)))
-
-
 class TestDenseHelpers:
-    def test_as_dense_reshape_and_finite(self):
-        arr = as_dense([1, 2, 3, 4], shape=(2, 2))
-        assert arr.shape == (2, 2)
-        assert arr.dtype == np.float64
-        assert arr.flags["C_CONTIGUOUS"]
-
-    def test_as_dense_rejects_nan(self):
-        with pytest.raises(ValueError):
-            as_dense([1.0, np.nan])
-
     def test_check_feature_map(self):
         check_feature_map(np.zeros((1, 2, 3, 4)))
         with pytest.raises(ValueError):
