@@ -22,6 +22,7 @@ from .contrastive_alignment import (
     ContrastiveBatch,
     LossReport,
     contrastive_loss,
+    contrastive_loss_value,
     total_loss,
 )
 from .errors import FormatError, StateError
@@ -63,6 +64,7 @@ __all__ = [
     "build_masks",
     "compute_stats",
     "contrastive_loss",
+    "contrastive_loss_value",
     "cross_attend",
     "format_annotations",
     "from_interchange",

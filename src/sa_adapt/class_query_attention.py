@@ -7,7 +7,11 @@ content alone, and the update is residual,
 
     Q_out = Q + MultiHead(query=Q, key=T + P, value=T, mask per category).
 
-A category with no attendable tokens passes through unchanged. Queries are
+Keys and values are projected once per token sequence, and only for the
+tokens that some category attends; the logits of all categories and heads
+then go through one masked softmax, in which masked positions get weight
+exactly 0. A category with no attendable tokens passes through unchanged
+(bit for bit). Queries are
 plain (C, d) float arrays; projection parameters are four bias-free d x d
 matrices, loadable from a flat named-tensor container:
 
@@ -21,12 +25,13 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FormatError
 from .object_gating import GatingMaskSet
-from .tensor_core import DTYPE, require_finite, softmax
+from .tensor_core import DTYPE, require_finite
 
 TENSOR_MAGIC = b"SATENS"
 TENSOR_VERSION = 1
@@ -164,6 +169,41 @@ def tokens_from_pyramid(pyramid: list[np.ndarray]) -> TokenSequence:
     return TokenSequence(tokens=tokens, positions=positions, level_boundaries=boundaries)
 
 
+class KeyValues(NamedTuple):
+    """Key and value projections of the tokens that some category attends.
+
+    ``index`` holds the attended token positions in ascending order; row i
+    of ``keys`` and ``values`` belongs to token ``index[i]``.
+    """
+
+    index: np.ndarray  # (M,) int
+    keys: np.ndarray  # (M, d)
+    values: np.ndarray  # (M, d)
+
+
+def project_keys_values(
+    seq: TokenSequence, masks: GatingMaskSet, params: AttentionParams
+) -> KeyValues:
+    """Project keys (token + position) and values (token) once for all categories.
+
+    Only tokens attended by at least one category are read.
+    """
+    index = np.flatnonzero(_token_masks(masks, len(seq.tokens)).any(axis=0))
+    keys = (seq.tokens[index] + seq.positions[index]) @ params.w_k
+    values = seq.tokens[index] @ params.w_v
+    return KeyValues(index, keys, values)
+
+
+def _token_masks(masks: GatingMaskSet, n_tokens: int) -> np.ndarray:
+    if masks.token_masks is None:
+        raise ValueError("mask set has no token alignment; call align_to_tokens first")
+    if masks.token_masks.shape[1:] != (n_tokens,):
+        raise ValueError(
+            f"token masks {masks.token_masks.shape} do not match {n_tokens} tokens"
+        )
+    return masks.token_masks
+
+
 def cross_attend(
     queries: np.ndarray,
     seq: TokenSequence,
@@ -171,13 +211,18 @@ def cross_attend(
     params: AttentionParams,
     heads: int,
     return_weights: bool = False,
+    projections: KeyValues | None = None,
 ):
     """One residual masked cross-attention update of the (C, d) query matrix.
 
     Category c attends only over tokens with ``masks.token_masks[c]`` True;
-    rows with no attendable token are returned unchanged. With
-    ``return_weights`` the per-head attention weights are also returned as
-    a (C, heads, N) array (zeros at ignored positions).
+    rows with no attendable token are returned unchanged. Keys and values
+    are projected once for the tokens any category attends (or taken from
+    ``projections``, the :func:`project_keys_values` result for the same
+    sequence, masks and parameters); then the logits of all categories and
+    heads go through one masked softmax. With ``return_weights`` the
+    per-head attention weights are also returned as a (C, heads, N) array
+    (zeros at ignored positions).
     """
     q = np.asarray(queries, dtype=DTYPE)
     if q.ndim != 2:
@@ -187,34 +232,40 @@ def cross_attend(
         raise ValueError(f"query dim {d} does not match parameter dim {params.dim}")
     if heads < 1 or d % heads != 0:
         raise ValueError(f"heads={heads} must divide d={d}")
-    if masks.token_masks is None:
-        raise ValueError("mask set has no token alignment; call align_to_tokens first")
-    if masks.token_masks.shape != (c_count, len(seq.tokens)):
-        raise ValueError(
-            f"token masks {masks.token_masks.shape} do not match "
-            f"{c_count} categories x {len(seq.tokens)} tokens"
-        )
-    d_head = d // heads
-    scale = 1.0 / math.sqrt(d_head)
-    key_base = seq.tokens + seq.positions
+    token_masks = _token_masks(masks, len(seq.tokens))
+    if token_masks.shape[0] != c_count:
+        raise ValueError(f"token masks {token_masks.shape} do not match {c_count} categories")
+    if projections is None:
+        projections = project_keys_values(seq, masks, params)
+    index, keys, values = projections
+    live = token_masks[:, index]  # (C, M)
+    if live.sum() != token_masks.sum():
+        raise ValueError("projections do not cover every attended token")
+    rows = np.flatnonzero(live.any(axis=1))
+    live = live[rows]  # (R, M), every row has an attendable token
     out = q.copy()
     attn = np.zeros((c_count, heads, len(seq.tokens)), dtype=DTYPE) if return_weights else None
-    for c in range(c_count):
-        idx = np.flatnonzero(masks.token_masks[c])
-        if idx.size == 0:
-            continue
-        k = key_base[idx] @ params.w_k
-        v = seq.tokens[idx] @ params.w_v
-        qp = q[c] @ params.w_q
-        ctx = np.empty(d, dtype=DTYPE)
-        for h in range(heads):
-            sl = slice(h * d_head, (h + 1) * d_head)
-            weights = softmax(k[:, sl] @ qp[sl] * scale)
-            ctx[sl] = weights @ v[:, sl]
-            if attn is not None:
-                attn[c, h, idx] = weights
-        out[c] = q[c] + ctx @ params.w_o
-    return (out, attn) if return_weights else out
+    if rows.size == 0:
+        return (out, attn) if return_weights else out
+    d_head = d // heads
+    m = len(index)
+
+    # (H, R, d_head) @ (H, d_head, M) -> logits (H, R, M)
+    qh = (q[rows] @ params.w_q).reshape(len(rows), heads, d_head).transpose(1, 0, 2)
+    logits = qh @ keys.reshape(m, heads, d_head).transpose(1, 2, 0)
+    logits *= 1.0 / math.sqrt(d_head)
+    require_finite(logits[:, live], "attention logits")
+    np.copyto(logits, -np.inf, where=~live)
+    logits -= logits.max(axis=2, keepdims=True)
+    weights = np.exp(logits, out=logits)  # masked positions become exactly 0
+    weights /= weights.sum(axis=2, keepdims=True)
+
+    ctx = weights @ values.reshape(m, heads, d_head).transpose(1, 0, 2)  # (H, R, d_head)
+    out[rows] += ctx.transpose(1, 0, 2).reshape(len(rows), d) @ params.w_o
+    if not return_weights:
+        return out
+    attn[np.ix_(rows, np.arange(heads), index)] = weights.transpose(1, 0, 2)
+    return out, attn
 
 
 def run_encoder_side(
@@ -228,7 +279,9 @@ def run_encoder_side(
     """Apply cross_attend once per encoder block, carrying queries across.
 
     ``params`` is either one AttentionParams shared by all blocks or a
-    sequence with one entry per block.
+    sequence with one entry per block. Keys and values are projected once
+    and reused for as long as consecutive blocks see the same sequence and
+    parameter objects.
     """
     if not seqs:
         raise ValueError("need at least one block token sequence")
@@ -241,8 +294,12 @@ def run_encoder_side(
         if len(per_block) != len(seqs):
             raise ValueError(f"{len(per_block)} parameter sets for {len(seqs)} blocks")
     q = np.asarray(q0, dtype=DTYPE)
+    kv, last_seq, last_params = None, None, None
     for seq, block_params in zip(seqs, per_block):
-        q = cross_attend(q, seq, masks, block_params, heads)
+        if seq is not last_seq or block_params is not last_params:
+            kv = project_keys_values(seq, masks, block_params)
+            last_seq, last_params = seq, block_params
+        q = cross_attend(q, seq, masks, block_params, heads, projections=kv)
     return q
 
 

@@ -179,7 +179,7 @@ def _run(args: argparse.Namespace) -> int:
 
             records = parse_annotations(Path(args.annotations).read_text(encoding="utf-8"))
             if not records:
-                raise SystemExit("annotation file holds no records")
+                raise ValueError(f"annotation file {args.annotations} holds no records")
             annotation = records[0].annotation
             image_size = records[0].image_size
         else:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,50 +59,70 @@ class LossReport:
     l_total: float | None = None
 
 
-def contrastive_loss(batch: ContrastiveBatch, normalize: bool = False) -> LossReport:
-    """Loss and analytic gradients for one batch of paired query sets.
+class _Forward(NamedTuple):
+    idx: np.ndarray  # present category indices
+    s_unit: np.ndarray  # (n, d) source queries, normalized if requested
+    a_unit: np.ndarray
+    s_norm: np.ndarray | None  # (n, 1) row norms when normalizing
+    a_norm: np.ndarray | None
+    exp: np.ndarray  # (n, n) column-shifted exponentials
+    z: np.ndarray  # (n,) column sums of exp
+    loss: float
 
-    Stabilized by per-column max subtraction. With ``normalize`` the
-    queries are L2-normalized first and the gradients are chained through
-    the normalization.
+
+def _forward(batch: ContrastiveBatch, normalize: bool) -> _Forward:
+    """The loss and the intermediates its gradients reuse.
+
+    Stabilized by per-column max subtraction.
     """
     idx = np.flatnonzero(batch.present)
     if idx.size == 0:
         raise StateError("contrastive loss needs at least one present category")
-    n = idx.size
     s = batch.q_source[idx]
     a = batch.q_augmented[idx]
+    s_norm = a_norm = None
     if normalize:
         s_norm = np.linalg.norm(s, axis=1, keepdims=True)
         a_norm = np.linalg.norm(a, axis=1, keepdims=True)
         if np.any(s_norm == 0.0) or np.any(a_norm == 0.0):
             raise ValueError("cannot normalize a zero query vector")
-        s_unit, a_unit = s / s_norm, a / a_norm
-    else:
-        s_unit, a_unit = s, a
+        s, a = s / s_norm, a / a_norm
 
-    logits = s_unit @ a_unit.T  # logits[j, i] = s_j . a_i
+    logits = s @ a.T  # logits[j, i] = s_j . a_i
     shifted = logits - logits.max(axis=0, keepdims=True)
     exp = np.exp(shifted)
     z = exp.sum(axis=0)
-    log_prob_diag = np.diag(shifted) - np.log(z)
-    loss = float(-np.mean(log_prob_diag))
+    log_prob_diag = shifted.diagonal() - np.log(z)
+    loss = float(-(log_prob_diag.sum() / idx.size))
+    return _Forward(idx, s, a, s_norm, a_norm, exp, z, loss)
 
+
+def contrastive_loss_value(batch: ContrastiveBatch, normalize: bool = False) -> float:
+    """The loss alone, exactly as :func:`contrastive_loss` reports it."""
+    return _forward(batch, normalize).loss
+
+
+def contrastive_loss(batch: ContrastiveBatch, normalize: bool = False) -> LossReport:
+    """Loss and analytic gradients for one batch of paired query sets.
+
+    With ``normalize`` the queries are L2-normalized first and the
+    gradients are chained through the normalization.
+    """
+    fw = _forward(batch, normalize)
+    n = fw.idx.size
     # d loss / d logits[j, i] = (softmax_j - delta_ji) / n
-    g_logits = (exp / z - np.eye(n)) / n
-    g_s_unit = g_logits @ a_unit
-    g_a_unit = g_logits.T @ s_unit
+    g_logits = (fw.exp / fw.z - np.eye(n)) / n
+    g_s = g_logits @ fw.a_unit
+    g_a = g_logits.T @ fw.s_unit
     if normalize:
-        g_s = (g_s_unit - (g_s_unit * s_unit).sum(axis=1, keepdims=True) * s_unit) / s_norm
-        g_a = (g_a_unit - (g_a_unit * a_unit).sum(axis=1, keepdims=True) * a_unit) / a_norm
-    else:
-        g_s, g_a = g_s_unit, g_a_unit
+        g_s = (g_s - (g_s * fw.s_unit).sum(axis=1, keepdims=True) * fw.s_unit) / fw.s_norm
+        g_a = (g_a - (g_a * fw.a_unit).sum(axis=1, keepdims=True) * fw.a_unit) / fw.a_norm
 
     grad_source = np.zeros_like(batch.q_source)
     grad_augmented = np.zeros_like(batch.q_augmented)
-    grad_source[idx] = g_s
-    grad_augmented[idx] = g_a
-    return LossReport(loss, grad_source, grad_augmented)
+    grad_source[fw.idx] = g_s
+    grad_augmented[fw.idx] = g_a
+    return LossReport(fw.loss, grad_source, grad_augmented)
 
 
 def total_loss(l_det: float, l_contra: float, lambda_c: float) -> float:

@@ -31,7 +31,12 @@ from .class_query_attention import (
     tokens_from_pyramid,
 )
 from .config import RunConfig
-from .contrastive_alignment import ContrastiveBatch, contrastive_loss, total_loss
+from .contrastive_alignment import (
+    ContrastiveBatch,
+    contrastive_loss,
+    contrastive_loss_value,
+    total_loss,
+)
 from .object_gating import Annotation, align_to_tokens, build_masks
 from .style_memory_bank import StyleMemoryBank, load
 from .style_projection import project
@@ -477,6 +482,8 @@ def run_ocl_demo(
     mask_set = align_to_tokens(
         build_masks(annotation, image_size, num_categories), list(level_shapes)
     )
+    if not mask_set.present.any():
+        raise ValueError("annotation has no present category; the contrastive loss needs one")
 
     d = config.d
     source = [rng.normal(size=(1, d, h, w)) for h, w in level_shapes]
@@ -502,8 +509,8 @@ def run_ocl_demo(
     loss_rep = contrastive_loss(batch)
     loss_rep.l_total = total_loss(l_det, loss_rep.l_contra, config.lambda_c)
 
-    fd_src = fd_gradient(lambda: contrastive_loss(batch).l_contra, batch.q_source)
-    fd_aug = fd_gradient(lambda: contrastive_loss(batch).l_contra, batch.q_augmented)
+    fd_src = fd_gradient(lambda: contrastive_loss_value(batch), batch.q_source)
+    fd_aug = fd_gradient(lambda: contrastive_loss_value(batch), batch.q_augmented)
     fd_err = max(
         max_relative_error(loss_rep.grad_q_source, fd_src),
         max_relative_error(loss_rep.grad_q_augmented, fd_aug),

@@ -10,6 +10,7 @@ from sa_adapt.class_query_attention import (
     cross_attend,
     init_class_queries,
     load_tensors,
+    project_keys_values,
     run_encoder_side,
     TENSOR_MAGIC,
     TENSOR_VERSION,
@@ -133,6 +134,38 @@ class TestCrossAttend:
         out2 = cross_attend(q, zeroed, masks, params, heads=2)
         assert np.abs(out - out2).max() < 1e-12
 
+    def test_unattended_tokens_never_read_even_when_huge(self):
+        rng = np.random.default_rng(15)
+        q, seq, masks, params = random_setup(rng)
+        masks.token_masks[:, :5] = False
+        unattended = ~masks.token_masks.any(axis=0)
+
+        def with_unattended(value):
+            tokens = seq.tokens.copy()
+            tokens[unattended] = value
+            return TokenSequence(tokens, seq.positions, seq.level_boundaries)
+
+        zeroed = cross_attend(q, with_unattended(0.0), masks, params, heads=2)
+        huge = cross_attend(q, with_unattended(1e300), masks, params, heads=2)
+        np.testing.assert_array_equal(huge, zeroed)
+
+    def test_overflowing_attendable_logits_raise(self):
+        rng = np.random.default_rng(16)
+        q, seq, masks, params = random_setup(rng)
+        params.w_q = params.w_q * 1e200
+        params.w_k = params.w_k * 1e200  # finite keys, logits overflow to inf
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            cross_attend(q, seq, masks, params, heads=2)
+
+    def test_projections_missing_an_attended_token_rejected(self):
+        rng = np.random.default_rng(17)
+        q, seq, masks, params = random_setup(rng)
+        fewer = masks.token_masks.copy()
+        fewer[:, np.flatnonzero(fewer.any(axis=0))[-1]] = False
+        kv = project_keys_values(seq, make_masks(fewer), params)
+        with pytest.raises(ValueError, match="projections"):
+            cross_attend(q, seq, masks, params, heads=2, projections=kv)
+
     def test_category_permutation_equivariance(self):
         rng = np.random.default_rng(4)
         q, seq, masks, params = random_setup(rng, c=4)
@@ -177,6 +210,16 @@ class TestEncoderSide:
             run_encoder_side(q, [seq], masks, params, heads=2),
             cross_attend(q, seq, masks, params, heads=2),
         )
+
+    def test_shared_params_equal_chained_cross_attend(self):
+        # keys and values projected once are reused by every block
+        rng = np.random.default_rng(18)
+        q, seq, masks, params = random_setup(rng)
+        chained = q
+        for _ in range(3):
+            chained = cross_attend(chained, seq, masks, params, heads=2)
+        got = run_encoder_side(q, [seq] * 3, masks, params, heads=2)
+        np.testing.assert_array_equal(got, chained)
 
     def test_all_absent_through_six_blocks(self):
         rng = np.random.default_rng(9)

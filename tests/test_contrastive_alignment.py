@@ -6,6 +6,7 @@ import pytest
 from sa_adapt.contrastive_alignment import (
     ContrastiveBatch,
     contrastive_loss,
+    contrastive_loss_value,
     total_loss,
 )
 from sa_adapt.errors import StateError
@@ -134,6 +135,14 @@ class TestContrastiveLoss:
         rep = contrastive_loss(batch_of(q_s, q_a))
         assert math.isfinite(rep.l_contra)
         assert np.all(np.isfinite(rep.grad_q_source))
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_loss_value_is_the_reported_loss(self, normalize):
+        rng = np.random.default_rng(6)
+        present = np.array([True, True, False, True])
+        batch = batch_of(rng.normal(size=(4, 8)), rng.normal(size=(4, 8)), present)
+        value = contrastive_loss_value(batch, normalize=normalize)
+        assert value == contrastive_loss(batch, normalize=normalize).l_contra
 
     def test_no_present_categories_is_state_error(self):
         with pytest.raises(StateError):

@@ -6,6 +6,8 @@ import pytest
 
 from sa_adapt.cli import main as cli_main
 from sa_adapt.config import RunConfig
+from sa_adapt.object_gating import Annotation
+import sa_adapt.harness as harness_mod
 from sa_adapt.harness import (
     Report,
     StyleCluster,
@@ -298,6 +300,14 @@ class TestOclDemo:
         report = run_ocl_demo(cfg)
         assert report.value("ocl.fd_max_rel_error") < 1e-6
 
+    def test_no_present_category_rejected_before_attention(self, monkeypatch):
+        def no_attention(*args, **kwargs):
+            raise AssertionError("attention ran")
+
+        monkeypatch.setattr(harness_mod, "run_encoder_side", no_attention)
+        with pytest.raises(ValueError, match="no present category"):
+            run_ocl_demo(small_config(), annotation=Annotation(boxes=[], categories=[]))
+
     def test_total_combines_detection_stub(self):
         cfg = small_config(d=16, heads=2)
         report = run_ocl_demo(cfg, l_det=2.5)
@@ -412,6 +422,18 @@ class TestCli:
         missing = tmp_path / "none.txt"
         argv = ["ocl-demo", "--annotations", str(missing), "--out-dir", str(tmp_path)]
         assert "none.txt" in self.user_error(capsys, argv)
+
+    def test_annotation_file_without_records_is_a_user_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        argv = ["ocl-demo", "--annotations", str(empty), "--out-dir", str(tmp_path)]
+        assert "holds no records" in self.user_error(capsys, argv)
+
+    def test_annotation_without_boxes_is_a_user_error(self, tmp_path, capsys):
+        ann = tmp_path / "boxes.txt"
+        ann.write_text("img 64 64\n")
+        argv = ["ocl-demo", "--annotations", str(ann), "--out-dir", str(tmp_path)]
+        assert "no present category" in self.user_error(capsys, argv)
 
     def test_corrupt_blob_is_a_user_error(self, tmp_path, capsys):
         path = tmp_path / "bank_level0.sabank"
