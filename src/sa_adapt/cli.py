@@ -15,6 +15,7 @@ bad value) print one ``sa-adapt: error: <msg>`` line and return 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -43,9 +44,9 @@ def _config_parent() -> argparse.ArgumentParser:
     )
     g.add_argument("--lambda-c", dest="lambda_c", type=float, help="contrastive weight")
     g.add_argument("--epsilon", type=float, help="statistics variance floor")
-    g.add_argument("--weighting", choices=["neg-distance", "raw-distance"])
+    g.add_argument("--weighting", choices=config_mod.WEIGHTINGS)
     g.add_argument("--softmax-temperature", dest="softmax_temperature", type=float)
-    g.add_argument("--tta-order", dest="tta_order", choices=["observe-first", "project-first"])
+    g.add_argument("--tta-order", dest="tta_order", choices=config_mod.TTA_ORDERS)
     g.add_argument("--heads", type=int, help="attention heads")
     g.add_argument("--dim", dest="d", type=int, help="query/token dimension d")
     g.add_argument("--seed", type=int, help="master RNG seed")
@@ -70,21 +71,7 @@ def _stream_flags(sub: argparse.ArgumentParser) -> None:
 
 def build_config(args: argparse.Namespace) -> config_mod.RunConfig:
     overrides = {
-        name: getattr(args, name, None)
-        for name in (
-            "k",
-            "alpha",
-            "momentum",
-            "lambda_c",
-            "epsilon",
-            "weighting",
-            "softmax_temperature",
-            "tta_order",
-            "heads",
-            "d",
-            "seed",
-            "out_dir",
-        )
+        f.name: getattr(args, f.name, None) for f in dataclasses.fields(config_mod.RunConfig)
     }
     return config_mod.load_config(args.config, overrides)
 
@@ -199,12 +186,15 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "bench":
+        shapes = _parse_hw_list(args.bench_levels)
+        if any(h != w for h, w in shapes):
+            raise ValueError(f"bench levels must be square HxH, got {args.bench_levels}")
         report = harness.bench(
             cfg,
             runs=args.runs,
             warmup=args.warmup,
             channels=args.bench_channels,
-            level_hw=tuple(h for h, _ in _parse_hw_list(args.bench_levels)),
+            level_hw=tuple(h for h, _ in shapes),
             out_dir=out_dir,
         )
         sys.stdout.write(harness.format_report(report.records))

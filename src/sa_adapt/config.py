@@ -18,6 +18,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 
+from .style_projection import WEIGHTINGS
+
 SEED_ENV_VAR = "SA_ADAPT_SEED"
 
 DEFAULT_K = 4
@@ -25,6 +27,7 @@ DEFAULT_ALPHA = 0.7
 DEFAULT_MOMENTUM = 0.9
 DEFAULT_LAMBDA_C = 0.1
 DEFAULT_EPSILON = 1e-6
+TTA_ORDERS = ("observe-first", "project-first")
 
 
 @dataclass
@@ -34,9 +37,9 @@ class RunConfig:
     momentum: float = DEFAULT_MOMENTUM  # EMA momentum, the bank's lambda
     lambda_c: float = DEFAULT_LAMBDA_C
     epsilon: float = DEFAULT_EPSILON
-    weighting: str = "neg-distance"  # or "raw-distance"
+    weighting: str = WEIGHTINGS[0]
     softmax_temperature: float = 1.0
-    tta_order: str = "observe-first"  # or "project-first"
+    tta_order: str = TTA_ORDERS[0]
     heads: int = 8
     d: int = 256
     seed: int = 0
@@ -53,9 +56,9 @@ class RunConfig:
             raise ValueError("lambda_c must be >= 0")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.weighting not in ("neg-distance", "raw-distance"):
+        if self.weighting not in WEIGHTINGS:
             raise ValueError(f"unknown weighting {self.weighting!r}")
-        if self.tta_order not in ("observe-first", "project-first"):
+        if self.tta_order not in TTA_ORDERS:
             raise ValueError(f"unknown tta_order {self.tta_order!r}")
         if not self.softmax_temperature > 0:
             raise ValueError("softmax_temperature must be positive")

@@ -379,7 +379,7 @@ def run_tta_phase(
             if config.tta_order == "observe-first":
                 rep = bank.observe(s)
             result = project(bank, fmap, config.weighting, config.softmax_temperature, [s])[0]
-            pre_d[li].append(float(np.min(bank.distances(s))))
+            pre_d[li].append(float(np.min(result.distances)))
             if config.tta_order == "project-first":
                 rep = bank.observe(s)
             dmin_traj[li].append(rep.d_min if rep.d_min is not None else 0.0)
@@ -579,7 +579,10 @@ def bench(
     of the reference pyramid; (b) observe: one fusion-only bank update per
     level with precomputed statistics (the marginal cost of keeping
     adaptation on at test time). Reports mean and p95 in milliseconds.
+    Raises ValueError unless ``runs >= 1`` and ``warmup >= 0``.
     """
+    if runs < 1 or warmup < 0:
+        raise ValueError(f"bench needs runs >= 1 and warmup >= 0, got {runs} and {warmup}")
     banks, pyramid, stats = _reference_banks_and_pyramid(
         config, channels, level_hw, config.seed
     )

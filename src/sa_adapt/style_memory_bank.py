@@ -16,8 +16,8 @@ Binary persistence format (version 1, little-endian throughout):
     header  : magic ``SABANK`` (6 bytes), version u32, capacity u32,
               channels u32, prototype count u32, mode u8 (0=train, 1=tta),
               step u64, alpha f64, momentum f64
-    records : ``count`` prototype records, each
-              p_mean (channels f64), p_std (channels f64),
+    records : ``count`` fixed-size records (one numpy record dtype), each
+              mean (channels f64), std (channels f64),
               use_count u64, last_update u64
 
 ``load(save(bank))`` reproduces the bank bit-exactly, counters included.
@@ -32,35 +32,43 @@ import numpy as np
 
 from .errors import FormatError, StateError
 from .style_statistics import ChannelStats, sq_distances, style_vector
-from .tensor_core import DTYPE, require_finite
 
 MAGIC = b"SABANK"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<6sIIIIBQdd")
-_COUNTERS = struct.Struct("<QQ")
 _MODES = ("train", "tta")
 
 
-@dataclass
-class StylePrototype:
-    """One stored style basis: per-channel mean/std plus usage counters."""
+def _record_dtype(channels: int) -> np.dtype:
+    """The file layout of one prototype record (see the module docstring)."""
+    vector = ("<f8", (channels,))
+    return np.dtype(
+        [("mean", *vector), ("std", *vector), ("use_count", "<u8"), ("last_update", "<u8")]
+    )
 
-    p_mean: np.ndarray
-    p_std: np.ndarray
+
+@dataclass
+class StylePrototype(ChannelStats):
+    """One stored style basis: a ChannelStats (holding copies of the caller's
+    arrays, so the bank never aliases them) plus usage counters."""
+
     use_count: int = 1
     last_update: int = 0
 
     def __post_init__(self):
-        self.p_mean = np.asarray(self.p_mean, dtype=DTYPE).copy()
-        self.p_std = np.asarray(self.p_std, dtype=DTYPE).copy()
-        require_finite(self.p_mean, "prototype mean")
-        require_finite(self.p_std, "prototype std")
-        if np.any(self.p_std <= 0.0):
-            raise ValueError("prototype stds must be strictly positive")
+        super().__post_init__()
+        self.mean = self.mean.copy()
+        self.std = self.std.copy()
 
     @property
-    def channels(self) -> int:
-        return self.p_mean.shape[0]
+    def p_mean(self) -> np.ndarray:
+        """Read-only alias of ``mean``."""
+        return self.mean
+
+    @property
+    def p_std(self) -> np.ndarray:
+        """Read-only alias of ``std``."""
+        return self.std
 
 
 @dataclass
@@ -99,6 +107,8 @@ class StyleMemoryBank:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if len(self.prototypes) > self.capacity:
             raise ValueError("more prototypes than capacity")
+        if len({p.channels for p in self.prototypes}) > 1:
+            raise ValueError("prototypes disagree on the channel count")
 
     def __len__(self) -> int:
         return len(self.prototypes)
@@ -163,9 +173,9 @@ class StyleMemoryBank:
 
         p = self.prototypes[nearest]
         lam = self.momentum
-        p.p_mean = lam * p.p_mean + (1.0 - lam) * s.mean
-        p.p_std = lam * p.p_std + (1.0 - lam) * s.std
-        assert np.all(p.p_std > 0.0)  # convex combination of positive stds
+        p.mean = lam * p.mean + (1.0 - lam) * s.mean
+        p.std = lam * p.std + (1.0 - lam) * s.std
+        assert np.all(p.std > 0.0)  # convex combination of positive stds
         p.use_count += 1
         p.last_update = self.step
         return UpdateReport("fuse", nearest, d_min=d_min, tau=tau)
@@ -174,32 +184,30 @@ class StyleMemoryBank:
         """Serialize to the versioned binary format documented above."""
         c = self.channels or 0
         mode_code = _MODES.index(self.mode)
-        out = bytearray(
-            _HEADER.pack(
-                MAGIC,
-                FORMAT_VERSION,
-                self.capacity,
-                c,
-                len(self.prototypes),
-                mode_code,
-                self.step,
-                self.alpha,
-                self.momentum,
-            )
+        header = _HEADER.pack(
+            MAGIC,
+            FORMAT_VERSION,
+            self.capacity,
+            c,
+            len(self.prototypes),
+            mode_code,
+            self.step,
+            self.alpha,
+            self.momentum,
         )
-        for p in self.prototypes:
-            out += np.ascontiguousarray(p.p_mean, dtype="<f8").tobytes()
-            out += np.ascontiguousarray(p.p_std, dtype="<f8").tobytes()
-            out += _COUNTERS.pack(p.use_count, p.last_update)
-        return bytes(out)
+        records = np.array(
+            [(p.mean, p.std, p.use_count, p.last_update) for p in self.prototypes],
+            dtype=_record_dtype(c),
+        )
+        return header + records.tobytes()
 
 
 def load(blob: bytes) -> StyleMemoryBank:
     """Rebuild a bank from :meth:`StyleMemoryBank.save` output.
 
     Raises FormatError on bad magic, unsupported version, inconsistent
-    lengths or counters, or non-finite / non-positive prototype values; a
-    malformed blob never yields a partially-built bank.
+    lengths or counters, or prototypes that the StylePrototype constructor
+    rejects; a malformed blob never yields a partially-built bank.
     """
     if len(blob) < _HEADER.size:
         raise FormatError("bank blob shorter than header")
@@ -218,30 +226,21 @@ def load(blob: bytes) -> StyleMemoryBank:
         raise FormatError("non-finite hyperparameters in header")
     if (channels == 0) != (count == 0):
         raise FormatError(f"{count} prototypes of {channels} channels")
-    record = 16 * channels + _COUNTERS.size
-    expected = _HEADER.size + count * record
+    # Checked before the record dtype is built, so a hostile ``channels``
+    # never reaches numpy: a record is two C-vectors of f64 and two u64.
+    expected = _HEADER.size + count * (16 * channels + 16)
     if len(blob) != expected:
         raise FormatError(f"bank blob has {len(blob)} bytes, expected {expected}")
-
-    prototypes = []
-    off = _HEADER.size
-    for _ in range(count):
-        p_mean = np.frombuffer(blob, dtype="<f8", count=channels, offset=off)
-        off += 8 * channels
-        p_std = np.frombuffer(blob, dtype="<f8", count=channels, offset=off)
-        off += 8 * channels
-        use_count, last_update = _COUNTERS.unpack_from(blob, off)
-        off += _COUNTERS.size
-        if not (np.all(np.isfinite(p_mean)) and np.all(np.isfinite(p_std))):
-            raise FormatError("non-finite prototype values")
-        if np.any(p_std <= 0.0):
-            raise FormatError("non-positive prototype std")
-        if use_count == 0 or last_update > step:
-            raise FormatError(f"inconsistent counters use={use_count} last={last_update}")
-        prototypes.append(
-            StylePrototype(p_mean, p_std, use_count=use_count, last_update=last_update)
-        )
+    records = np.frombuffer(
+        blob, dtype=_record_dtype(channels), count=count, offset=_HEADER.size
+    )
+    if np.any(records["use_count"] == 0) or np.any(records["last_update"] > step):
+        raise FormatError("inconsistent counters: a use_count of 0 or a last_update past step")
     try:
+        prototypes = [
+            StylePrototype(r["mean"], r["std"], int(r["use_count"]), int(r["last_update"]))
+            for r in records
+        ]
         return StyleMemoryBank(
             capacity=capacity,
             alpha=alpha,

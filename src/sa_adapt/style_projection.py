@@ -1,8 +1,9 @@
 """Rectify feature-map styles toward the bank's prototype manifold.
 
-For each sample the bank distances are turned into softmax weights, one
-product ``w @ bank.vectors()`` forms both targets (mu', sigma'), and the
-map is remapped per channel by the affine instance renormalization (AdaIN)
+For each sample one row of bank distances (kept on the result as
+``distances``) is turned into softmax weights, one product
+``w @ bank.vectors()`` forms both targets (mu', sigma'), and the map is
+remapped per channel by the affine instance renormalization (AdaIN)
 ``f * scale + shift`` with ``scale = sigma' / sigma`` and
 ``shift = mu' - mu * scale``. A caller that has measured (mu, sigma)
 passes them as ``stats``. All K prototypes participate; no KNN pruning.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .style_memory_bank import StyleMemoryBank
-from .style_statistics import ChannelStats, compute_stats
+from .style_statistics import EPSILON, ChannelStats, compute_stats
 from .tensor_core import check_feature_map, softmax
 
 WEIGHTINGS = ("neg-distance", "raw-distance")
@@ -30,12 +31,13 @@ WEIGHTINGS = ("neg-distance", "raw-distance")
 
 @dataclass
 class ProjectionResult:
-    """Rectified sample plus the target statistics and weights that produced it."""
+    """Rectified sample plus the target statistics, weights and bank distances behind it."""
 
     rectified: np.ndarray  # (1, C, H, W)
     target_mean: np.ndarray  # (C,)
     target_std: np.ndarray  # (C,)
     weights: np.ndarray  # (K,)
+    distances: np.ndarray  # (K,)
 
 
 def projection_weights(
@@ -75,12 +77,13 @@ def project(
     vectors = bank.vectors()
     results = []
     for b, s in enumerate(stats):
-        w = projection_weights(bank.distances(s), weighting, temperature)
+        d = bank.distances(s)
+        w = projection_weights(d, weighting, temperature)
         target_mean, target_std = np.split(w @ vectors, 2)
         scale = target_std / s.std
         shift = target_mean - s.mean * scale
         rectified = f[b : b + 1] * scale[None, :, None, None] + shift[None, :, None, None]
-        results.append(ProjectionResult(rectified, target_mean, target_std, w))
+        results.append(ProjectionResult(rectified, target_mean, target_std, w, d))
     return results
 
 
@@ -89,7 +92,7 @@ def project_pyramid(
     pyramid: list[np.ndarray],
     weighting: str = "neg-distance",
     temperature: float = 1.0,
-    epsilon: float | None = None,
+    epsilon: float = EPSILON,
 ) -> list[list[ProjectionResult]]:
     """Independently project every pyramid level with its own bank.
 
@@ -99,9 +102,8 @@ def project_pyramid(
         raise ValueError(f"{len(banks)} banks for {len(pyramid)} pyramid levels")
     if not pyramid:
         raise ValueError("empty pyramid")
-    kwargs = {} if epsilon is None else {"epsilon": epsilon}
     return [
-        project(bank, level, weighting, temperature, compute_stats(level, **kwargs))
+        project(bank, level, weighting, temperature, compute_stats(level, epsilon))
         for bank, level in zip(banks, pyramid)
     ]
 

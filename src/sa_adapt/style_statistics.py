@@ -4,7 +4,9 @@ The "style" of one sample is the pair of per-channel first and second
 moments (mean, std) of its feature map, computed over the spatial extent.
 The distance between two styles is the squared 2-Wasserstein distance
 between diagonal Gaussians with those moments, which reduces to
-``sum((mu - p_mu)^2) + sum((sigma - p_sigma)^2)``.
+``sum((mu - p_mu)^2) + sum((sigma - p_sigma)^2)``. ``ChannelStats`` is the
+one (mean, std) record: the memory bank's prototypes subclass it, so a
+measured style and a stored one share validation and :func:`style_vector`.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ class ChannelStats:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=DTYPE)
         self.std = np.asarray(self.std, dtype=DTYPE)
-        if self.mean.ndim != 1 or self.std.ndim != 1:
-            raise ValueError("mean and std must be 1-D per-channel vectors")
+        if self.mean.ndim != 1 or self.std.ndim != 1 or self.mean.size == 0:
+            raise ValueError("mean and std must be non-empty 1-D per-channel vectors")
         if self.mean.shape != self.std.shape:
             raise ValueError(
                 f"mean/std channel counts disagree: {self.mean.shape} vs {self.std.shape}"
@@ -61,12 +63,9 @@ def compute_stats(f: np.ndarray, epsilon: float = EPSILON) -> list[ChannelStats]
     return [ChannelStats(mean[b], std[b]) for b in range(f.shape[0])]
 
 
-def style_vector(s) -> np.ndarray:
-    """Concatenated ``[mean, std]`` of a ChannelStats or of a stored prototype
-    (``p_mean``/``p_std``), so squared euclidean distance is style distance."""
-    if isinstance(s, ChannelStats):
-        return np.concatenate([s.mean, s.std])
-    return np.concatenate([s.p_mean, s.p_std])
+def style_vector(s: ChannelStats) -> np.ndarray:
+    """Concatenated ``[mean, std]``, so squared euclidean distance is style distance."""
+    return np.concatenate([s.mean, s.std])
 
 
 def sq_distances(a, b) -> np.ndarray:
@@ -77,11 +76,10 @@ def sq_distances(a, b) -> np.ndarray:
     return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
 
 
-def style_distance(s: ChannelStats, p) -> float:
+def style_distance(s: ChannelStats, p: ChannelStats) -> float:
     """Squared 2-Wasserstein distance between two diagonal-Gaussian styles.
 
-    ``p`` may be another ChannelStats or a stored prototype (see
-    :func:`style_vector`). Non-negative, symmetric, and zero exactly when
-    the statistics coincide.
+    Either may be a stored prototype, which is a ChannelStats. Non-negative,
+    symmetric, and zero exactly when the statistics coincide.
     """
     return float(sq_distances(style_vector(s)[None], style_vector(p)[None])[0, 0])

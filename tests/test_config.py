@@ -1,5 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
+from sa_adapt.cli import _config_parent
 from sa_adapt.config import RunConfig, load_config, parse_config_text, selftest
 
 
@@ -57,3 +60,11 @@ class TestConfigFile:
             load_config(None, overrides={"heads": 3, "d": 256}, env={})
         with pytest.raises(ValueError):
             load_config(None, overrides={"weighting": "mystery"}, env={})
+
+
+def test_every_run_config_field_has_a_flag():
+    # cli.build_config reads one flag per RunConfig field; a field without
+    # a flag would be silently ignored there.
+    dests = {action.dest for action in _config_parent()._actions}
+    missing = {f.name for f in fields(RunConfig)} - dests
+    assert not missing

@@ -444,6 +444,15 @@ class TestCli:
         err = self.user_error(capsys, ["train-bank", "--k", "0", "--out-dir", str(tmp_path)])
         assert "k must be >= 1" in err
 
+    def test_bench_without_runs_is_a_user_error(self, tmp_path, capsys):
+        out = ["--out-dir", str(tmp_path)]
+        assert "runs >= 1" in self.user_error(capsys, ["bench", "--runs", "0", *out])
+        assert "warmup >= 0" in self.user_error(capsys, ["bench", "--warmup", "-1", *out])
+
+    def test_non_square_bench_level_is_a_user_error(self, tmp_path, capsys):
+        argv = ["bench", "--bench-levels", "8x8,64x32", "--out-dir", str(tmp_path)]
+        assert "64x32" in self.user_error(capsys, argv)
+
     def test_cli_determinism_byte_identical_banks(self, tmp_path):
         args = [
             "train-bank",

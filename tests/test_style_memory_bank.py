@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -290,6 +292,18 @@ class TestPersistence:
         assert len(again) == 0
         assert again.save() == bank.save()
 
+    def test_save_writes_the_documented_layout(self):
+        # README "Bank files": header '<6sIIIIBQdd', then per prototype
+        # mean (C f64), std (C f64), use_count u64, last_update u64.
+        bank = StyleMemoryBank(capacity=3, alpha=0.5, momentum=0.8)
+        bank.observe(stats([1.0, -2.0], [0.5, 0.25]))
+        bank.observe(stats([3.0, 4.0], [1.5, 2.0]))
+        bank.prototypes[0].use_count = 5  # distinct counters, so a swap shows
+        expected = struct.pack("<6sIIIIBQdd", b"SABANK", 1, 3, 2, 2, 0, 2, 0.5, 0.8)
+        expected += struct.pack("<2d2dQQ", 1.0, -2.0, 0.5, 0.25, 5, 1)
+        expected += struct.pack("<2d2dQQ", 3.0, 4.0, 1.5, 2.0, 1, 2)
+        assert bank.save() == expected
+
     def test_bad_magic(self):
         blob = bytearray(StyleMemoryBank().save())
         blob[:6] = b"NOTABK"
@@ -384,3 +398,27 @@ class TestValidation:
     def test_prototype_positive_std(self):
         with pytest.raises(ValueError):
             StylePrototype(np.zeros(2), np.array([1.0, 0.0]))
+
+    def test_prototype_channel_counts_must_agree(self):
+        with pytest.raises(ValueError):
+            StylePrototype(np.zeros(2), np.ones(3))
+
+    def test_zero_channel_prototype_rejected(self):
+        # load rejects a bank of 0-channel prototypes, so none may be built
+        with pytest.raises(ValueError):
+            StylePrototype(np.zeros(0), np.zeros(0))
+
+    def test_prototype_copies_caller_arrays(self):
+        mean, std = np.zeros(2), np.ones(2)
+        p = StylePrototype(mean, std)
+        mean[0], std[0] = 5.0, 7.0
+        np.testing.assert_array_equal(p.p_mean, [0.0, 0.0])
+        np.testing.assert_array_equal(p.p_std, [1.0, 1.0])
+
+    def test_bank_rejects_prototypes_of_different_channel_counts(self):
+        protos = [
+            StylePrototype(np.zeros(2), np.ones(2)),
+            StylePrototype(np.zeros(3), np.ones(3)),
+        ]
+        with pytest.raises(ValueError):
+            StyleMemoryBank(prototypes=protos)

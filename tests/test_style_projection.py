@@ -35,6 +35,14 @@ class TestProject:
         (res,) = project(bank, f)
         assert np.abs(res.rectified - f).max() < 1e-9
 
+    def test_result_carries_the_distance_row_of_its_weights(self):
+        rng = np.random.default_rng(4)
+        bank = random_bank(rng, 5)
+        f = rng.normal(size=(2, 5, 4, 4))
+        for res, s in zip(project(bank, f), compute_stats(f)):
+            np.testing.assert_array_equal(res.distances, bank.distances(s))
+            np.testing.assert_array_equal(res.weights, projection_weights(res.distances))
+
     def test_equidistant_prototypes_average_uniformly(self):
         # prototypes at mean +r/-r around the input mean, equal stds:
         # both distances equal, so weights are 1/K and mu' is the average
