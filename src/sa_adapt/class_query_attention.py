@@ -59,7 +59,8 @@ class TokenSequence:
             )
         require_finite(self.tokens, "tokens")
         require_finite(self.positions, "positions")
-        if self.level_boundaries[0] != 0 or self.level_boundaries[-1] != len(self.tokens):
+        bounds = self.level_boundaries
+        if not bounds or bounds[0] != 0 or bounds[-1] != len(self.tokens):
             raise ValueError("level boundaries must span [0, N]")
 
 
@@ -73,7 +74,7 @@ class AttentionParams:
     w_o: np.ndarray
 
     def __post_init__(self):
-        d = self.w_q.shape[0]
+        d = np.shape(self.w_q)[0] if np.ndim(self.w_q) else 0
         for name in ("w_q", "w_k", "w_v", "w_o"):
             m = np.asarray(getattr(self, name), dtype=DTYPE)
             if m.shape != (d, d):
@@ -101,6 +102,8 @@ class AttentionParams:
             return cls(tensors["w_q"], tensors["w_k"], tensors["w_v"], tensors["w_o"])
         except KeyError as exc:
             raise FormatError(f"missing parameter tensor {exc}") from exc
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
 
 
 def sine_positions(level_shapes: list[tuple[int, int]], d: int) -> np.ndarray:

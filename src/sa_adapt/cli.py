@@ -148,18 +148,12 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "train-bank":
         spec = build_domain_spec(cfg, args)
         _, report = harness.run_train_phase(cfg, spec, out_dir)
-        sys.stdout.write(harness.format_report(report.records))
-        return 0
-
-    if args.command == "tta-run":
+    elif args.command == "tta-run":
         spec = build_domain_spec(cfg, args)
         bank_dir = Path(args.bank_dir) if args.bank_dir else out_dir
         banks = harness.load_banks(bank_dir, len(spec.pyramid_shapes))
         report = harness.run_tta_phase(cfg, banks, spec, out_dir)
-        sys.stdout.write(harness.format_report(report.records))
-        return 0
-
-    if args.command == "ocl-demo":
+    elif args.command == "ocl-demo":
         annotation = None
         if args.annotations:
             from .object_gating import parse_annotations
@@ -182,10 +176,7 @@ def _run(args: argparse.Namespace) -> int:
             annotation=annotation,
             out_dir=out_dir,
         )
-        sys.stdout.write(harness.format_report(report.records))
-        return 0
-
-    if args.command == "bench":
+    else:  # bench; the subcommand is required, so no other value reaches here
         shapes = _parse_hw_list(args.bench_levels)
         if any(h != w for h, w in shapes):
             raise ValueError(f"bench levels must be square HxH, got {args.bench_levels}")
@@ -197,10 +188,8 @@ def _run(args: argparse.Namespace) -> int:
             level_hw=tuple(h for h, _ in shapes),
             out_dir=out_dir,
         )
-        sys.stdout.write(harness.format_report(report.records))
-        return 0
-
-    raise ValueError(f"unknown command {args.command!r}")
+    sys.stdout.write(harness.format_report(report.records))
+    return 0
 
 
 if __name__ == "__main__":

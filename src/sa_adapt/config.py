@@ -11,6 +11,10 @@ comments allowed; keys match the field names below (``lambda`` is accepted
 as an alias for ``momentum``). Precedence: explicit CLI flags override the
 file, and the ``SA_ADAPT_SEED`` environment variable overrides the seed
 from both, so CI runs stay reproducible.
+
+Every rule on the values lives in ``RunConfig.__post_init__``, so each
+RunConfig, including a ``dataclasses.replace`` copy, is valid; the parser
+and :func:`load_config` only read text and merge sources.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "sa_out"
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not self.alpha > 0:
@@ -64,7 +68,6 @@ class RunConfig:
             raise ValueError("softmax_temperature must be positive")
         if self.heads < 1 or self.d < 1 or self.d % self.heads != 0:
             raise ValueError("heads must divide d")
-        return self
 
 
 _ALIASES = {"lambda": "momentum", "capacity": "k"}
@@ -101,7 +104,7 @@ def _coerce(key: str, value: str):
 def load_config(
     path: str | None = None, overrides: dict | None = None, env: dict | None = None
 ) -> RunConfig:
-    """Build a RunConfig from file + overrides + environment, then validate."""
+    """Merge file, overrides and environment into a RunConfig, which validates itself."""
     values: dict = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -111,7 +114,7 @@ def load_config(
     env = os.environ if env is None else env
     if SEED_ENV_VAR in env:
         values["seed"] = int(env[SEED_ENV_VAR])
-    return replace(RunConfig(), **values).validate()
+    return replace(RunConfig(), **values)
 
 
 def selftest() -> None:
@@ -121,4 +124,3 @@ def selftest() -> None:
     assert cfg.alpha == 0.7, f"default alpha drifted: {cfg.alpha}"
     assert cfg.lambda_c == 0.1, f"default lambda_c drifted: {cfg.lambda_c}"
     assert cfg.epsilon == 1e-6, f"default epsilon drifted: {cfg.epsilon}"
-    cfg.validate()

@@ -39,7 +39,7 @@ from .contrastive_alignment import (
 )
 from .object_gating import Annotation, align_to_tokens, build_masks
 from .style_memory_bank import StyleMemoryBank, load
-from .style_projection import project
+from .style_projection import project, project_pyramid
 from .style_statistics import ChannelStats, compute_stats, sq_distances, style_vector
 
 BANK_FILE_PATTERN = "bank_level{level}.sabank"
@@ -136,7 +136,6 @@ def offline_kmeans(
     best = None
     for _ in range(restarts):
         centers = points[rng.choice(len(points), size=k, replace=False)].copy()
-        assign = np.zeros(len(points), dtype=int)
         for _ in range(200):
             d2 = sq_distances(points, centers)
             assign = d2.argmin(axis=1)
@@ -363,7 +362,9 @@ def run_tta_phase(
     """
     if len(banks) != len(spec.pyramid_shapes):
         raise ValueError(f"{len(banks)} banks for {len(spec.pyramid_shapes)} levels")
-    for bank in banks:
+    for li, bank in enumerate(banks):
+        if not bank.prototypes:
+            raise ValueError(f"the level {li} bank is empty; tta needs a trained bank")
         bank.mode = "tta"
     counts_before = [len(b) for b in banks]
     levels = len(banks)
@@ -544,27 +545,6 @@ def run_ocl_demo(
 # latency benchmark
 
 
-def _reference_banks_and_pyramid(
-    config: RunConfig, channels: int, level_hw: tuple[int, ...], seed: int
-):
-    rng = np.random.default_rng(seed)
-    banks, pyramid, stats = [], [], []
-    for side in level_hw:
-        bank = StyleMemoryBank(
-            capacity=config.k, alpha=config.alpha, momentum=config.momentum
-        )
-        for _ in range(config.k):
-            mean = rng.normal(0.0, 2.0, channels)
-            std = rng.uniform(0.5, 2.0, channels)
-            bank.observe(ChannelStats(mean, std))
-        bank.mode = "tta"
-        banks.append(bank)
-        fmap = rng.normal(size=(1, channels, side, side))
-        pyramid.append(fmap)
-        stats.append(compute_stats(fmap, config.epsilon)[0])
-    return banks, pyramid, stats
-
-
 def bench(
     config: RunConfig,
     runs: int = 500,
@@ -583,14 +563,26 @@ def bench(
     """
     if runs < 1 or warmup < 0:
         raise ValueError(f"bench needs runs >= 1 and warmup >= 0, got {runs} and {warmup}")
-    banks, pyramid, stats = _reference_banks_and_pyramid(
-        config, channels, level_hw, config.seed
-    )
+    rng = np.random.default_rng(config.seed)
+    banks, pyramid, stats = [], [], []
+    for side in level_hw:
+        bank = StyleMemoryBank(
+            capacity=config.k, alpha=config.alpha, momentum=config.momentum
+        )
+        for _ in range(config.k):
+            mean = rng.normal(0.0, 2.0, channels)
+            std = rng.uniform(0.5, 2.0, channels)
+            bank.observe(ChannelStats(mean, std))
+        bank.mode = "tta"
+        banks.append(bank)
+        fmap = rng.normal(size=(1, channels, side, side))
+        pyramid.append(fmap)
+        stats.append(compute_stats(fmap, config.epsilon)[0])
 
     def projection_pass():
-        for bank, fmap in zip(banks, pyramid):
-            level_stats = compute_stats(fmap, config.epsilon)
-            project(bank, fmap, config.weighting, config.softmax_temperature, level_stats)
+        project_pyramid(
+            banks, pyramid, config.weighting, config.softmax_temperature, config.epsilon
+        )
 
     def observe_pass():
         for bank, s in zip(banks, stats):

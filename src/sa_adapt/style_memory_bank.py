@@ -37,6 +37,7 @@ MAGIC = b"SABANK"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<6sIIIIBQdd")
 _MODES = ("train", "tta")
+_U32_LIMIT, _U64_LIMIT = 2**32, 2**64  # the file's counter widths
 
 
 def _record_dtype(channels: int) -> np.dtype:
@@ -57,6 +58,10 @@ class StylePrototype(ChannelStats):
 
     def __post_init__(self):
         super().__post_init__()
+        if not 1 <= self.use_count < _U64_LIMIT:
+            raise ValueError(f"use_count must lie in [1, 2**64), got {self.use_count}")
+        if not 0 <= self.last_update < _U64_LIMIT:
+            raise ValueError(f"last_update must lie in [0, 2**64), got {self.last_update}")
         self.mean = self.mean.copy()
         self.std = self.std.copy()
 
@@ -97,16 +102,20 @@ class StyleMemoryBank:
     prototypes: list[StylePrototype] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("capacity must be a positive integer")
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
+        if not 1 <= self.capacity < _U32_LIMIT:
+            raise ValueError(f"capacity must lie in [1, 2**32), got {self.capacity}")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
         if not 0.0 < self.momentum < 1.0:
             raise ValueError("momentum must lie in (0, 1)")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if not 0 <= self.step < _U64_LIMIT:
+            raise ValueError(f"step must lie in [0, 2**64), got {self.step}")
         if len(self.prototypes) > self.capacity:
-            raise ValueError("more prototypes than capacity")
+            raise ValueError(f"{len(self.prototypes)} prototypes exceed capacity {self.capacity}")
+        if any(p.last_update > self.step for p in self.prototypes):
+            raise ValueError(f"a prototype's last_update is past step {self.step}")
         if len({p.channels for p in self.prototypes}) > 1:
             raise ValueError("prototypes disagree on the channel count")
 
@@ -205,9 +214,12 @@ class StyleMemoryBank:
 def load(blob: bytes) -> StyleMemoryBank:
     """Rebuild a bank from :meth:`StyleMemoryBank.save` output.
 
-    Raises FormatError on bad magic, unsupported version, inconsistent
-    lengths or counters, or prototypes that the StylePrototype constructor
-    rejects; a malformed blob never yields a partially-built bank.
+    Checks only the file format itself: header length, magic, version, mode
+    code, no channels for an empty bank, and the exact byte length. Every
+    rule on the values (capacity, hyperparameters, counters, statistics)
+    belongs to the StyleMemoryBank and StylePrototype constructors, whose
+    ValueError becomes FormatError here; a malformed blob never yields a
+    partially-built bank.
     """
     if len(blob) < _HEADER.size:
         raise FormatError("bank blob shorter than header")
@@ -220,10 +232,6 @@ def load(blob: bytes) -> StyleMemoryBank:
         raise FormatError(f"unsupported format version {version}")
     if mode_code not in (0, 1):
         raise FormatError(f"unknown mode code {mode_code}")
-    if count > capacity:
-        raise FormatError(f"prototype count {count} exceeds capacity {capacity}")
-    if not np.isfinite(alpha) or not np.isfinite(momentum):
-        raise FormatError("non-finite hyperparameters in header")
     if (channels == 0) != (count == 0):
         raise FormatError(f"{count} prototypes of {channels} channels")
     # Checked before the record dtype is built, so a hostile ``channels``
@@ -234,8 +242,6 @@ def load(blob: bytes) -> StyleMemoryBank:
     records = np.frombuffer(
         blob, dtype=_record_dtype(channels), count=count, offset=_HEADER.size
     )
-    if np.any(records["use_count"] == 0) or np.any(records["last_update"] > step):
-        raise FormatError("inconsistent counters: a use_count of 0 or a last_update past step")
     try:
         prototypes = [
             StylePrototype(r["mean"], r["std"], int(r["use_count"]), int(r["last_update"]))

@@ -270,6 +270,10 @@ class TestTokensFromPyramid:
         with pytest.raises(ValueError):
             tokens_from_pyramid([np.zeros((1, 8, 2, 2)), np.zeros((1, 4, 2, 2))])
 
+    def test_empty_level_boundaries_rejected(self):
+        with pytest.raises(ValueError, match="level boundaries"):
+            TokenSequence(np.zeros((2, 4)), np.zeros((2, 4)), level_boundaries=[])
+
 
 class TestTensorContainer:
     def test_round_trip(self):
@@ -336,4 +340,10 @@ class TestTensorContainer:
     def test_missing_parameter_name(self):
         blob = save_tensors({"w_q": np.eye(2), "w_k": np.eye(2), "w_v": np.eye(2)})
         with pytest.raises(FormatError):
+            AttentionParams.from_named_tensors(load_tensors(blob))
+
+    @pytest.mark.parametrize("w_q", [np.ones((2, 3)), np.array(1.0)], ids=["2x3", "scalar"])
+    def test_non_square_parameter_is_a_format_error(self, w_q):
+        blob = save_tensors({"w_q": w_q, "w_k": np.eye(2), "w_v": np.eye(2), "w_o": np.eye(2)})
+        with pytest.raises(FormatError, match="w_q must be square"):
             AttentionParams.from_named_tensors(load_tensors(blob))

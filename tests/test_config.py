@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -60,6 +60,12 @@ class TestConfigFile:
             load_config(None, overrides={"heads": 3, "d": 256}, env={})
         with pytest.raises(ValueError):
             load_config(None, overrides={"weighting": "mystery"}, env={})
+
+    def test_every_run_config_is_valid(self):
+        with pytest.raises(ValueError, match="tta_order"):
+            RunConfig(tta_order="bogus")
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            replace(RunConfig(), k=0)
 
 
 def test_every_run_config_field_has_a_flag():

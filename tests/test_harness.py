@@ -27,7 +27,7 @@ from sa_adapt.harness import (
     style_vector,
     write_report,
 )
-from sa_adapt.style_memory_bank import load
+from sa_adapt.style_memory_bank import StyleMemoryBank, load
 from sa_adapt.style_statistics import compute_stats
 
 import oracles
@@ -417,6 +417,13 @@ class TestCli:
         argv = ["tta-run", "--bank-dir", str(missing), "--out-dir", str(tmp_path)]
         assert "bank_level0.sabank" in self.user_error(capsys, argv)
         self.user_error(capsys, ["inspect-bank", str(missing / "bank_level0.sabank")])
+
+    @pytest.mark.parametrize("order", ["observe-first", "project-first"])
+    def test_empty_bank_file_is_a_user_error(self, tmp_path, capsys, order):
+        (tmp_path / "bank_level0.sabank").write_bytes(StyleMemoryBank().save())
+        argv = ["tta-run", "--tta-order", order, "--out-dir", str(tmp_path)]
+        assert "level 0" in self.user_error(capsys, argv)
+        assert not (tmp_path / "tta.report.txt").exists()
 
     def test_missing_annotation_file_is_a_user_error(self, tmp_path, capsys):
         missing = tmp_path / "none.txt"

@@ -34,6 +34,44 @@ def mutated_blobs(draw):
     return bytes(blob[:cut]) + draw(st.one_of(st.just(b""), st.binary(max_size=24)))
 
 
+@st.composite
+def constructible_banks(draw):
+    """A StyleMemoryBank built from hostile values; None when a constructor refuses.
+
+    Each hyperparameter and the mode is a hostile value one time in four, so
+    a good share of the examples build a bank and reach ``save``.
+    """
+
+    def mostly(valid, hostile):
+        return draw(st.sampled_from(hostile)) if draw(st.integers(0, 3)) == 3 else draw(valid)
+
+    bad_floats = [0.0, -1.0, 1.0, np.inf, -np.inf, np.nan]
+    counters = st.integers(-2, 2**64 - 1)
+    capacity = draw(st.integers(1, 3))
+    channels = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    try:
+        prototypes = [
+            StylePrototype(
+                rng.normal(size=channels),
+                rng.uniform(0.1, 2.0, channels),
+                use_count=draw(counters),
+                last_update=draw(counters),
+            )
+            for _ in range(draw(st.integers(0, capacity + 1)))
+        ]
+        return StyleMemoryBank(
+            capacity=capacity,
+            alpha=mostly(st.floats(0.01, 4.0), bad_floats),
+            momentum=mostly(st.floats(0.01, 0.99), bad_floats),
+            mode=mostly(st.sampled_from(["train", "tta"]), ["other"]),
+            step=draw(st.one_of(counters, st.just(2**64 - 1))),
+            prototypes=prototypes,
+        )
+    except ValueError:
+        return None
+
+
 def full_bank(rng, channels=6, k=4, **kwargs):
     bank = StyleMemoryBank(capacity=k, **kwargs)
     for _ in range(k):
@@ -383,8 +421,37 @@ class TestPersistence:
             return
         assert bank.save() == blob
 
+    @settings(deadline=None, max_examples=300)
+    @given(constructible_banks())
+    def test_every_constructible_bank_round_trips(self, bank):
+        if bank is not None:
+            blob = bank.save()
+            assert load(blob).save() == blob
+
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: StyleMemoryBank(alpha=np.inf),
+            lambda: StyleMemoryBank(step=-1),
+            lambda: StyleMemoryBank(step=2**64),
+            lambda: StyleMemoryBank(capacity=2**32),
+            lambda: StylePrototype(np.zeros(2), np.ones(2), use_count=0),
+            lambda: StylePrototype(np.zeros(2), np.ones(2), use_count=-1),
+            lambda: StylePrototype(np.zeros(2), np.ones(2), use_count=2**64),
+            lambda: StylePrototype(np.zeros(2), np.ones(2), last_update=-1),
+            lambda: StyleMemoryBank(
+                step=1, prototypes=[StylePrototype(np.zeros(2), np.ones(2), last_update=2)]
+            ),
+        ],
+        ids=["inf-alpha", "negative-step", "u64-step", "u32-capacity", "zero-use",
+             "negative-use", "u64-use", "negative-update", "update-past-step"],
+    )
+    def test_values_the_file_cannot_hold_are_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_capacity_and_hyperparameters(self):
         with pytest.raises(ValueError):
             StyleMemoryBank(capacity=0)
