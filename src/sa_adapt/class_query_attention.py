@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -41,8 +42,8 @@ TENSOR_VERSION = 1
 class TokenSequence:
     """Multi-scale feature tokens with sine positional encodings.
 
-    ``level_boundaries`` holds the cumulative token offsets, starting at 0
-    and ending at N = sum(H_l * W_l).
+    ``level_boundaries`` holds the cumulative token offsets, rising strictly
+    from 0 to N = sum(H_l * W_l), since every level has at least one token.
     """
 
     tokens: np.ndarray  # (N, d)
@@ -62,6 +63,8 @@ class TokenSequence:
         bounds = self.level_boundaries
         if not bounds or bounds[0] != 0 or bounds[-1] != len(self.tokens):
             raise ValueError("level boundaries must span [0, N]")
+        if any(a >= b for a, b in zip(bounds, bounds[1:])):
+            raise ValueError(f"level boundaries must increase strictly, got {bounds}")
 
 
 @dataclass
@@ -191,15 +194,31 @@ def project_keys_values(
 
     Only tokens attended by at least one category are read.
     """
-    index = np.flatnonzero(_token_masks(masks, len(seq.tokens)).any(axis=0))
+    index = np.flatnonzero(_token_masks(masks, seq).any(axis=0))
     keys = (seq.tokens[index] + seq.positions[index]) @ params.w_k
     values = seq.tokens[index] @ params.w_v
     return KeyValues(index, keys, values)
 
 
-def _token_masks(masks: GatingMaskSet, n_tokens: int) -> np.ndarray:
+def _token_masks(masks: GatingMaskSet, seq: TokenSequence) -> np.ndarray:
+    """The masks' (C, N) token masks, checked against the sequence's layout.
+
+    Masks from :func:`align_to_tokens` carry their level shapes; their
+    cumulative level offsets must equal ``seq.level_boundaries``. Masks
+    without ``level_shapes`` are checked by token count only. Layouts with
+    equal offsets stay indistinguishable (one 4x16 level against one 8x8
+    level), because a TokenSequence keeps offsets, not shapes.
+    """
     if masks.token_masks is None:
         raise ValueError("mask set has no token alignment; call align_to_tokens first")
+    if masks.level_shapes is not None:
+        offsets = list(accumulate((h * w for h, w in masks.level_shapes), initial=0))
+        if offsets != list(seq.level_boundaries):
+            raise ValueError(
+                f"masks aligned to levels {masks.level_shapes} (offsets {offsets}) "
+                f"do not match token level offsets {list(seq.level_boundaries)}"
+            )
+    n_tokens = len(seq.tokens)
     if masks.token_masks.shape[1:] != (n_tokens,):
         raise ValueError(
             f"token masks {masks.token_masks.shape} do not match {n_tokens} tokens"
@@ -235,7 +254,7 @@ def cross_attend(
         raise ValueError(f"query dim {d} does not match parameter dim {params.dim}")
     if heads < 1 or d % heads != 0:
         raise ValueError(f"heads={heads} must divide d={d}")
-    token_masks = _token_masks(masks, len(seq.tokens))
+    token_masks = _token_masks(masks, seq)
     if token_masks.shape[0] != c_count:
         raise ValueError(f"token masks {token_masks.shape} do not match {c_count} categories")
     if projections is None:

@@ -14,7 +14,9 @@ from both, so CI runs stay reproducible.
 
 Every rule on the values lives in ``RunConfig.__post_init__``, so each
 RunConfig, including a ``dataclasses.replace`` copy, is valid; the parser
-and :func:`load_config` only read text and merge sources.
+and :func:`load_config` only read text and merge sources. A RunConfig is
+frozen, so no later assignment can bypass those rules: derive a changed
+copy with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ DEFAULT_EPSILON = 1e-6
 TTA_ORDERS = ("observe-first", "project-first")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     k: int = DEFAULT_K
     alpha: float = DEFAULT_ALPHA

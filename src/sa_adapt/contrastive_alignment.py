@@ -56,7 +56,6 @@ class LossReport:
     l_contra: float
     grad_q_source: np.ndarray  # (C, d), zero rows for absent categories
     grad_q_augmented: np.ndarray  # (C, d)
-    l_total: float | None = None
 
 
 class _Forward(NamedTuple):

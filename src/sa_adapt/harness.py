@@ -38,7 +38,7 @@ from .contrastive_alignment import (
     total_loss,
 )
 from .object_gating import Annotation, align_to_tokens, build_masks
-from .style_memory_bank import StyleMemoryBank, load
+from .style_memory_bank import StyleMemoryBank, UpdateReport, load
 from .style_projection import project, project_pyramid
 from .style_statistics import ChannelStats, compute_stats, sq_distances, style_vector
 
@@ -278,27 +278,23 @@ def run_train_phase(
         StyleMemoryBank(capacity=config.k, alpha=config.alpha, momentum=config.momentum)
         for _ in range(levels)
     ]
-    tau_traj: list[list[float | None]] = [[] for _ in range(levels)]
-    evictions = [0] * levels
-    observed: list[list[np.ndarray]] = [[] for _ in range(levels)]
+    # one (decision, style vector) step per sample and level
+    steps: list[list[tuple[UpdateReport, np.ndarray]]] = [[] for _ in range(levels)]
     samples = 0
     for pyramid, _ in generate_stream(spec):
         samples += 1
         for li, fmap in enumerate(pyramid):
             s = compute_stats(fmap, config.epsilon)[0]
-            rep = banks[li].observe(s)
-            tau_traj[li].append(rep.tau)
-            if rep.action == "replace":
-                evictions[li] += 1
-            observed[li].append(style_vector(s))
+            steps[li].append((banks[li].observe(s), style_vector(s)))
 
     report = Report()
     report.add("train.samples", samples, "count")
     report.add("train.levels", levels, "count")
     report.add("train.capacity", config.k, "count")
     center_distances = []
-    for li in range(levels):
-        points = np.stack(observed[li])
+    for li, level_steps in enumerate(steps):
+        decisions, vectors = zip(*level_steps)
+        points = np.stack(vectors)
         centers, assign, inertia = offline_kmeans(
             points, config.k, restarts=50, seed=config.seed
         )
@@ -309,8 +305,9 @@ def run_train_phase(
             for j in range(config.k)
         ]
         center_distances.append(dists)
-        taus = [t for t in tau_traj[li] if t is not None]
-        report.add(f"train.level{li}.evictions", evictions[li], "count")
+        taus = [rep.tau for rep in decisions if rep.tau is not None]
+        evictions = sum(rep.action == "replace" for rep in decisions)
+        report.add(f"train.level{li}.evictions", evictions, "count")
         report.add(f"train.level{li}.kmeans_inertia", inertia, "dist2")
         report.add(
             f"train.level{li}.tau_mean",
@@ -322,7 +319,7 @@ def run_train_phase(
             report.add(
                 f"train.level{li}.proto{j}.cluster_spread", spreads[center_idx], "dist2"
             )
-    report.extra["tau_trajectory"] = tau_traj
+    report.extra["tau_trajectory"] = [[rep.tau for rep, _ in level] for level in steps]
     report.extra["center_distances"] = center_distances
 
     if out_dir is not None:
@@ -368,41 +365,42 @@ def run_tta_phase(
         bank.mode = "tta"
     counts_before = [len(b) for b in banks]
     levels = len(banks)
-    dmin_traj: list[list[float]] = [[] for _ in range(levels)]
-    pre_d: list[list[float]] = [[] for _ in range(levels)]
-    post_d: list[list[float]] = [[] for _ in range(levels)]
+    observe_first = config.tta_order == "observe-first"
+    # one (decision, pre distance, post distance) step per sample and level
+    steps: list[list[tuple[UpdateReport, float, float]]] = [[] for _ in range(levels)]
     samples = 0
     for pyramid, _ in generate_stream(spec):
         samples += 1
         for li, fmap in enumerate(pyramid):
             bank = banks[li]
             s = compute_stats(fmap, config.epsilon)[0]
-            if config.tta_order == "observe-first":
-                rep = bank.observe(s)
-            result = project(bank, fmap, config.weighting, config.softmax_temperature, [s])[0]
-            pre_d[li].append(float(np.min(result.distances)))
-            if config.tta_order == "project-first":
-                rep = bank.observe(s)
-            dmin_traj[li].append(rep.d_min if rep.d_min is not None else 0.0)
+            if observe_first:
+                decision = bank.observe(s)
+                result = project(bank, fmap, config.weighting, config.softmax_temperature, [s])[0]
+            else:
+                result = project(bank, fmap, config.weighting, config.softmax_temperature, [s])[0]
+                decision = bank.observe(s)
             rect_stats = compute_stats(result.rectified, config.epsilon)[0]
-            post_d[li].append(float(np.min(bank.distances(rect_stats))))
+            pre = float(np.min(result.distances))
+            steps[li].append((decision, pre, float(np.min(bank.distances(rect_stats)))))
 
     report = Report()
     report.add("tta.samples", samples, "count")
     report.add("tta.levels", levels, "count")
-    for li in range(levels):
+    for li, level_steps in enumerate(steps):
+        decisions, pres, posts = zip(*level_steps)
         report.add(
             f"tta.level{li}.prototype_count_change",
             len(banks[li]) - counts_before[li],
             "count",
         )
-        report.add(f"tta.level{li}.pre_distance_mean", float(np.mean(pre_d[li])), "dist2")
-        report.add(f"tta.level{li}.post_distance_mean", float(np.mean(post_d[li])), "dist2")
-        report.add(f"tta.level{li}.dmin_first", dmin_traj[li][0], "dist2")
-        report.add(f"tta.level{li}.dmin_last", dmin_traj[li][-1], "dist2")
-    report.extra["dmin_trajectory"] = dmin_traj
-    report.extra["pre_distance"] = pre_d
-    report.extra["post_distance"] = post_d
+        report.add(f"tta.level{li}.pre_distance_mean", float(np.mean(pres)), "dist2")
+        report.add(f"tta.level{li}.post_distance_mean", float(np.mean(posts)), "dist2")
+        report.add(f"tta.level{li}.dmin_first", decisions[0].d_min, "dist2")
+        report.add(f"tta.level{li}.dmin_last", decisions[-1].d_min, "dist2")
+    report.extra["dmin_trajectory"] = [[rep.d_min for rep, _, _ in level] for level in steps]
+    report.extra["pre_distance"] = [[d for _, d, _ in level] for level in steps]
+    report.extra["post_distance"] = [[d for _, _, d in level] for level in steps]
     # samples are consumed in generation order; recorded for reproducibility
     report.extra["stream_order"] = "generation"
     report.extra["tta_order"] = config.tta_order
@@ -508,7 +506,7 @@ def run_ocl_demo(
 
     batch = ContrastiveBatch(q_source, q_augmented, mask_set.present)
     loss_rep = contrastive_loss(batch)
-    loss_rep.l_total = total_loss(l_det, loss_rep.l_contra, config.lambda_c)
+    l_total = total_loss(l_det, loss_rep.l_contra, config.lambda_c)
 
     fd_src = fd_gradient(lambda: contrastive_loss_value(batch), batch.q_source)
     fd_aug = fd_gradient(lambda: contrastive_loss_value(batch), batch.q_augmented)
@@ -525,7 +523,7 @@ def run_ocl_demo(
     )
     report.add("ocl.contrastive_loss", loss_rep.l_contra, "nats")
     report.add("ocl.detection_loss_stub", float(l_det), "nats")
-    report.add("ocl.total_loss", loss_rep.l_total, "nats")
+    report.add("ocl.total_loss", l_total, "nats")
     report.add("ocl.fd_max_rel_error", fd_err, "ratio")
     n_tokens = mask_set.token_masks.shape[1]
     for cat in range(num_categories):

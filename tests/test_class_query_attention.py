@@ -19,7 +19,7 @@ from sa_adapt.class_query_attention import (
     tokens_from_pyramid,
 )
 from sa_adapt.errors import FormatError
-from sa_adapt.object_gating import GatingMaskSet
+from sa_adapt.object_gating import Annotation, GatingMaskSet, align_to_tokens, build_masks
 
 import oracles
 
@@ -273,6 +273,29 @@ class TestTokensFromPyramid:
     def test_empty_level_boundaries_rejected(self):
         with pytest.raises(ValueError, match="level boundaries"):
             TokenSequence(np.zeros((2, 4)), np.zeros((2, 4)), level_boundaries=[])
+
+    @pytest.mark.parametrize("bounds", [[0, 15, 5, 20], [0, 5, 5, 20]])
+    def test_non_increasing_level_boundaries_rejected(self, bounds):
+        t = np.zeros((20, 4))
+        with pytest.raises(ValueError, match="increase strictly"):
+            TokenSequence(t, t, level_boundaries=bounds)
+
+    def test_masks_of_another_level_layout_rejected(self):
+        # both layouts hold 80 tokens, at offsets [0, 64, 80] and [0, 16, 80]
+        rng = np.random.default_rng(17)
+        ann = Annotation(boxes=[(0.0, 0.0, 20.0, 20.0)], categories=[0])
+        masks = align_to_tokens(build_masks(ann, (32, 32), 2), [(8, 8), (4, 4)])
+        seq = tokens_from_pyramid([rng.normal(size=(1, 8, 4, 4)), rng.normal(size=(1, 8, 8, 8))])
+        params = AttentionParams.init_random(8, rng)
+        q = init_class_queries(2, 8, rng)
+        with pytest.raises(ValueError, match=r"\[0, 64, 80\].*\[0, 16, 80\]"):
+            cross_attend(q, seq, masks, params, heads=2)
+        with pytest.raises(ValueError, match="do not match token level offsets"):
+            project_keys_values(seq, masks, params)
+        matching = tokens_from_pyramid(
+            [rng.normal(size=(1, 8, 8, 8)), rng.normal(size=(1, 8, 4, 4))]
+        )
+        assert cross_attend(q, matching, masks, params, heads=2).shape == (2, 8)
 
 
 class TestTensorContainer:

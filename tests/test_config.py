@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -66,6 +66,12 @@ class TestConfigFile:
             RunConfig(tta_order="bogus")
         with pytest.raises(ValueError, match="k must be >= 1"):
             replace(RunConfig(), k=0)
+
+    def test_fields_cannot_be_assigned_after_construction(self):
+        cfg = RunConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.tta_order = "bogus"
+        assert cfg.tta_order == "observe-first"
 
 
 def test_every_run_config_field_has_a_flag():

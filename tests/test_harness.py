@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sa_adapt.cli import main as cli_main
-from sa_adapt.config import RunConfig
+from sa_adapt.config import TTA_ORDERS, RunConfig
 from sa_adapt.object_gating import Annotation
 import sa_adapt.harness as harness_mod
 from sa_adapt.harness import (
@@ -28,6 +28,7 @@ from sa_adapt.harness import (
     write_report,
 )
 from sa_adapt.style_memory_bank import StyleMemoryBank, load
+from sa_adapt.style_projection import project
 from sa_adapt.style_statistics import compute_stats
 
 import oracles
@@ -190,6 +191,26 @@ class TestTrainPhase:
                 tmp_path / "r2" / name
             ).read_bytes()
 
+    def test_report_equals_the_banks_own_decisions(self):
+        # six clusters over K=4 force replacements
+        cfg = small_config()
+        spec = small_spec(clusters=6, samples=10, levels=((6, 6), (4, 4)))
+        _, report = run_train_phase(cfg, spec)
+        banks = [
+            StyleMemoryBank(capacity=cfg.k, alpha=cfg.alpha, momentum=cfg.momentum)
+            for _ in spec.pyramid_shapes
+        ]
+        decisions = [[] for _ in banks]
+        for pyramid, _ in generate_stream(spec):
+            for li, fmap in enumerate(pyramid):
+                decisions[li].append(banks[li].observe(compute_stats(fmap, cfg.epsilon)[0]))
+        taus = [[rep.tau for rep in level] for level in decisions]
+        assert report.extra["tau_trajectory"] == taus
+        for li, level in enumerate(decisions):
+            replaced = sum(rep.action == "replace" for rep in level)
+            assert replaced > 0
+            assert report.value(f"train.level{li}.evictions") == replaced
+
     def test_multi_level_banks_are_independent(self, tmp_path):
         cfg = small_config()
         spec = small_spec(levels=((6, 6), (4, 4)))
@@ -248,6 +269,36 @@ class TestTtaPhase:
         assert len(pre) == 2
         for level_pre, level_dmin in zip(pre, dmin):
             assert level_pre == level_dmin
+
+    @pytest.mark.parametrize("order", TTA_ORDERS)
+    def test_report_equals_the_banks_own_decisions(self, tmp_path, order):
+        cfg = small_config(tta_order=order)
+        levels = ((6, 6), (4, 4))
+        run_train_phase(cfg, small_spec(levels=levels), tmp_path)
+        stream = small_spec(seed=5, levels=levels)
+        report = run_tta_phase(cfg, load_banks(tmp_path, 2), stream)
+        banks = load_banks(tmp_path, 2)
+        for bank in banks:
+            bank.mode = "tta"
+        dmin, pre, post = [[], []], [[], []], [[], []]
+        for pyramid, _ in generate_stream(stream):
+            for li, fmap in enumerate(pyramid):
+                bank = banks[li]
+                s = compute_stats(fmap, cfg.epsilon)[0]
+                if order == "observe-first":
+                    dmin[li].append(bank.observe(s).d_min)
+                pre[li].append(float(bank.distances(s).min()))
+                (result,) = project(bank, fmap, cfg.weighting, cfg.softmax_temperature, [s])
+                if order == "project-first":
+                    dmin[li].append(bank.observe(s).d_min)
+                rectified = compute_stats(result.rectified, cfg.epsilon)[0]
+                post[li].append(float(bank.distances(rectified).min()))
+        assert report.extra["dmin_trajectory"] == dmin
+        assert report.extra["pre_distance"] == pre
+        assert report.extra["post_distance"] == post
+        for li in range(2):
+            assert report.value(f"tta.level{li}.dmin_first") == dmin[li][0]
+            assert report.value(f"tta.level{li}.dmin_last") == dmin[li][-1]
 
     def test_level_count_mismatch_rejected(self, tmp_path):
         cfg = small_config()
