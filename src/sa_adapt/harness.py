@@ -41,6 +41,7 @@ from .object_gating import Annotation, align_to_tokens, build_masks
 from .style_memory_bank import StyleMemoryBank, UpdateReport, load
 from .style_projection import project, project_pyramid
 from .style_statistics import ChannelStats, compute_stats, sq_distances, style_vector
+from .tensor_core import require_finite
 
 BANK_FILE_PATTERN = "bank_level{level}.sabank"
 style_vector_of = style_vector  # the prototype spelling, kept for importers
@@ -125,20 +126,99 @@ def generate_stream(spec: SyntheticDomainSpec):
 # offline clustering reference (Lloyd's algorithm, multi-restart)
 
 
+_UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST_SUBNORMAL = 2.0**-1074
+_NO_OVERFLOW_NORMS = np.finfo(float).max / 8  # see offline_kmeans
+
+
+def _nearest_centers(points: np.ndarray):
+    """Return ``nearest(centers)``, equal to
+    ``sq_distances(points, centers).argmin(axis=1)`` bit for bit.
+
+    Each call of ``nearest`` costs one (K, D) x (D, N) product; the bound
+    that makes it exact is derived in :func:`offline_kmeans`.
+    """
+    d = points.shape[1]
+    minus_twice_t = -2.0 * np.ascontiguousarray(points.T)
+    sq_norms = np.einsum("ij,ij->i", points, points)
+    gamma = (d + 4) * _UNIT_ROUNDOFF / (1.0 - (d + 4) * _UNIT_ROUNDOFF)
+    two_beta = 16.0 * (gamma * sq_norms + d * _SMALLEST_SUBNORMAL)  # less its center term
+    headroom = _NO_OVERFLOW_NORMS - sq_norms.max()
+
+    def nearest(centers: np.ndarray) -> np.ndarray:
+        center_norms = np.einsum("ij,ij->i", centers, centers)
+        center_max = center_norms.max()
+        if not center_max < headroom:
+            return sq_distances(points, centers).argmin(axis=1)
+        approx = centers @ minus_twice_t  # (K, N), so reductions over centers run along rows
+        approx += center_norms[:, None]
+        threshold = approx.min(axis=0)
+        threshold += two_beta
+        threshold += 16.0 * gamma * center_max
+        near = approx <= threshold
+        assign = np.arange(len(centers)) @ near  # the only near center, where there is one
+        unsure = np.flatnonzero(near.sum(axis=0) != 1)
+        if len(unsure):
+            assign[unsure] = sq_distances(points[unsure], centers).argmin(axis=1)
+        return assign
+
+    return nearest
+
+
 def offline_kmeans(
     points: np.ndarray, k: int, restarts: int = 50, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Best-of-``restarts`` k-means; returns (centers, assignment, inertia)."""
+    """Best-of-``restarts`` k-means; returns (centers, assignment, inertia).
+
+    ``points`` must be a finite (N, D) array, ``1 <= k <= N`` and
+    ``restarts >= 1``. Each restart draws ``k`` distinct points as centers
+    and runs at most 200 Lloyd iterations; the least inertia wins, the
+    earliest restart on ties.
+
+    The assignment is exactly ``sq_distances(points, centers).argmin(axis=1)``,
+    first-index ties included, but costs one (K, D) x (D, N) product instead
+    of an (N, K, D) temporary. Per point x and center c it ranks
+    ``a = |c|^2 - 2 x.c``, which is |x - c|^2 - |x|^2: the point's own |x|^2
+    is common to its row and changes no difference between centers. With
+    unit roundoff u, gamma_n = n u / (1 - n u) (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, section 3.1) and S = |x|^2 + |c|^2:
+
+    * x.c and |c|^2, summed in any order, are off by at most
+      gamma_D |x||c| <= gamma_D S / 2 and gamma_D |c|^2, and the addition
+      by at most u (1 + gamma_D) 2S, so a + |x|^2 is within
+      2 gamma_{D+1} S of |x - c|^2;
+    * ``sq_distances`` (difference, square, sum of D non-negative terms) is
+      within gamma_{D+2} |x - c|^2 <= 2 gamma_{D+2} S of |x - c|^2;
+
+    so a + |x|^2 and ``sq_distances`` differ by at most
+    4 gamma_{D+2} (|x|^2 + max_j |c_j|^2). The computed norms understate
+    that by at most a factor 1 - gamma_D, and each of the at most 3D
+    products that can underflow adds at most 2^-1075. Per row,
+    ``beta = 8 (gamma_{D+4} (|x|^2 + max_j |c_j|^2) + D 2^-1074)`` covers
+    all of it with room for rounding beta and the threshold. A row with
+    exactly one center whose ``a`` lies within ``2 beta`` of the row's least
+    ``a`` has that center as its argmin under ``sq_distances``, strictly.
+    Every other row (near-ties, exact ties) is recomputed with
+    ``sq_distances`` on that row subset, whose values equal the full call's
+    bit for bit. No value can overflow while max_x |x|^2 + max_j |c_j|^2 is
+    below an eighth of the largest float; where it is not, every row is
+    recomputed.
+    """
     points = np.asarray(points, dtype=float)
-    if len(points) < k:
+    if points.ndim != 2:
+        raise ValueError(f"k-means points must be a 2-D (N, D) array, got shape {points.shape}")
+    require_finite(points, "k-means points")
+    if not 1 <= k <= len(points):
         raise ValueError(f"{len(points)} points cannot form {k} clusters")
+    if restarts < 1:
+        raise ValueError(f"k-means needs at least 1 restart, got {restarts}")
+    nearest = _nearest_centers(points)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):
         centers = points[rng.choice(len(points), size=k, replace=False)].copy()
         for _ in range(200):
-            d2 = sq_distances(points, centers)
-            assign = d2.argmin(axis=1)
+            assign = nearest(centers)
             new_centers = centers.copy()
             for j in range(k):
                 members = points[assign == j]
@@ -362,6 +442,7 @@ def run_tta_phase(
     for li, bank in enumerate(banks):
         if not bank.prototypes:
             raise ValueError(f"the level {li} bank is empty; tta needs a trained bank")
+    for bank in banks:
         bank.mode = "tta"
     counts_before = [len(b) for b in banks]
     levels = len(banks)

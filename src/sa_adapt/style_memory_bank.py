@@ -101,19 +101,33 @@ class StyleMemoryBank:
     step: int = 0
     prototypes: list[StylePrototype] = field(default_factory=list)
 
-    def __post_init__(self):
-        if not 1 <= self.capacity < _U32_LIMIT:
-            raise ValueError(f"capacity must lie in [1, 2**32), got {self.capacity}")
-        if not 0.0 < self.alpha < np.inf:
+    def __setattr__(self, name: str, value) -> None:
+        """Check ``capacity``, ``alpha``, ``momentum`` and ``mode`` on every
+        assignment, the constructor's included, before the value is stored.
+
+        The prototype count must not exceed ``capacity`` once both fields
+        exist. ``step`` changes on every observe and passes through
+        unchecked, as do the prototypes' counters; the constructors check them.
+        """
+        if name == "capacity" and not 1 <= value < _U32_LIMIT:
+            raise ValueError(f"capacity must lie in [1, 2**32), got {value}")
+        if name == "alpha" and not 0.0 < value < np.inf:
             raise ValueError("alpha must be positive and finite")
-        if not 0.0 < self.momentum < 1.0:
+        if name == "momentum" and not 0.0 < value < 1.0:
             raise ValueError("momentum must lie in (0, 1)")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if name == "mode" and value not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}, got {value!r}")
+        if name == "capacity" or name == "prototypes":
+            state = vars(self) | {name: value}
+            if "prototypes" in state and len(state["prototypes"]) > state["capacity"]:
+                raise ValueError(
+                    f"{len(state['prototypes'])} prototypes exceed capacity {state['capacity']}"
+                )
+        object.__setattr__(self, name, value)
+
+    def __post_init__(self):
         if not 0 <= self.step < _U64_LIMIT:
             raise ValueError(f"step must lie in [0, 2**64), got {self.step}")
-        if len(self.prototypes) > self.capacity:
-            raise ValueError(f"{len(self.prototypes)} prototypes exceed capacity {self.capacity}")
         if any(p.last_update > self.step for p in self.prototypes):
             raise ValueError(f"a prototype's last_update is past step {self.step}")
         if len({p.channels for p in self.prototypes}) > 1:

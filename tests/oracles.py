@@ -154,6 +154,35 @@ def lloyd_kmeans(points, k, restarts=50, seed=0):
     return best_centers, best_labels
 
 
+def broadcast_kmeans(points, k, restarts=50, seed=0):
+    """Multi-restart Lloyd clustering assigned from the full (N, K, D)
+    broadcast of squared differences; returns (centers, assignment, inertia).
+
+    The same draws, update, convergence test and selection as
+    ``harness.offline_kmeans``, whose assignment it must reproduce bit for bit.
+    """
+    points = np.asarray(points, dtype=float)
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(restarts):
+        centers = points[rng.choice(len(points), size=k, replace=False)].copy()
+        for _ in range(200):
+            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            assign = d2.argmin(axis=1)
+            new_centers = centers.copy()
+            for j in range(k):
+                members = points[assign == j]
+                if len(members):
+                    new_centers[j] = members.mean(axis=0)
+            if np.array_equal(new_centers, centers):
+                break
+            centers = new_centers
+        inertia = float(((points - centers[assign]) ** 2).sum())
+        if best is None or inertia < best[2]:
+            best = (centers, assign, inertia)
+    return best
+
+
 def match_permutations(vectors, centers):
     """Bijective vector-to-center matching of least total squared distance,
     by trying every permutation (first minimum in lexicographic order)."""

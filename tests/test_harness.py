@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sa_adapt.cli import main as cli_main
 from sa_adapt.config import TTA_ORDERS, RunConfig
@@ -29,7 +30,7 @@ from sa_adapt.harness import (
 )
 from sa_adapt.style_memory_bank import StyleMemoryBank, load
 from sa_adapt.style_projection import project
-from sa_adapt.style_statistics import compute_stats
+from sa_adapt.style_statistics import compute_stats, sq_distances
 
 import oracles
 
@@ -143,6 +144,108 @@ class TestKmeansHelpers:
         matched, _ = match_to_centers(vectors, centers)
         assert sorted(matched) == list(range(64))
         assert matched == np.argsort(perm).tolist()
+
+
+@st.composite
+def kmeans_cases(draw):
+    """(points, k, restarts, seed) with N <= 60, D <= 20 and 1 <= K <= 8.
+
+    Besides random points: integer grids (exact ties), few distinct points
+    repeated (identical initial centers), a 1e6 offset with 1e-3 spread
+    (cancellation in the expanded form), 1e-160 scales (squares in the
+    subnormal range) and 1e150 to 1e155 scales (squared norms near or past
+    overflow).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(1, 60)), draw(st.integers(1, 20))
+    kind = draw(st.sampled_from(["normal", "grid", "duplicates", "offset", "tiny", "huge"]))
+    if kind == "normal":
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+    elif kind == "grid":
+        points = rng.integers(-2, 3, size=(n, d)).astype(float)
+    elif kind == "duplicates":
+        distinct = rng.normal(size=(1 + n // 4, d))
+        points = distinct[rng.integers(0, len(distinct), size=n)]
+    elif kind == "offset":
+        points = 1e6 + 1e-3 * rng.normal(size=(n, d))
+    elif kind == "tiny":
+        points = 1e-160 * rng.normal(size=(n, d))
+    else:
+        points = 10.0 ** rng.integers(150, 156) * rng.normal(size=(n, d))
+    k = draw(st.integers(1, min(8, n)))
+    return points, k, draw(st.integers(1, 4)), draw(st.integers(0, 2**16))
+
+
+@pytest.fixture
+def rechecked(monkeypatch):
+    """The row count of every ``sq_distances`` call that ``harness`` makes."""
+    rows = []
+
+    def recording(a, b):
+        rows.append(len(a))
+        return sq_distances(a, b)
+
+    monkeypatch.setattr(harness_mod, "sq_distances", recording)
+    return rows
+
+
+class TestKmeansAssignment:
+    @settings(deadline=None, max_examples=300)
+    @given(kmeans_cases())
+    def test_bit_identical_to_the_broadcast_reference(self, case):
+        points, k, restarts, seed = case
+        with np.errstate(over="ignore", invalid="ignore"):  # the "huge" scales overflow
+            centers, assign, inertia = offline_kmeans(points, k, restarts, seed)
+            ref = oracles.broadcast_kmeans(points, k, restarts, seed)
+        ref_centers, ref_assign, ref_inertia = ref
+        assert centers.tobytes() == ref_centers.tobytes()
+        np.testing.assert_array_equal(assign, ref_assign)
+        assert np.array_equal(inertia, ref_inertia, equal_nan=True)
+
+    def test_planted_near_ties_are_rechecked_exactly(self, rechecked):
+        centers = np.array([[0.0, 0.0], [2.0, 0.0]])
+        ys = np.linspace(-3.0, 3.0, 7)[:, None]
+        ones = np.ones_like(ys)
+        points = np.concatenate(
+            [
+                np.hstack([ones, ys]),  # on the bisector: exact ties
+                np.hstack([ones + 1e-15, ys]),  # a few ulps off it
+                np.hstack([ones - 1e-15, ys]),
+                np.hstack([0.1 * ones, ys]),  # clearly nearer one center
+                np.hstack([1.9 * ones, ys]),
+            ]
+        )
+        assign = harness_mod._nearest_centers(points)(centers)
+        assert len(rechecked) == 1
+        assert 21 <= rechecked[0] < len(points)
+        exact = sq_distances(points, centers)
+        np.testing.assert_array_equal(assign, exact.argmin(axis=1))
+        assert (assign[:7] == 0).all()  # first index on exact ties
+        assert (assign[7:14] == 1).all() and (assign[14:21] == 0).all()
+
+    def test_recheck_runs_inside_offline_kmeans(self, rechecked):
+        points = np.random.default_rng(5).integers(0, 3, size=(40, 2)).astype(float)
+        result = offline_kmeans(points, 4, restarts=5, seed=2)
+        assert rechecked and all(0 < rows < len(points) for rows in rechecked)
+        reference = oracles.broadcast_kmeans(points, 4, restarts=5, seed=2)
+        assert result[0].tobytes() == reference[0].tobytes()
+        np.testing.assert_array_equal(result[1], reference[1])
+
+    @pytest.mark.parametrize(
+        "points, k, restarts, match",
+        [
+            (np.zeros((5, 2)), 0, 50, "5 points cannot form 0 clusters"),
+            (np.zeros(5), 2, 50, "2-D"),
+            (np.zeros((2, 5, 2)), 2, 50, "2-D"),
+            (np.array([[0.0, 1.0], [np.nan, 0.0], [2.0, 2.0]]), 2, 50, "non-finite"),
+            (np.array([[0.0, 1.0], [np.inf, 0.0], [2.0, 2.0]]), 2, 50, "non-finite"),
+            (np.zeros((5, 2)), 2, 0, "at least 1 restart"),
+        ],
+        ids=["k0", "1-D", "3-D", "nan", "inf", "no-restart"],
+    )
+    def test_input_it_cannot_cluster_is_rejected(self, points, k, restarts, match):
+        with pytest.raises(ValueError, match=match):
+            offline_kmeans(points, k, restarts=restarts)
 
 
 class TestTrainPhase:
@@ -299,6 +402,16 @@ class TestTtaPhase:
         for li in range(2):
             assert report.value(f"tta.level{li}.dmin_first") == dmin[li][0]
             assert report.value(f"tta.level{li}.dmin_last") == dmin[li][-1]
+
+    def test_failed_call_leaves_every_bank_in_its_mode(self):
+        rng = np.random.default_rng(4)
+        trained = StyleMemoryBank(capacity=2)
+        for _ in range(3):
+            trained.observe(compute_stats(rng.normal(size=(1, 16, 6, 6)))[0])
+        banks = [trained, StyleMemoryBank(capacity=2)]
+        with pytest.raises(ValueError, match="level 1 bank is empty"):
+            run_tta_phase(small_config(), banks, small_spec(levels=((6, 6), (4, 4))))
+        assert [bank.mode for bank in banks] == ["train", "train"]
 
     def test_level_count_mismatch_rejected(self, tmp_path):
         cfg = small_config()

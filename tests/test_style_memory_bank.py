@@ -72,6 +72,38 @@ def constructible_banks(draw):
         return None
 
 
+@st.composite
+def checked_assignments(draw):
+    """A bank that observed a few styles, and one assignment to a checked
+    field, drawn from valid and hostile values alike."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    capacity = draw(st.integers(1, 3))
+    bank = StyleMemoryBank(capacity=capacity)
+    for _ in range(draw(st.integers(0, capacity + 1))):
+        bank.observe(random_stats(rng, 2))
+    bad_floats = [0.0, -1.0, 1.0, np.inf, -np.inf, np.nan]
+    name = draw(st.sampled_from(["capacity", "alpha", "momentum", "mode"]))
+    value = draw(
+        {
+            "capacity": st.one_of(st.integers(-1, 4), st.sampled_from([2**32 - 1, 2**32])),
+            "alpha": st.one_of(st.floats(0.01, 4.0), st.sampled_from(bad_floats)),
+            "momentum": st.one_of(st.floats(0.01, 0.99), st.sampled_from(bad_floats)),
+            "mode": st.sampled_from(["train", "tta", "other"]),
+        }[name]
+    )
+    return bank, name, value
+
+
+def constructor_accepts(bank, name, value):
+    fields = {f: getattr(bank, f) for f in ("capacity", "alpha", "momentum", "mode", "step")}
+    fields[name] = value
+    try:
+        StyleMemoryBank(**fields, prototypes=list(bank.prototypes))
+    except ValueError:
+        return False
+    return True
+
+
 def full_bank(rng, channels=6, k=4, **kwargs):
     bank = StyleMemoryBank(capacity=k, **kwargs)
     for _ in range(k):
@@ -489,3 +521,32 @@ class TestValidation:
         ]
         with pytest.raises(ValueError):
             StyleMemoryBank(prototypes=protos)
+
+
+class TestAssignment:
+    def test_inf_alpha_is_rejected_at_the_assignment(self):
+        bank = full_bank(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            bank.alpha = float("inf")
+        assert bank.alpha == 0.7
+        assert load(bank.save()).save() == bank.save()
+
+    def test_capacity_below_the_prototype_count_is_rejected(self):
+        bank = full_bank(np.random.default_rng(1), k=3)
+        with pytest.raises(ValueError, match="3 prototypes exceed capacity 2"):
+            bank.capacity = 2
+        assert bank.capacity == 3
+
+    @settings(deadline=None, max_examples=300)
+    @given(checked_assignments())
+    def test_assignment_follows_the_constructor(self, case):
+        bank, name, value = case
+        before = bank.save()
+        if constructor_accepts(bank, name, value):
+            setattr(bank, name, value)
+            blob = bank.save()
+            assert load(blob).save() == blob
+        else:
+            with pytest.raises(ValueError):
+                setattr(bank, name, value)
+            assert bank.save() == before
