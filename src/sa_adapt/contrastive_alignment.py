@@ -59,46 +59,66 @@ class LossReport:
 
 
 class _Forward(NamedTuple):
-    idx: np.ndarray  # present category indices
-    s_unit: np.ndarray  # (n, d) source queries, normalized if requested
+    s_unit: np.ndarray  # (..., n, d) source queries, normalized if requested
     a_unit: np.ndarray
-    s_norm: np.ndarray | None  # (n, 1) row norms when normalizing
+    s_norm: np.ndarray | None  # (..., n, 1) row norms when normalizing
     a_norm: np.ndarray | None
-    exp: np.ndarray  # (n, n) column-shifted exponentials
-    z: np.ndarray  # (n,) column sums of exp
-    loss: float
+    exp: np.ndarray  # (..., n, n) column-shifted exponentials
+    z: np.ndarray  # (..., n) column sums of exp
+    loss: np.ndarray  # (...) one loss per stacked pair
 
 
-def _forward(batch: ContrastiveBatch, normalize: bool) -> _Forward:
-    """The loss and the intermediates its gradients reuse.
+def _forward(s: np.ndarray, a: np.ndarray, normalize: bool) -> _Forward:
+    """The loss of (..., n, d) stacks of present-row queries, and the
+    intermediates its gradients reuse.
 
-    Stabilized by per-column max subtraction.
+    Stabilized by per-column max subtraction. Each stacked pair goes
+    through the same operations as a lone (n, d) pair, so its loss is
+    bit-identical to the loss of that pair alone.
     """
-    idx = np.flatnonzero(batch.present)
-    if idx.size == 0:
-        raise StateError("contrastive loss needs at least one present category")
-    s = batch.q_source[idx]
-    a = batch.q_augmented[idx]
     s_norm = a_norm = None
     if normalize:
-        s_norm = np.linalg.norm(s, axis=1, keepdims=True)
-        a_norm = np.linalg.norm(a, axis=1, keepdims=True)
+        s_norm = np.linalg.norm(s, axis=-1, keepdims=True)
+        a_norm = np.linalg.norm(a, axis=-1, keepdims=True)
         if np.any(s_norm == 0.0) or np.any(a_norm == 0.0):
             raise ValueError("cannot normalize a zero query vector")
         s, a = s / s_norm, a / a_norm
 
-    logits = s @ a.T  # logits[j, i] = s_j . a_i
-    shifted = logits - logits.max(axis=0, keepdims=True)
+    logits = s @ np.swapaxes(a, -1, -2)  # logits[..., j, i] = s_j . a_i
+    shifted = logits - logits.max(axis=-2, keepdims=True)
     exp = np.exp(shifted)
-    z = exp.sum(axis=0)
-    log_prob_diag = shifted.diagonal() - np.log(z)
-    loss = float(-(log_prob_diag.sum() / idx.size))
-    return _Forward(idx, s, a, s_norm, a_norm, exp, z, loss)
+    z = exp.sum(axis=-2)
+    log_prob_diag = shifted.diagonal(axis1=-2, axis2=-1) - np.log(z)
+    loss = -(log_prob_diag.sum(axis=-1) / logits.shape[-1])
+    return _Forward(s, a, s_norm, a_norm, exp, z, loss)
+
+
+def _present_forward(batch: ContrastiveBatch, normalize: bool) -> tuple[np.ndarray, _Forward]:
+    """The present category indices and the forward pass over their rows."""
+    idx = np.flatnonzero(batch.present)
+    if idx.size == 0:
+        raise StateError("contrastive loss needs at least one present category")
+    return idx, _forward(batch.q_source[idx], batch.q_augmented[idx], normalize)
+
+
+def contrastive_loss_stack(
+    q_source: np.ndarray, q_augmented: np.ndarray, normalize: bool = False
+) -> np.ndarray:
+    """The loss of every pair in (..., n, d) stacks of present-row queries.
+
+    The two stacks broadcast against each other, so one side may be a
+    single (n, d) matrix. Each value is bit-identical to
+    :func:`contrastive_loss_value` of a batch whose present rows are that
+    pair; absent rows take no part in the loss and are left out here.
+    Values are unchecked: this is the batched form behind finite-difference
+    checks of already-validated queries.
+    """
+    return _forward(q_source, q_augmented, normalize).loss
 
 
 def contrastive_loss_value(batch: ContrastiveBatch, normalize: bool = False) -> float:
     """The loss alone, exactly as :func:`contrastive_loss` reports it."""
-    return _forward(batch, normalize).loss
+    return float(_present_forward(batch, normalize)[1].loss)
 
 
 def contrastive_loss(batch: ContrastiveBatch, normalize: bool = False) -> LossReport:
@@ -107,8 +127,8 @@ def contrastive_loss(batch: ContrastiveBatch, normalize: bool = False) -> LossRe
     With ``normalize`` the queries are L2-normalized first and the
     gradients are chained through the normalization.
     """
-    fw = _forward(batch, normalize)
-    n = fw.idx.size
+    idx, fw = _present_forward(batch, normalize)
+    n = idx.size
     # d loss / d logits[j, i] = (softmax_j - delta_ji) / n
     g_logits = (fw.exp / fw.z - np.eye(n)) / n
     g_s = g_logits @ fw.a_unit
@@ -119,9 +139,9 @@ def contrastive_loss(batch: ContrastiveBatch, normalize: bool = False) -> LossRe
 
     grad_source = np.zeros_like(batch.q_source)
     grad_augmented = np.zeros_like(batch.q_augmented)
-    grad_source[fw.idx] = g_s
-    grad_augmented[fw.idx] = g_a
-    return LossReport(fw.loss, grad_source, grad_augmented)
+    grad_source[idx] = g_s
+    grad_augmented[idx] = g_a
+    return LossReport(float(fw.loss), grad_source, grad_augmented)
 
 
 def total_loss(l_det: float, l_contra: float, lambda_c: float) -> float:

@@ -40,6 +40,13 @@ _MODES = ("train", "tta")
 _U32_LIMIT, _U64_LIMIT = 2**32, 2**64  # the file's counter widths
 
 
+def _is_count(value, low: int, limit: int) -> bool:
+    """Whether ``value`` is an integer (Python or numpy) in [low, limit): a
+    float such as 2.5 or 2.0 is not, since the file stores counters as
+    integers."""
+    return isinstance(value, (int, np.integer)) and low <= value < limit
+
+
 def _record_dtype(channels: int) -> np.dtype:
     """The file layout of one prototype record (see the module docstring)."""
     vector = ("<f8", (channels,))
@@ -58,10 +65,12 @@ class StylePrototype(ChannelStats):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 1 <= self.use_count < _U64_LIMIT:
-            raise ValueError(f"use_count must lie in [1, 2**64), got {self.use_count}")
-        if not 0 <= self.last_update < _U64_LIMIT:
-            raise ValueError(f"last_update must lie in [0, 2**64), got {self.last_update}")
+        if not _is_count(self.use_count, 1, _U64_LIMIT):
+            raise ValueError(f"use_count must be an integer in [1, 2**64), got {self.use_count!r}")
+        if not _is_count(self.last_update, 0, _U64_LIMIT):
+            raise ValueError(
+                f"last_update must be an integer in [0, 2**64), got {self.last_update!r}"
+            )
         self.mean = self.mean.copy()
         self.std = self.std.copy()
 
@@ -102,15 +111,18 @@ class StyleMemoryBank:
     prototypes: list[StylePrototype] = field(default_factory=list)
 
     def __setattr__(self, name: str, value) -> None:
-        """Check ``capacity``, ``alpha``, ``momentum`` and ``mode`` on every
-        assignment, the constructor's included, before the value is stored.
+        """Check ``capacity``, ``step``, ``alpha``, ``momentum`` and ``mode``
+        on every assignment, the constructor's included, before the value is
+        stored.
 
-        The prototype count must not exceed ``capacity`` once both fields
-        exist. ``step`` changes on every observe and passes through
-        unchecked, as do the prototypes' counters; the constructors check them.
+        ``capacity`` and ``step`` must be integers in the file's ranges. The
+        prototype count must not exceed ``capacity`` once both fields exist.
+        The prototypes' counters are checked by their constructor.
         """
-        if name == "capacity" and not 1 <= value < _U32_LIMIT:
-            raise ValueError(f"capacity must lie in [1, 2**32), got {value}")
+        if name == "step" and not _is_count(value, 0, _U64_LIMIT):
+            raise ValueError(f"step must be an integer in [0, 2**64), got {value!r}")
+        if name == "capacity" and not _is_count(value, 1, _U32_LIMIT):
+            raise ValueError(f"capacity must be an integer in [1, 2**32), got {value!r}")
         if name == "alpha" and not 0.0 < value < np.inf:
             raise ValueError("alpha must be positive and finite")
         if name == "momentum" and not 0.0 < value < 1.0:
@@ -126,8 +138,6 @@ class StyleMemoryBank:
         object.__setattr__(self, name, value)
 
     def __post_init__(self):
-        if not 0 <= self.step < _U64_LIMIT:
-            raise ValueError(f"step must lie in [0, 2**64), got {self.step}")
         if any(p.last_update > self.step for p in self.prototypes):
             raise ValueError(f"a prototype's last_update is past step {self.step}")
         if len({p.channels for p in self.prototypes}) > 1:

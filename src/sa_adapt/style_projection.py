@@ -1,7 +1,8 @@
 """Rectify feature-map styles toward the bank's prototype manifold.
 
 For each sample one row of bank distances (kept on the result as
-``distances``) is turned into softmax weights, one product
+``distances``, measured against the bank's (K, 2C) prototype matrix, which
+is stacked once per call) is turned into softmax weights, one product
 ``w @ bank.vectors()`` forms both targets (mu', sigma'), and the map is
 remapped per channel by the affine instance renormalization (AdaIN)
 ``f * scale + shift`` with ``scale = sigma' / sigma`` and
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .style_memory_bank import StyleMemoryBank
-from .style_statistics import EPSILON, ChannelStats, compute_stats
+from .style_statistics import EPSILON, ChannelStats, compute_stats, sq_distances, style_vector
 from .tensor_core import check_feature_map, softmax
 
 WEIGHTINGS = ("neg-distance", "raw-distance")
@@ -75,9 +76,13 @@ def project(
     if len(stats) != f.shape[0]:
         raise ValueError(f"{len(stats)} statistics for a batch of {f.shape[0]}")
     vectors = bank.vectors()
+    if vectors.shape[1] != 2 * f.shape[1]:
+        raise ValueError(
+            f"channel mismatch: bank has C={bank.channels}, feature map has C={f.shape[1]}"
+        )
     results = []
     for b, s in enumerate(stats):
-        d = bank.distances(s)
+        d = sq_distances(style_vector(s)[None], vectors)[0]
         w = projection_weights(d, weighting, temperature)
         target_mean, target_std = np.split(w @ vectors, 2)
         scale = target_std / s.std

@@ -6,6 +6,7 @@ import pytest
 from sa_adapt.contrastive_alignment import (
     ContrastiveBatch,
     contrastive_loss,
+    contrastive_loss_stack,
     contrastive_loss_value,
     total_loss,
 )
@@ -155,6 +156,31 @@ class TestContrastiveLoss:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ContrastiveBatch(np.ones((2, 3)), np.ones((2, 4)), np.ones(2, dtype=bool))
+
+
+class TestStackedLoss:
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_each_stack_index_is_the_loss_of_that_slice(self, normalize):
+        rng = np.random.default_rng(8)
+        present = np.array([True, False, True, True, False])
+        idx = np.flatnonzero(present)
+        q_s = rng.normal(size=(6, 5, 8))
+        q_a = rng.normal(size=(6, 5, 8))
+        stacked = contrastive_loss_stack(q_s[:, idx], q_a[:, idx], normalize)
+        assert stacked.shape == (6,)
+        for k in range(6):
+            batch = batch_of(q_s[k], q_a[k], present)
+            assert stacked[k] == contrastive_loss_value(batch, normalize=normalize)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_a_lone_side_broadcasts_against_a_stack(self, normalize):
+        rng = np.random.default_rng(9)
+        q_s, q_a = rng.normal(size=(4, 3, 6)), rng.normal(size=(3, 6))
+        by_source = contrastive_loss_stack(q_s, q_a, normalize)
+        by_augmented = contrastive_loss_stack(q_a, q_s, normalize)
+        for k in range(4):
+            assert by_source[k] == contrastive_loss_value(batch_of(q_s[k], q_a), normalize)
+            assert by_augmented[k] == contrastive_loss_value(batch_of(q_a, q_s[k]), normalize)
 
 
 class TestTotalLoss:

@@ -7,6 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from sa_adapt.cli import main as cli_main
 from sa_adapt.config import TTA_ORDERS, RunConfig
+from sa_adapt.contrastive_alignment import (
+    ContrastiveBatch,
+    contrastive_loss_stack,
+    contrastive_loss_value,
+)
 from sa_adapt.object_gating import Annotation
 import sa_adapt.harness as harness_mod
 from sa_adapt.harness import (
@@ -16,6 +21,7 @@ from sa_adapt.harness import (
     bench,
     cluster_centers,
     describe_bank,
+    fd_gradient,
     format_report,
     generate_stream,
     load_banks,
@@ -479,6 +485,68 @@ class TestOclDemo:
         assert report.value("ocl.total_loss") == pytest.approx(expected, abs=1e-12)
 
 
+@st.composite
+def fd_cases(draw):
+    """A contrastive batch with at least one present category, the side to
+    perturb, ``normalize``, and an fd_gradient chunk of 1..size entries."""
+    c, d = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    present = np.array(draw(st.lists(st.booleans(), min_size=c, max_size=c)))
+    present[draw(st.integers(0, c - 1))] = True
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = ContrastiveBatch(rng.normal(size=(c, d)), rng.normal(size=(c, d)), present)
+    side, normalize = draw(st.sampled_from(["source", "augmented"])), draw(st.booleans())
+    entries = draw(st.integers(1, int(present.sum()) * d))
+    return batch, side, normalize, entries
+
+
+class TestFdGradient:
+    @settings(deadline=None, max_examples=150)
+    @given(fd_cases())
+    def test_batched_check_equals_the_per_entry_loop(self, case):
+        batch, side, normalize, entries = case
+        idx = np.flatnonzero(batch.present)
+        s, a = batch.q_source[idx], batch.q_augmented[idx]
+        if side == "source":
+            x = batch.q_source
+            stacked = lambda stack: contrastive_loss_stack(stack, a, normalize)
+        else:
+            x = batch.q_augmented
+            stacked = lambda stack: contrastive_loss_stack(s, stack, normalize)
+        expected = oracles.central_difference(
+            lambda: contrastive_loss_value(batch, normalize), x
+        )
+        got = np.zeros_like(x)
+        # a chunk of ``entries`` entries, so most cases end in a partial chunk
+        chunk_bytes = entries * 2 * x[idx].nbytes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness_mod, "_FD_CHUNK_BYTES", chunk_bytes)
+            got[idx] = fd_gradient(stacked, x[idx])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_stacks_stay_within_the_chunk_bound(self):
+        x = np.random.default_rng(0).normal(size=(19, 256))
+        before = x.copy()
+        largest, entries = [0], [0]
+
+        def spy(stack):
+            largest[0] = max(largest[0], stack.nbytes)
+            entries[0] += stack.shape[0] // 2
+            return stack.sum(axis=(1, 2))
+
+        grad = fd_gradient(spy, x)
+        assert 0 < largest[0] <= harness_mod._FD_CHUNK_BYTES
+        assert entries[0] == x.size
+        assert x.tobytes() == before.tobytes()
+        # each entry moves its row sum by +-step
+        np.testing.assert_allclose(grad, 1.0, rtol=1e-6)
+
+    def test_an_entry_larger_than_the_bound_goes_alone(self, monkeypatch):
+        monkeypatch.setattr(harness_mod, "_FD_CHUNK_BYTES", 8)
+        sizes = []
+        fd_gradient(lambda stack: sizes.append(stack.shape[0]) or stack.sum(axis=1), np.ones(3))
+        assert sizes == [2, 2, 2]
+
+
 class TestBench:
     def test_protocol_fields_and_overhead(self, tmp_path):
         cfg = small_config()
@@ -599,6 +667,12 @@ class TestCli:
         empty.write_text("")
         argv = ["ocl-demo", "--annotations", str(empty), "--out-dir", str(tmp_path)]
         assert "holds no records" in self.user_error(capsys, argv)
+
+    @pytest.mark.parametrize("size", ["0x0", "1x64", "64x1"])
+    def test_image_below_two_by_two_is_a_user_error(self, tmp_path, capsys, size):
+        argv = ["ocl-demo", "--image-size", size, "--out-dir", str(tmp_path)]
+        assert f"at least 2x2, got {size}" in self.user_error(capsys, argv)
+        assert not (tmp_path / "ocl.report.txt").exists()
 
     def test_annotation_without_boxes_is_a_user_error(self, tmp_path, capsys):
         ann = tmp_path / "boxes.txt"

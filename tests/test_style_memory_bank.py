@@ -484,6 +484,32 @@ class TestValidation:
         with pytest.raises(ValueError):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: StyleMemoryBank(capacity=2.5),
+            lambda: StyleMemoryBank(capacity=4.0),
+            lambda: StyleMemoryBank(step=1.5),
+            lambda: StylePrototype(np.zeros(2), np.ones(2), use_count=1.5),
+            lambda: StylePrototype(np.zeros(2), np.ones(2), last_update=0.5),
+        ],
+        ids=["float-capacity", "integral-float-capacity", "float-step", "float-use",
+             "float-update"],
+    )
+    def test_counters_must_be_integers(self, build):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+
+    def test_numpy_integer_counters_are_accepted(self):
+        p = StylePrototype(
+            np.zeros(2), np.ones(2), use_count=np.uint64(3), last_update=np.int64(2)
+        )
+        bank = StyleMemoryBank(capacity=np.int32(2), step=np.uint64(5), prototypes=[p])
+        loaded = load(bank.save())
+        assert (loaded.capacity, loaded.step) == (2, 5)
+        assert (loaded.prototypes[0].use_count, loaded.prototypes[0].last_update) == (3, 2)
+        assert loaded.save() == bank.save()
+
     def test_capacity_and_hyperparameters(self):
         with pytest.raises(ValueError):
             StyleMemoryBank(capacity=0)
@@ -536,6 +562,18 @@ class TestAssignment:
         with pytest.raises(ValueError, match="3 prototypes exceed capacity 2"):
             bank.capacity = 2
         assert bank.capacity == 3
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("capacity", 2.5), ("step", -1), ("step", 2**64), ("step", 3.0)],
+        ids=["float-capacity", "negative-step", "u64-step", "float-step"],
+    )
+    def test_counters_are_checked_at_the_assignment(self, name, value):
+        bank = full_bank(np.random.default_rng(2))
+        before = bank.save()
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            setattr(bank, name, value)
+        assert bank.save() == before
 
     @settings(deadline=None, max_examples=300)
     @given(checked_assignments())

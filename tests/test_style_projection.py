@@ -170,6 +170,26 @@ class TestProject:
         with pytest.raises(StateError):
             project(StyleMemoryBank(), np.zeros((1, 2, 3, 3)))
 
+    def test_channel_mismatch_is_rejected(self):
+        bank = random_bank(np.random.default_rng(8), 4)
+        with pytest.raises(ValueError, match="channel mismatch: bank has C=4"):
+            project(bank, np.zeros((2, 3, 5, 5)))
+
+    def test_distances_come_from_one_stack_of_the_bank(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        bank = random_bank(rng, 5)
+        f = rng.normal(size=(3, 5, 4, 4))
+        expected = [bank.distances(s) for s in compute_stats(f)]
+        stacks = []
+        real_vectors = StyleMemoryBank.vectors
+        monkeypatch.setattr(
+            StyleMemoryBank, "vectors", lambda self: stacks.append(1) or real_vectors(self)
+        )
+        results = project(bank, f)
+        assert len(stacks) == 1
+        for res, d in zip(results, expected):
+            assert res.distances.tobytes() == d.tobytes()
+
 
 class TestWeighting:
     def test_monotone_in_distance(self):

@@ -1,0 +1,182 @@
+"""Gather parent/change pairs of ``benchmarks/run.py`` runs into one JSON file.
+
+Usage, from anywhere (standard library only):
+
+    python3 tools/bench_pairs.py --parent-dir PARENT --change-dir CHANGE \\
+        --pairs ocl-gated=10 --pairs tta-reference=5 --pairs train-churn=5 \\
+        --first-seed 811 --seconds 25 --trace-seed 5 --out BENCH_8.json
+
+``PARENT`` and ``CHANGE`` are two checkouts (a ``git clone`` or a ``git
+archive`` export of the parent commit, and the tree under test); each runs
+its own ``benchmarks/run.py`` against its own ``src``. Runs are strictly
+sequential, one process at a time. Pair ``i`` of a workload uses seed
+``first_seed + i`` (seeds keep counting across the workloads in the order
+given), and the side that runs first alternates from pair to pair, starting
+with the parent. ``--trace-seed`` adds one ``--trace 1`` pair per workload,
+kept in ``runs`` for its per-layer counts and left out of ``summary``.
+
+The output holds every run (side, workload, seed, trace flag, return code,
+the ``host`` line and the final JSON line of ``run.py``) and, per workload,
+a summary of the untraced runs: for each end-to-end metric both sides' runs
+with median and quartiles (``statistics.quantiles``, inclusive method, which
+is numpy's linear percentile), the change/parent ratio of the medians, and
+``change_wins``, the pairs in which the change read better (ties count for
+neither side).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+# end-to-end metrics of run.py and the direction in which each is better
+HIGHER_IS_BETTER = {"items_per_s": True, "call_s.mean": False, "setup_s": False,
+                    "peak_rss_mb": False}
+SIDES = ("parent", "change")
+
+
+def git_tree_hash(path: Path) -> str:
+    """The git tree id ``path`` would have if committed as it stands.
+
+    Compare it with ``git rev-parse <commit>:src`` to tell which commit a
+    checkout without ``.git`` held. Bytecode caches are skipped.
+    """
+    entries = []
+    for child in path.iterdir():
+        if child.name == "__pycache__" or child.suffix == ".pyc":
+            continue
+        if child.is_dir():
+            mode, digest, key = b"40000", bytes.fromhex(git_tree_hash(child)), child.name + "/"
+        else:
+            data = child.read_bytes()
+            blob = hashlib.sha1(b"blob %d\0" % len(data) + data).digest()
+            mode = b"100755" if os.access(child, os.X_OK) else b"100644"
+            digest, key = blob, child.name
+        entries.append((key, mode + b" " + child.name.encode() + b"\0" + digest))
+    body = b"".join(entry for _, entry in sorted(entries))
+    return hashlib.sha1(b"tree %d\0" % len(body) + body).hexdigest()
+
+
+def run_once(checkout: Path, side: str, workload: str, seed: int, seconds: float,
+             trace: int) -> dict:
+    """One ``run.py`` process; its host line and final JSON line, parsed."""
+    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    print(f"{side:6} {workload} seed {seed} trace {trace}", file=sys.stderr, flush=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    lines = proc.stdout.splitlines()
+    host = next((json.loads(l[5:]) for l in lines if l.startswith("host ")), {})
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+        sys.stderr.write(proc.stderr)
+    commit = host.get("git_commit", "unknown")
+    return {
+        "side": side, "workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
+        "commit": side if commit == "unknown" else commit, "host": host,
+        "returncode": proc.returncode, "result": result,
+    }
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "n": len(values), "runs": values}
+
+
+def summarize(runs: list[dict]) -> dict:
+    """Per workload: both sides' end-to-end metrics over the untraced runs."""
+    out = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        plain = [r for r in runs if r["workload"] == workload and not r["trace"]]
+        seeds = sorted({r["seed"] for r in plain})
+        by = {(r["side"], r["seed"]): r["result"] for r in plain}
+        ok = all(by.get((side, s)) is not None for side in SIDES for s in seeds)
+        summary = {
+            "seeds": seeds,
+            "all_correct": ok and all(by[side, s]["correct"] for side in SIDES for s in seeds),
+        }
+        if ok:
+            for key, name in (("attempted", "attempted_items"), ("failed", "failed_items")):
+                summary[name] = {side: sum(by[side, s][key] for s in seeds) for side in SIDES}
+            for metric, higher in HIGHER_IS_BETTER.items():
+                values = {side: [by[side, s]["metrics"][metric]["value"] for s in seeds]
+                          for side in SIDES}
+                wins = sum((c > p) if higher else (c < p)
+                           for p, c in zip(values["parent"], values["change"]))
+                summary[metric] = {
+                    **{side: spread(values[side]) for side in SIDES},
+                    "change_over_parent": (statistics.median(values["change"])
+                                           / statistics.median(values["parent"])),
+                    "change_wins": f"{wins}/{len(seeds)}",
+                }
+        out[workload] = summary
+    return out
+
+
+def pair_plan(pairs: list[tuple[str, int]], first_seed: int, trace_seed: int | None):
+    """(workload, seed, trace, sides in order) for every pair, in run order."""
+    seed = first_seed
+    for workload, count in pairs:
+        if trace_seed is not None:
+            yield workload, trace_seed, 1, SIDES
+        for i in range(count):
+            yield workload, seed, 0, SIDES if i % 2 == 0 else SIDES[::-1]
+            seed += 1
+
+
+def parse_pairs(text: str) -> tuple[str, int]:
+    workload, _, count = text.partition("=")
+    if not count.isdigit() or int(count) < 2:
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD=N with N >= 2, got {text!r}")
+    return workload, int(count)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent-dir", type=Path, required=True)
+    parser.add_argument("--change-dir", type=Path, required=True)
+    parser.add_argument("--pairs", type=parse_pairs, action="append", required=True,
+                        metavar="WORKLOAD=N", help="untraced pairs of one workload; repeatable")
+    parser.add_argument("--first-seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--trace-seed", type=int, help="seed of one traced pair per workload")
+    parser.add_argument("--about", default="", help="free text stored with the runs")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    dirs = {"parent": args.parent_dir.resolve(), "change": args.change_dir.resolve()}
+    for side, path in dirs.items():
+        if not (path / "benchmarks" / "run.py").is_file():
+            parser.error(f"--{side}-dir {path} has no benchmarks/run.py")
+
+    runs = [
+        run_once(dirs[side], side, workload, seed, args.seconds, trace)
+        for workload, seed, trace, order in pair_plan(args.pairs, args.first_seed,
+                                                      args.trace_seed)
+        for side in order
+    ]
+    parent_commits = {r["commit"] for r in runs if r["side"] == "parent"}
+    document = {
+        "about": args.about,
+        "command": "python3 benchmarks/run.py --workload <w> --seed <s> --seconds <n> "
+                   "--trace <0|1>",
+        "parent": parent_commits.pop() if len(parent_commits) == 1 else "unknown",
+        "change_src_tree": git_tree_hash(dirs["change"] / "src"),
+        "runs": runs,
+        "summary": summarize(runs),
+    }
+    args.out.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
+    failed = [r for r in runs if r["returncode"] != 0 or not (r["result"] or {}).get("correct")]
+    for r in failed:
+        print(f"failed: {r['side']} {r['workload']} seed {r['seed']}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
