@@ -24,12 +24,15 @@ from . import harness
 from .style_memory_bank import load
 
 
-def _parse_hw_list(text: str) -> list[tuple[int, int]]:
-    """Parse level shapes like ``"8x8,4x4"``."""
+def _parse_hw_list(text: str, flag: str) -> list[tuple[int, int]]:
+    """Parse level shapes like ``"8x8,4x4"`` given to ``flag``."""
     shapes = []
     for chunk in text.split(","):
         h, _, w = chunk.strip().partition("x")
-        shapes.append((int(h), int(w)))
+        try:
+            shapes.append((int(h), int(w)))
+        except ValueError:
+            raise ValueError(f"{flag} expects HxW shapes such as 8x8,4x4, got {text!r}") from None
     return shapes
 
 
@@ -77,7 +80,7 @@ def build_config(args: argparse.Namespace) -> config_mod.RunConfig:
 
 
 def build_domain_spec(cfg: config_mod.RunConfig, args: argparse.Namespace) -> harness.SyntheticDomainSpec:
-    shapes = [(args.channels, h, w) for h, w in _parse_hw_list(args.levels)]
+    shapes = [(args.channels, h, w) for h, w in _parse_hw_list(args.levels, "--levels")]
     base = cfg.seed * 1_000_003 + args.style_salt * 10_007
     clusters = [
         harness.StyleCluster(
@@ -164,20 +167,20 @@ def _run(args: argparse.Namespace) -> int:
             annotation = records[0].annotation
             image_size = records[0].image_size
         else:
-            h, w = _parse_hw_list(args.image_size)[0]
+            h, w = _parse_hw_list(args.image_size, "--image-size")[0]
             image_size = (h, w)
         report = harness.run_ocl_demo(
             cfg,
             num_categories=args.categories,
             image_size=image_size,
-            level_shapes=tuple(_parse_hw_list(args.demo_levels)),
+            level_shapes=tuple(_parse_hw_list(args.demo_levels, "--demo-levels")),
             blocks=args.blocks,
             l_det=args.l_det,
             annotation=annotation,
             out_dir=out_dir,
         )
     else:  # bench; the subcommand is required, so no other value reaches here
-        shapes = _parse_hw_list(args.bench_levels)
+        shapes = _parse_hw_list(args.bench_levels, "--bench-levels")
         if any(h != w for h, w in shapes):
             raise ValueError(f"bench levels must be square HxH, got {args.bench_levels}")
         report = harness.bench(

@@ -21,6 +21,7 @@ copy with ``dataclasses.replace``.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -52,6 +53,10 @@ class RunConfig:
     out_dir: str = "sa_out"
 
     def __post_init__(self):
+        for name in ("k", "heads", "d", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not self.alpha > 0:

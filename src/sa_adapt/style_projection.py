@@ -23,9 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import StateError
 from .style_memory_bank import StyleMemoryBank
 from .style_statistics import EPSILON, ChannelStats, compute_stats, sq_distances, style_vector
-from .tensor_core import check_feature_map, softmax
+from .tensor_core import (
+    _channel_blocks,
+    _require_finite_block,
+    check_feature_map,
+    require_finite,
+    softmax,
+)
 
 WEIGHTINGS = ("neg-distance", "raw-distance")
 
@@ -69,27 +76,54 @@ def project(
     Returns one ProjectionResult per batch sample; ``rectified`` keeps the
     (1, C, H, W) layout. The scale divides by the epsilon-floored std from
     the statistics pass, so it is always well defined.
+
+    A non-finite map is the first fault reported, before a statistics count,
+    bank or weighting error; the remap pass proves a finite one finite.
     """
     f = check_feature_map(f)
     if stats is None:
         stats = compute_stats(f)
-    if len(stats) != f.shape[0]:
-        raise ValueError(f"{len(stats)} statistics for a batch of {f.shape[0]}")
-    vectors = bank.vectors()
-    if vectors.shape[1] != 2 * f.shape[1]:
-        raise ValueError(
-            f"channel mismatch: bank has C={bank.channels}, feature map has C={f.shape[1]}"
-        )
+    try:
+        if len(stats) != f.shape[0]:
+            raise ValueError(f"{len(stats)} statistics for a batch of {f.shape[0]}")
+        vectors = bank.vectors()
+        if vectors.shape[1] != 2 * f.shape[1]:
+            raise ValueError(
+                f"channel mismatch: bank has C={bank.channels}, feature map has C={f.shape[1]}"
+            )
+        targets = []  # (distances, weights, target mean, target std) per sample
+        for s in stats:
+            d = sq_distances(style_vector(s)[None], vectors)[0]
+            w = projection_weights(d, weighting, temperature)
+            targets.append((d, w, *np.split(w @ vectors, 2)))
+    except (ValueError, StateError):
+        require_finite(f, "feature map")
+        raise
     results = []
-    for b, s in enumerate(stats):
-        d = sq_distances(style_vector(s)[None], vectors)[0]
-        w = projection_weights(d, weighting, temperature)
-        target_mean, target_std = np.split(w @ vectors, 2)
+    for b, (s, (d, w, target_mean, target_std)) in enumerate(zip(stats, targets)):
         scale = target_std / s.std
         shift = target_mean - s.mean * scale
-        rectified = f[b : b + 1] * scale[None, :, None, None] + shift[None, :, None, None]
+        rectified = _remap(f[b], scale, shift)
         results.append(ProjectionResult(rectified, target_mean, target_std, w, d))
     return results
+
+
+def _remap(sample: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """``sample * scale + shift`` per channel of one (C, H, W) sample, as (1, C, H, W).
+
+    One pass over blocks of channel rows, written straight into the output;
+    each output block's sum proves its input block finite.
+    """
+    c, h, w = sample.shape
+    out = np.empty((1, c, h, w))
+    src = sample.reshape(c, h * w)
+    dst = out.reshape(c, h * w)
+    for sl in _channel_blocks(c, h * w):
+        block = dst[sl]
+        np.multiply(src[sl], scale[sl, None], out=block)
+        block += shift[sl, None]
+        _require_finite_block(block.sum(), src[sl])
+    return out
 
 
 def project_pyramid(

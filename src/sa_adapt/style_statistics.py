@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import DTYPE, check_feature_map, require_finite
+from .tensor_core import (
+    DTYPE,
+    _channel_blocks,
+    _require_finite_block,
+    check_feature_map,
+    require_finite,
+)
 
 # Variance floor added under the square root; keeps std >= sqrt(EPSILON)
 # so later divisions never hit zero.
@@ -55,12 +61,33 @@ def compute_stats(f: np.ndarray, epsilon: float = EPSILON) -> list[ChannelStats]
     + epsilon), so a constant channel yields std = sqrt(epsilon).
 
     Returns one ChannelStats per batch sample.
+
+    One pass over blocks of channel rows: per block, the row sums give the
+    means, ``block - mean`` is written into one reused buffer and squared in
+    place, and its row sums give the variances. Every channel is reduced
+    over its own contiguous H*W run, as ``f.mean(axis=(2, 3))`` and
+    ``np.mean((f - mean) ** 2, axis=(2, 3))`` reduce it, so the bits are
+    theirs. The first row sums prove each block finite.
     """
     f = check_feature_map(f)
-    mean = f.mean(axis=(2, 3))
-    var = np.mean((f - mean[:, :, None, None]) ** 2, axis=(2, 3))
-    std = np.sqrt(var + epsilon)
-    return [ChannelStats(mean[b], std[b]) for b in range(f.shape[0])]
+    b, c, h, w = f.shape
+    rows = f.reshape(b * c, h * w)
+    blocks = _channel_blocks(b * c, h * w)
+    mean = np.empty(b * c)
+    var = np.empty(b * c)
+    buf = np.empty_like(rows[blocks[0]])
+    for sl in blocks:
+        block = rows[sl]
+        total = block.sum(axis=1)
+        _require_finite_block(total, block)
+        np.divide(total, h * w, out=mean[sl])
+        dev = buf[: block.shape[0]]
+        np.subtract(block, mean[sl, None], out=dev)
+        np.multiply(dev, dev, out=dev)
+        np.divide(dev.sum(axis=1), h * w, out=var[sl])
+    mean = mean.reshape(b, c)
+    std = np.sqrt(var + epsilon).reshape(b, c)
+    return [ChannelStats(mean[i], std[i]) for i in range(b)]
 
 
 def style_vector(s: ChannelStats) -> np.ndarray:

@@ -4,6 +4,11 @@ Everything is computed in double precision on row-major (C-contiguous)
 numpy arrays. Feature maps are always laid out as (B, C, H, W); one
 canonical layout avoids transpose bugs across modules. Values returned by
 the public helpers are finite whenever the inputs are finite.
+
+Passes over a whole feature map (statistics, remap) walk it in blocks of
+whole channel rows from :func:`_channel_blocks`, so each block and its
+scratch stay in L2 between the reads of one pass, and prove the map finite
+from their own results rather than from a separate scan.
 """
 
 from __future__ import annotations
@@ -12,6 +17,10 @@ import numpy as np
 
 DTYPE = np.float64
 
+# Bytes of one block of channel rows in a blocked pass over a feature map:
+# a block and a scratch buffer of the same size fit in L2 together.
+_BLOCK_BYTES = 512 << 10
+
 
 def require_finite(arr: np.ndarray, what: str = "array") -> None:
     if not np.all(np.isfinite(arr)):
@@ -19,7 +28,11 @@ def require_finite(arr: np.ndarray, what: str = "array") -> None:
 
 
 def check_feature_map(f: np.ndarray) -> np.ndarray:
-    """Validate a (B, C, H, W) feature map; returns it as float64."""
+    """Validate the layout of a (B, C, H, W) feature map; returns it as float64.
+
+    Finiteness is left to the callers' pass over the map (see
+    :func:`_channel_blocks`).
+    """
     f = np.asarray(f, dtype=DTYPE)
     if f.ndim != 4:
         raise ValueError(f"feature map must be 4-D (B, C, H, W), got shape {f.shape}")
@@ -28,8 +41,27 @@ def check_feature_map(f: np.ndarray) -> np.ndarray:
         raise ValueError(f"feature map needs B >= 1 and C >= 1, got shape {f.shape}")
     if h * w < 1:
         raise ValueError(f"feature map has zero-sized spatial extent: {f.shape}")
-    require_finite(f, "feature map")
     return f
+
+
+def _channel_blocks(rows: int, row_len: int) -> list[slice]:
+    """Consecutive slices over ``rows`` rows of ``row_len`` float64 values,
+    each at most ``_BLOCK_BYTES`` or one row; the first is the largest."""
+    step = max(1, _BLOCK_BYTES // (row_len * np.dtype(DTYPE).itemsize))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _require_finite_block(total: np.ndarray, block: np.ndarray) -> None:
+    """Raise the feature-map error if ``block`` holds a non-finite value.
+
+    ``total`` holds sums over terms that are non-finite wherever an entry of
+    ``block`` is: the entries themselves, or ``block * scale + shift``. A NaN
+    or infinite term makes its sum non-finite, so finite totals prove the
+    block finite and nothing is scanned. Otherwise the block is scanned, and
+    a finite block whose sum overflowed passes.
+    """
+    if not np.isfinite(total).all():
+        require_finite(block, "feature map")
 
 
 def softmax(x, axis: int = -1) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here is deliberately written as plain loops (or a separate
-textbook algorithm), independent of the library code paths it checks.
+textbook algorithm), independent of the library code paths it checks. The
+whole-map formulas (``stats_whole_map``, ``affine_remap``) are the
+exception: they are the reference the blocked passes reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +34,20 @@ def stats_double_loop(f, epsilon=1e-6):
             means[b, ch] = mu
             stds[b, ch] = math.sqrt(acc / (h * w) + epsilon)
     return means, stds
+
+
+def stats_whole_map(f, epsilon=1e-6):
+    """Per-sample (mean, std) of a (B, C, H, W) map from whole-map numpy
+    reductions: ``f.mean`` and ``np.mean((f - mean) ** 2)`` over (H, W)."""
+    f = np.asarray(f, dtype=float)
+    mean = f.mean(axis=(2, 3))
+    var = np.mean((f - mean[:, :, None, None]) ** 2, axis=(2, 3))
+    return mean, np.sqrt(var + epsilon)
+
+
+def affine_remap(f, scale, shift):
+    """``f * scale + shift`` per channel of a (B, C, H, W) map, in one expression."""
+    return f * scale[None, :, None, None] + shift[None, :, None, None]
 
 
 def squared_moment_gap(mean_a, std_a, mean_b, std_b):

@@ -1,5 +1,7 @@
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 
+import numpy as np
 import pytest
 
 from sa_adapt.cli import _config_parent
@@ -66,6 +68,17 @@ class TestConfigFile:
             RunConfig(tta_order="bogus")
         with pytest.raises(ValueError, match="k must be >= 1"):
             replace(RunConfig(), k=0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("k", 2.5), ("k", "4"), ("heads", 2.0), ("d", 256.0), ("seed", 1.5)]
+    )
+    def test_integer_fields_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            RunConfig(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = RunConfig(k=np.int64(3), heads=np.int32(4), d=np.int64(64), seed=np.uint8(7))
+        assert (cfg.k, cfg.heads, cfg.d, cfg.seed) == (3, 4, 64, 7)
 
     def test_fields_cannot_be_assigned_after_construction(self):
         cfg = RunConfig()

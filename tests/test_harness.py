@@ -674,6 +674,21 @@ class TestCli:
         assert f"at least 2x2, got {size}" in self.user_error(capsys, argv)
         assert not (tmp_path / "ocl.report.txt").exists()
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("ocl-demo", "--image-size", "64"),
+            ("ocl-demo", "--image-size", "64x"),
+            ("train-bank", "--levels", "8"),
+            ("train-bank", "--levels", "8x8x8"),
+        ],
+    )
+    def test_malformed_shape_is_a_user_error(self, tmp_path, capsys, command, flag, value):
+        argv = [command, flag, value, "--out-dir", str(tmp_path)]
+        err = self.user_error(capsys, argv)
+        assert f"{flag} expects HxW shapes such as 8x8,4x4, got {value!r}" in err
+        assert not any(tmp_path.iterdir())
+
     def test_annotation_without_boxes_is_a_user_error(self, tmp_path, capsys):
         ann = tmp_path / "boxes.txt"
         ann.write_text("img 64 64\n")
