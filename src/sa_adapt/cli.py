@@ -167,8 +167,12 @@ def _run(args: argparse.Namespace) -> int:
             annotation = records[0].annotation
             image_size = records[0].image_size
         else:
-            h, w = _parse_hw_list(args.image_size, "--image-size")[0]
-            image_size = (h, w)
+            shapes = _parse_hw_list(args.image_size, "--image-size")
+            if len(shapes) != 1:
+                raise ValueError(
+                    f"--image-size expects one HxW shape such as 64x64, got {args.image_size!r}"
+                )
+            image_size = shapes[0]
         report = harness.run_ocl_demo(
             cfg,
             num_categories=args.categories,

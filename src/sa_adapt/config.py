@@ -59,6 +59,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if not 0 < self.momentum < 1:

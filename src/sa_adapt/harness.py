@@ -203,6 +203,15 @@ def offline_kmeans(
     bit for bit. No value can overflow while max_x |x|^2 + max_j |c_j|^2 is
     below an eighth of the largest float; where it is not, every row is
     recomputed.
+
+    Each Lloyd iteration updates only the dirty clusters, those a point
+    moved into or out of; a restart's first iteration updates all of them.
+    Every other center keeps its bits, which equal its recomputed
+    ``members.mean(axis=0)`` because its members are the same rows in the
+    same order. The inertia is the sum of squared differences in one
+    reused C-ordered (N, D) buffer: the same elementwise operations and the
+    same pairwise sum as ``((points - centers[assign]) ** 2).sum()``, whose
+    temporary is C-ordered too.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -213,21 +222,33 @@ def offline_kmeans(
     if restarts < 1:
         raise ValueError(f"k-means needs at least 1 restart, got {restarts}")
     nearest = _nearest_centers(points)
+    buf = np.empty(points.shape)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):
         centers = points[rng.choice(len(points), size=k, replace=False)].copy()
+        assign = None
         for _ in range(200):
-            assign = nearest(centers)
+            previous, assign = assign, nearest(centers)
+            if previous is None:  # a restart's first iteration
+                dirty = np.arange(k)
+            else:
+                moved = np.flatnonzero(assign != previous)
+                touched = np.bincount(previous[moved], minlength=k)
+                touched += np.bincount(assign[moved], minlength=k)
+                dirty = np.flatnonzero(touched)
             new_centers = centers.copy()
-            for j in range(k):
+            for j in dirty:
                 members = points[assign == j]
                 if len(members):
                     new_centers[j] = members.mean(axis=0)
             if np.array_equal(new_centers, centers):
                 break
             centers = new_centers
-        inertia = float(((points - centers[assign]) ** 2).sum())
+        np.take(centers, assign, axis=0, out=buf, mode="clip")  # "raise" would buffer `out`
+        np.subtract(points, buf, out=buf)
+        np.square(buf, out=buf)
+        inertia = float(buf.sum())
         if best is None or inertia < best[2]:
             best = (centers, assign, inertia)
     return best

@@ -80,6 +80,13 @@ class TestConfigFile:
         cfg = RunConfig(k=np.int64(3), heads=np.int32(4), d=np.int64(64), seed=np.uint8(7))
         assert (cfg.k, cfg.heads, cfg.d, cfg.seed) == (3, 4, 64, 7)
 
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
+            RunConfig(seed=-1)
+        with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -7")):
+            load_config(None, env={"SA_ADAPT_SEED": "-7"})
+        assert RunConfig(seed=0).seed == 0
+
     def test_fields_cannot_be_assigned_after_construction(self):
         cfg = RunConfig()
         with pytest.raises(FrozenInstanceError):

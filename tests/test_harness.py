@@ -254,6 +254,82 @@ class TestKmeansAssignment:
             offline_kmeans(points, k, restarts=restarts)
 
 
+@st.composite
+def blob_cases(draw):
+    """(points, k, restarts, seed) on separated blobs, N <= 400, D <= 16, K <= 8.
+
+    Lloyd takes many iterations here in which few points move and few
+    clusters change. "duplicates" draws every point from a few distinct
+    ones, so equal initial centers leave clusters empty across iterations;
+    "offset" adds 1e6 to every coordinate. The points come in C order,
+    Fortran order, as a transposed view or as a strided view.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(20, 400)), draw(st.integers(1, 16))
+    blobs = draw(st.integers(1, 10))
+    labels = rng.integers(0, blobs, size=n)
+    points = 10.0 * rng.normal(size=(blobs, d))[labels]
+    points += rng.uniform(0.5, 4.0) * rng.normal(size=(n, d))
+    kind = draw(st.sampled_from(["blobs", "duplicates", "offset"]))
+    if kind == "duplicates":
+        points = points[rng.integers(0, draw(st.integers(1, 10)), size=n)]
+    elif kind == "offset":
+        points += 1e6
+    layout = draw(st.sampled_from(["C", "F", "transposed", "strided"]))
+    if layout == "F":
+        points = np.asfortranarray(points)
+    elif layout == "transposed":
+        points = np.ascontiguousarray(points.T).T
+    elif layout == "strided":
+        points = np.repeat(points, 2, axis=1)[:, ::2]
+    return points, draw(st.integers(1, 8)), draw(st.integers(1, 3)), draw(st.integers(0, 2**16))
+
+
+def record_lloyd_iterations(monkeypatch):
+    """The assignment of every ``nearest`` call, one per Lloyd iteration,
+    of later ``offline_kmeans`` calls."""
+    calls = []
+    make = harness_mod._nearest_centers
+
+    def recording(points):
+        nearest = make(points)
+
+        def recorded(centers):
+            assign = nearest(centers)
+            calls.append(assign)
+            return assign
+
+        return recorded
+
+    monkeypatch.setattr(harness_mod, "_nearest_centers", recording)
+    return calls
+
+
+class TestKmeansFastRegime:
+    @settings(deadline=None, max_examples=60)
+    @given(blob_cases())
+    def test_bit_identical_to_the_broadcast_reference(self, case):
+        points, k, restarts, seed = case
+        centers, assign, inertia = offline_kmeans(points, k, restarts, seed)
+        ref_centers, ref_assign, ref_inertia = oracles.broadcast_kmeans(points, k, restarts, seed)
+        assert centers.tobytes() == ref_centers.tobytes()
+        assert assign.tobytes() == ref_assign.tobytes()
+        assert repr(inertia) == repr(ref_inertia)
+
+    def test_a_cluster_left_empty_across_iterations(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        distinct = 10.0 * rng.normal(size=(5, 4))
+        points = distinct[rng.integers(0, 5, size=300)]
+        calls = record_lloyd_iterations(monkeypatch)
+        centers, assign, inertia = offline_kmeans(points, 8, restarts=1, seed=0)
+        ref_centers, ref_assign, ref_inertia = oracles.broadcast_kmeans(points, 8, 1, 0)
+        assert centers.tobytes() == ref_centers.tobytes()
+        assert assign.tobytes() == ref_assign.tobytes()
+        assert repr(inertia) == repr(ref_inertia)
+        assert len(calls) >= 3
+        assert all(np.bincount(a, minlength=8).min() == 0 for a in calls)
+
+
 class TestTrainPhase:
     def test_prototypes_match_kmeans_centers(self, tmp_path):
         # 50 fusions per cluster give the EMA time to wash out the
@@ -687,6 +763,21 @@ class TestCli:
         argv = [command, flag, value, "--out-dir", str(tmp_path)]
         err = self.user_error(capsys, argv)
         assert f"{flag} expects HxW shapes such as 8x8,4x4, got {value!r}" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["64x64,8x8", "64x64,64x64", "8x8,4x4,2x2"])
+    def test_more_than_one_image_size_is_a_user_error(self, tmp_path, capsys, value):
+        argv = ["ocl-demo", "--image-size", value, "--out-dir", str(tmp_path)]
+        err = self.user_error(capsys, argv)
+        assert f"--image-size expects one HxW shape such as 64x64, got {value!r}" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_negative_seed_is_a_user_error(self, tmp_path, capsys, monkeypatch):
+        argv = ["train-bank", "--seed", "-1", "--out-dir", str(tmp_path)]
+        assert "seed must be >= 0, got -1" in self.user_error(capsys, argv)
+        monkeypatch.setenv("SA_ADAPT_SEED", "-1")
+        argv = ["train-bank", "--out-dir", str(tmp_path)]
+        assert "seed must be >= 0, got -1" in self.user_error(capsys, argv)
         assert not any(tmp_path.iterdir())
 
     def test_annotation_without_boxes_is_a_user_error(self, tmp_path, capsys):

@@ -64,15 +64,42 @@ def call(side) -> tuple[float, str]:
     return time.perf_counter() - start, report
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def parse_args(doc: str, rounds: int) -> argparse.Namespace:
+    """The flags every in-process A/B takes."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--parent-dir", type=Path, required=True)
     parser.add_argument("--change-dir", type=Path, required=True)
-    parser.add_argument("--rounds", type=int, default=24)
+    parser.add_argument("--rounds", type=int, default=rounds)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", type=Path)
-    args = parser.parse_args()
+    return parser.parse_args()
 
+
+def alternate(sides: dict, call, rounds: int) -> dict[str, list[float]]:
+    """Per side, the seconds ``call(side)`` returns in each round; rounds
+    alternate which side runs first."""
+    times = {name: [] for name in SIDES}
+    for r in range(rounds):
+        for name in SIDES if r % 2 == 0 else SIDES[::-1]:
+            times[name].append(call(sides[name]))
+    return times
+
+
+def summarize(out: dict, times: dict[str, list[float]], path: Path | None) -> None:
+    """Add per-side median, quartiles and runs and ``change_wins`` to
+    ``out``; print it and, with ``path``, write it there."""
+    for name, values in times.items():
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        out[name] = {"median_s": median, "q1_s": q1, "q3_s": q3, "runs_s": values}
+    out["change_wins"] = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    text = json.dumps(out)
+    print(text)
+    if path:
+        path.write_text(text + "\n")
+
+
+def main() -> int:
+    args = parse_args(__doc__, rounds=24)
     sys.path.insert(0, str(args.change_dir / "benchmarks"))
     import workloads
 
@@ -83,19 +110,9 @@ def main() -> int:
     if keys["parent"] != keys["change"]:
         print("reports differ", file=sys.stderr)
         return 1
-    times = {name: [] for name in SIDES}
-    for r in range(args.rounds):
-        for name in SIDES if r % 2 == 0 else SIDES[::-1]:
-            times[name].append(call(sides[name])[0])
-    out = {"seed": args.seed, "rounds": args.rounds, "reports_identical": True}
-    for name, values in times.items():
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        out[name] = {"median_s": median, "q1_s": q1, "q3_s": q3, "runs_s": values}
-    out["change_wins"] = sum(c < p for p, c in zip(times["parent"], times["change"]))
-    text = json.dumps(out)
-    print(text)
-    if args.out:
-        args.out.write_text(text + "\n")
+    times = alternate(sides, lambda side: call(side)[0], args.rounds)
+    summarize({"seed": args.seed, "rounds": args.rounds, "reports_identical": True},
+              times, args.out)
     return 0
 
 
