@@ -81,6 +81,8 @@ def build_config(args: argparse.Namespace) -> config_mod.RunConfig:
 
 def build_domain_spec(cfg: config_mod.RunConfig, args: argparse.Namespace) -> harness.SyntheticDomainSpec:
     shapes = [(args.channels, h, w) for h, w in _parse_hw_list(args.levels, "--levels")]
+    if args.style_salt < 0:
+        raise ValueError(f"--style-salt must be >= 0, got {args.style_salt}")
     base = cfg.seed * 1_000_003 + args.style_salt * 10_007
     clusters = [
         harness.StyleCluster(

@@ -80,7 +80,7 @@ class RunConfig:
 
 
 _ALIASES = {"lambda": "momentum", "capacity": "k"}
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FIELD_PARSERS = {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str) -> dict:
@@ -95,19 +95,10 @@ def parse_config_text(text: str) -> dict:
         key, _, value = line.partition("=")
         key = _ALIASES.get(key.strip(), key.strip())
         value = value.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _FIELD_PARSERS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        out[key] = _coerce(key, value)
+        out[key] = _FIELD_PARSERS[key](value)
     return out
-
-
-def _coerce(key: str, value: str):
-    kind = _FIELD_TYPES[key]
-    if kind == "int":
-        return int(value)
-    if kind == "float":
-        return float(value)
-    return value
 
 
 def load_config(

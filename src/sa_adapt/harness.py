@@ -60,8 +60,8 @@ class StyleCluster:
     spread: float = 0.05
 
     def __post_init__(self):
-        if self.spread < 0:
-            raise ValueError("spread must be non-negative")
+        if not 0.0 <= self.spread < np.inf:
+            raise ValueError(f"spread (--spread) must be finite and >= 0, got {self.spread!r}")
 
 
 @dataclass
@@ -374,6 +374,12 @@ def run_train_phase(
     offline k-means center (the clustering is computed first, on the same
     observations the bank saw).
     """
+    stream_size = len(spec.style_clusters) * spec.samples_per_cluster
+    if stream_size < config.k:
+        raise ValueError(
+            f"k (--k) is {config.k}, but the stream has {stream_size} samples (--clusters x "
+            "--samples-per-cluster) and offline k-means needs at least k"
+        )
     levels = len(spec.pyramid_shapes)
     banks = [
         StyleMemoryBank(capacity=config.k, alpha=config.alpha, momentum=config.momentum)
@@ -381,15 +387,13 @@ def run_train_phase(
     ]
     # one (decision, style vector) step per sample and level
     steps: list[list[tuple[UpdateReport, np.ndarray]]] = [[] for _ in range(levels)]
-    samples = 0
     for pyramid, _ in generate_stream(spec):
-        samples += 1
         for li, fmap in enumerate(pyramid):
             s = compute_stats(fmap, config.epsilon)[0]
             steps[li].append((banks[li].observe(s), style_vector(s)))
 
     report = Report()
-    report.add("train.samples", samples, "count")
+    report.add("train.samples", stream_size, "count")
     report.add("train.levels", levels, "count")
     report.add("train.capacity", config.k, "count")
     center_distances = []
@@ -707,15 +711,6 @@ def bench(
         pyramid.append(fmap)
         stats.append(compute_stats(fmap, config.epsilon)[0])
 
-    def projection_pass():
-        project_pyramid(
-            banks, pyramid, config.weighting, config.softmax_temperature, config.epsilon
-        )
-
-    def observe_pass():
-        for bank, s in zip(banks, stats):
-            bank.observe(s)
-
     def timed(fn) -> np.ndarray:
         for _ in range(warmup):
             fn()
@@ -726,8 +721,10 @@ def bench(
             out[i] = (time.perf_counter_ns() - start) / 1e6
         return out
 
-    proj_ms = timed(projection_pass)
-    obs_ms = timed(observe_pass)
+    proj_ms = timed(lambda: project_pyramid(
+        banks, pyramid, config.weighting, config.softmax_temperature, config.epsilon
+    ))
+    obs_ms = timed(lambda: [bank.observe(s) for bank, s in zip(banks, stats)])
 
     report = Report()
     report.add("bench.runs", runs, "count")

@@ -26,7 +26,7 @@ Binary persistence format (version 1, little-endian throughout):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +57,8 @@ def _record_dtype(channels: int) -> np.dtype:
 
 @dataclass
 class StylePrototype(ChannelStats):
-    """One stored style basis: a ChannelStats (holding copies of the caller's
-    arrays, so the bank never aliases them) plus usage counters."""
+    """One stored style basis: a ChannelStats plus usage counters; ``mean`` and
+    ``std`` are views of one (2C,) row, its own copy or its bank's matrix row."""
 
     use_count: int = 1
     last_update: int = 0
@@ -71,18 +71,21 @@ class StylePrototype(ChannelStats):
             raise ValueError(
                 f"last_update must be an integer in [0, 2**64), got {self.last_update!r}"
             )
-        self.mean = self.mean.copy()
-        self.std = self.std.copy()
+        self._row = style_vector(self)
 
-    @property
-    def p_mean(self) -> np.ndarray:
-        """Read-only alias of ``mean``."""
-        return self.mean
+    def __setattr__(self, name: str, value) -> None:
+        """Assigning ``_row`` makes it the storage of ``mean`` and ``std``;
+        assigning either of those then writes into that row."""
+        if name == "_row":
+            c = len(value) // 2
+            vars(self).update(_row=value, mean=value[:c], std=value[c:])
+        elif name in ("mean", "std") and "_row" in vars(self):
+            getattr(self, name)[...] = value
+        else:
+            object.__setattr__(self, name, value)
 
-    @property
-    def p_std(self) -> np.ndarray:
-        """Read-only alias of ``std``."""
-        return self.std
+    p_mean = property(lambda self: self.mean, doc="Read-only alias of ``mean``.")
+    p_std = property(lambda self: self.std, doc="Read-only alias of ``std``.")
 
 
 @dataclass
@@ -101,6 +104,11 @@ class StyleMemoryBank:
 
     ``observe`` is a read-modify-write and needs exclusive access;
     ``distances``/``save`` are read-only between updates.
+
+    The (K, 2C) style matrix is the storage: prototype i's ``mean`` and ``std``
+    are views of row i. Each assignment of ``prototypes`` (bootstrap's too)
+    builds it once, copying a prototype bound to another matrix or listed
+    twice; replace and fuse write one row in place.
     """
 
     capacity: int = 4
@@ -108,16 +116,14 @@ class StyleMemoryBank:
     momentum: float = 0.9
     mode: str = "train"
     step: int = 0
-    prototypes: list[StylePrototype] = field(default_factory=list)
+    prototypes: tuple[StylePrototype, ...] = ()
 
     def __setattr__(self, name: str, value) -> None:
-        """Check ``capacity``, ``step``, ``alpha``, ``momentum`` and ``mode``
-        on every assignment, the constructor's included, before the value is
-        stored.
-
-        ``capacity`` and ``step`` must be integers in the file's ranges. The
-        prototype count must not exceed ``capacity`` once both fields exist.
-        The prototypes' counters are checked by their constructor.
+        """Check every field on every assignment, the constructor's included,
+        before the value is stored: ``capacity`` and ``step`` are integers in
+        the file's ranges, and the prototypes, at most ``capacity``, agree on
+        the channel count and are not updated past ``step`` (their counters
+        are checked by their constructor).
         """
         if name == "step" and not _is_count(value, 0, _U64_LIMIT):
             raise ValueError(f"step must be an integer in [0, 2**64), got {value!r}")
@@ -135,20 +141,30 @@ class StyleMemoryBank:
                 raise ValueError(
                     f"{len(state['prototypes'])} prototypes exceed capacity {state['capacity']}"
                 )
+        if name == "prototypes":
+            if any(p.last_update > self.step for p in value):
+                raise ValueError(f"a prototype's last_update is past step {self.step}")
+            if len({p.channels for p in value}) > 1:
+                raise ValueError("prototypes disagree on the channel count")
+            own, ids, adopted = vars(self).get("_matrix"), set(), []
+            for p in value:
+                base = p._row.base
+                if (base is not None and base is not own) or id(p) in ids:
+                    p = StylePrototype(p.mean, p.std, p.use_count, p.last_update)
+                ids.add(id(p))
+                adopted.append(p)
+            value = tuple(adopted)
+            matrix = np.array([style_vector(p) for p in value])
+            for p, row in zip(value, matrix):
+                p._row = row
+            object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, name, value)
 
-    def __post_init__(self):
-        if any(p.last_update > self.step for p in self.prototypes):
-            raise ValueError(f"a prototype's last_update is past step {self.step}")
-        if len({p.channels for p in self.prototypes}) > 1:
-            raise ValueError("prototypes disagree on the channel count")
+    def __reduce__(self):  # copy, deepcopy and pickle go through the file format
+        return load, (self.save(),)
 
     def __len__(self) -> int:
         return len(self.prototypes)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.prototypes) >= self.capacity
 
     @property
     def channels(self) -> int | None:
@@ -160,10 +176,10 @@ class StyleMemoryBank:
             raise ValueError(f"channel mismatch: bank has C={c}, stats have C={s.channels}")
 
     def vectors(self) -> np.ndarray:
-        """The prototypes' style vectors stacked in storage order, shape (K, 2C)."""
+        """A copy of the (K, 2C) style matrix: prototype style vectors in storage order."""
         if not self.prototypes:
             raise StateError("empty bank holds no prototype vectors")
-        return np.stack([style_vector(p) for p in self.prototypes])
+        return self._matrix.copy()
 
     def distances(self, s: ChannelStats) -> np.ndarray:
         """Style distance from ``s`` to every stored prototype, storage order."""
@@ -183,31 +199,32 @@ class StyleMemoryBank:
         if not self.prototypes and self.mode != "train":
             raise StateError("observe() on an empty bank in tta mode")
         self.step += 1
-        if not self.is_full and self.mode == "train":
-            self.prototypes.append(
-                StylePrototype(s.mean, s.std, use_count=1, last_update=self.step)
-            )
+        if len(self.prototypes) < self.capacity and self.mode == "train":
+            self.prototypes = (*self.prototypes, StylePrototype(s.mean, s.std, 1, self.step))
             return UpdateReport("bootstrap", len(self.prototypes) - 1)
 
-        d = self.distances(s)
+        v = style_vector(s)
+        d = sq_distances(v[None], self._matrix)[0]
         tau = float(self.alpha / self.capacity * np.sum(d))
         nearest = int(np.argmin(d))
         d_min = float(d[nearest])
 
+        protos = self.prototypes
         if d_min > tau and self.mode == "train":
             victim = min(
-                range(len(self.prototypes)),
-                key=lambda i: (self.prototypes[i].use_count, self.prototypes[i].last_update),
+                range(len(protos)), key=lambda i: (protos[i].use_count, protos[i].last_update)
             )
-            self.prototypes[victim] = StylePrototype(
-                s.mean, s.std, use_count=1, last_update=self.step
-            )
+            fresh = StylePrototype(s.mean, s.std, 1, self.step)
+            protos[victim]._row = self._matrix[victim].copy()  # the evicted one keeps its values
+            self._matrix[victim] = v
+            fresh._row = self._matrix[victim]
+            object.__setattr__(self, "prototypes", (*protos[:victim], fresh, *protos[victim + 1 :]))
             return UpdateReport("replace", victim, d_min=d_min, tau=tau)
 
-        p = self.prototypes[nearest]
-        lam = self.momentum
-        p.mean = lam * p.mean + (1.0 - lam) * s.mean
-        p.std = lam * p.std + (1.0 - lam) * s.std
+        p = protos[nearest]
+        row, lam = p._row, self.momentum
+        row *= lam  # the bits of ``lam * p.mean + (1 - lam) * s.mean``, and of std
+        row += (1.0 - lam) * v
         assert np.all(p.std > 0.0)  # convex combination of positive stds
         p.use_count += 1
         p.last_update = self.step
@@ -216,17 +233,9 @@ class StyleMemoryBank:
     def save(self) -> bytes:
         """Serialize to the versioned binary format documented above."""
         c = self.channels or 0
-        mode_code = _MODES.index(self.mode)
         header = _HEADER.pack(
-            MAGIC,
-            FORMAT_VERSION,
-            self.capacity,
-            c,
-            len(self.prototypes),
-            mode_code,
-            self.step,
-            self.alpha,
-            self.momentum,
+            MAGIC, FORMAT_VERSION, self.capacity, c, len(self.prototypes),
+            _MODES.index(self.mode), self.step, self.alpha, self.momentum,
         )
         records = np.array(
             [(p.mean, p.std, p.use_count, p.last_update) for p in self.prototypes],
@@ -272,12 +281,8 @@ def load(blob: bytes) -> StyleMemoryBank:
             for r in records
         ]
         return StyleMemoryBank(
-            capacity=capacity,
-            alpha=alpha,
-            momentum=momentum,
-            mode=_MODES[mode_code],
-            step=step,
-            prototypes=prototypes,
+            capacity=capacity, alpha=alpha, momentum=momentum, mode=_MODES[mode_code],
+            step=step, prototypes=prototypes,
         )
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

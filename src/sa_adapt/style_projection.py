@@ -2,7 +2,7 @@
 
 For each sample one row of bank distances (kept on the result as
 ``distances``, measured against the bank's (K, 2C) prototype matrix, which
-is stacked once per call) is turned into softmax weights, one product
+is copied once per call) is turned into softmax weights, one product
 ``w @ bank.vectors()`` forms both targets (mu', sigma'), and the map is
 remapped per channel by the affine instance renormalization (AdaIN)
 ``f * scale + shift`` with ``scale = sigma' / sigma`` and

@@ -58,16 +58,16 @@ def compute_stats(f: np.ndarray, epsilon: float = EPSILON) -> list[ChannelStats]
     """Per-sample channel statistics of a (B, C, H, W) feature map.
 
     mean[b, c] is the spatial average; std[b, c] = sqrt(spatial variance
-    + epsilon), so a constant channel yields std = sqrt(epsilon).
-
-    Returns one ChannelStats per batch sample.
+    + epsilon), so a constant channel yields std = sqrt(epsilon). Returns
+    one ChannelStats per batch sample.
 
     One pass over blocks of channel rows: per block, the row sums give the
     means, ``block - mean`` is written into one reused buffer and squared in
     place, and its row sums give the variances. Every channel is reduced
     over its own contiguous H*W run, as ``f.mean(axis=(2, 3))`` and
     ``np.mean((f - mean) ** 2, axis=(2, 3))`` reduce it, so the bits are
-    theirs. The first row sums prove each block finite.
+    theirs. The first row sums prove each block finite; one check of all
+    (B, C) means and stds stands in for the records' own checks.
     """
     f = check_feature_map(f)
     b, c, h, w = f.shape
@@ -87,7 +87,12 @@ def compute_stats(f: np.ndarray, epsilon: float = EPSILON) -> list[ChannelStats]
         np.divide(dev.sum(axis=1), h * w, out=var[sl])
     mean = mean.reshape(b, c)
     std = np.sqrt(var + epsilon).reshape(b, c)
-    return [ChannelStats(mean[i], std[i]) for i in range(b)]
+    if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0.0).all()):
+        return [ChannelStats(m, sd) for m, sd in zip(mean, std)]  # raises the first fault
+    records = [object.__new__(ChannelStats) for _ in range(b)]  # valid, as checked above
+    for s, m, sd in zip(records, mean, std):
+        s.mean, s.std = m, sd
+    return records
 
 
 def style_vector(s: ChannelStats) -> np.ndarray:

@@ -110,6 +110,18 @@ class TestGenerateStream:
             SyntheticDomainSpec([], [(4, 4, 4)], 5, 0)
         with pytest.raises(ValueError):
             StyleCluster(0, 0, spread=-0.1)
+        for spread in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="spread"):
+                StyleCluster(0, 0, spread=spread)
+
+    def test_k_above_the_stream_size_fails_before_streaming(self, monkeypatch):
+        def no_stream(spec):
+            raise AssertionError("the stream was drawn")
+
+        monkeypatch.setattr(harness_mod, "generate_stream", no_stream)
+        spec = small_spec(clusters=2, samples=1)
+        with pytest.raises(ValueError, match=r"k \(--k\) is 8, but the stream has 2 samples"):
+            run_train_phase(RunConfig(k=8), spec)
 
 
 class TestKmeansHelpers:
@@ -778,6 +790,25 @@ class TestCli:
         monkeypatch.setenv("SA_ADAPT_SEED", "-1")
         argv = ["train-bank", "--out-dir", str(tmp_path)]
         assert "seed must be >= 0, got -1" in self.user_error(capsys, argv)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.1"])
+    def test_bad_spread_is_a_user_error(self, tmp_path, capsys, value):
+        argv = ["train-bank", f"--spread={value}", "--out-dir", str(tmp_path)]
+        err = self.user_error(capsys, argv)
+        assert f"spread (--spread) must be finite and >= 0, got {float(value)!r}" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_fewer_samples_than_k_is_a_user_error_before_streaming(self, tmp_path, capsys):
+        argv = ["train-bank", "--clusters", "3", "--samples-per-cluster", "1", "--k", "8",
+                "--out-dir", str(tmp_path)]
+        err = self.user_error(capsys, argv)
+        assert "k (--k) is 8, but the stream has 3 samples" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_negative_style_salt_is_a_user_error(self, tmp_path, capsys):
+        argv = ["train-bank", "--style-salt", "-5", "--out-dir", str(tmp_path)]
+        assert "--style-salt must be >= 0, got -5" in self.user_error(capsys, argv)
         assert not any(tmp_path.iterdir())
 
     def test_annotation_without_boxes_is_a_user_error(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import copy
 import struct
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sa_adapt.errors import FormatError, StateError
 from sa_adapt.style_memory_bank import StyleMemoryBank, StylePrototype, load
-from sa_adapt.style_statistics import ChannelStats, style_distance
+from sa_adapt.style_statistics import ChannelStats, style_distance, style_vector
 
 import oracles
 
@@ -588,3 +589,101 @@ class TestAssignment:
             with pytest.raises(ValueError):
                 setattr(bank, name, value)
             assert bank.save() == before
+
+
+@st.composite
+def bank_operations(draw):
+    """A bank and a sequence of public operations on it: observe in either
+    mode, assignment of ``prototypes`` (own, fresh, repeated or another
+    bank's), rebinding a prototype's ``mean`` or ``std``, ``load(save())``
+    and a (deep) copy."""
+    capacity = draw(st.integers(1, 4))
+    channels = draw(st.integers(1, 3))
+    alpha = draw(st.sampled_from([0.05, 0.7, 2.0]))  # small alphas replace often
+    kinds = st.sampled_from(["train", "train", "tta", "assign", "rebind", "reload", "copy"])
+    ops = draw(st.lists(st.tuples(kinds, st.integers(0, 2**32 - 1)), max_size=30))
+    return StyleMemoryBank(capacity=capacity, alpha=alpha), channels, ops
+
+
+def assert_matrix_in_step(bank):
+    """The bank's matrix is its prototypes' style vectors, and its file is
+    that of a bank rebuilt from copies of them."""
+    if bank.prototypes:
+        fresh = np.stack([style_vector(p) for p in bank.prototypes])
+        assert bank.vectors().tobytes() == fresh.tobytes()
+    else:
+        with pytest.raises(StateError):
+            bank.vectors()
+    rebuilt = StyleMemoryBank(
+        capacity=bank.capacity, alpha=bank.alpha, momentum=bank.momentum, mode=bank.mode,
+        step=bank.step,
+        prototypes=[
+            StylePrototype(p.mean.copy(), p.std.copy(), p.use_count, p.last_update)
+            for p in bank.prototypes
+        ],
+    )
+    assert bank.save() == rebuilt.save()
+
+
+class TestStyleMatrix:
+    @settings(deadline=None, max_examples=200)
+    @given(bank_operations())
+    def test_matrix_stays_the_prototypes_vectors(self, case):
+        bank, channels, ops = case
+        other = StyleMemoryBank(capacity=4)  # a second bank that shares prototypes
+        for kind, seed in ops:
+            rng = np.random.default_rng(seed)
+            if kind in ("train", "tta") and (bank.prototypes or kind == "train"):
+                bank.mode = kind
+                before = bank.vectors() if bank.prototypes else None
+                held = bank.prototypes
+                s = random_stats(rng, channels)
+                rep = bank.observe(s)
+                if rep.action == "replace":  # the evicted prototype keeps its values
+                    evicted = held[rep.index]
+                    assert evicted is not bank.prototypes[rep.index]
+                    assert style_vector(evicted).tobytes() == before[rep.index].tobytes()
+                if rep.action == "fuse":  # the bits of the separate mean and std updates
+                    lam = bank.momentum
+                    old = np.split(before[rep.index], 2)
+                    p = bank.prototypes[rep.index]
+                    assert p.mean.tobytes() == (lam * old[0] + (1.0 - lam) * s.mean).tobytes()
+                    assert p.std.tobytes() == (lam * old[1] + (1.0 - lam) * s.std).tobytes()
+            elif kind == "assign":
+                pool = [
+                    *bank.prototypes,
+                    *other.prototypes,
+                    StylePrototype(rng.normal(size=channels), rng.uniform(0.3, 2.5, channels)),
+                ]
+                picks = rng.integers(0, len(pool), int(rng.integers(0, bank.capacity + 1)))
+                chosen = [pool[i] for i in picks]
+                own = {id(p) for p in bank.prototypes}
+                bank.step = max([bank.step, *(p.last_update for p in chosen)])
+                bank.prototypes = chosen
+                for i, (p, q) in enumerate(zip(chosen, bank.prototypes)):
+                    first = all(c is not p for c in chosen[:i])
+                    if first and (id(p) in own or p is pool[-1]):
+                        assert q is p  # identity stays
+                    assert style_vector(q).tobytes() == style_vector(p).tobytes()
+                if bank.prototypes and rng.integers(2):
+                    other.step = max(other.step, bank.step)
+                    other.prototypes = list(bank.prototypes)[:4]
+                    other.observe(random_stats(rng, channels))
+                    assert_matrix_in_step(other)
+            elif kind == "rebind" and bank.prototypes:
+                p = bank.prototypes[int(rng.integers(len(bank.prototypes)))]
+                if rng.integers(2):
+                    p.mean = rng.normal(size=channels)
+                else:
+                    p.std = rng.uniform(0.3, 2.5, channels)
+            elif kind == "reload":
+                bank = load(bank.save())
+            elif kind == "copy":
+                original, blob = bank, bank.save()
+                bank = (copy.deepcopy if rng.integers(2) else copy.copy)(bank)
+                if bank.prototypes:
+                    bank.mode = "tta"
+                    bank.observe(random_stats(rng, channels))
+                assert original.save() == blob  # the copy shares nothing
+                assert_matrix_in_step(original)
+            assert_matrix_in_step(bank)
