@@ -51,6 +51,11 @@ style_vector_of = style_vector  # the prototype spelling, kept for importers
 # synthetic domain streams
 
 
+# Under this spread a generated map's values, their squared deviations and the
+# style distances between samples stay finite in float64.
+SPREAD_LIMIT = 1e100
+
+
 @dataclass
 class StyleCluster:
     """Seeds and spread for one synthetic style domain."""
@@ -62,6 +67,11 @@ class StyleCluster:
     def __post_init__(self):
         if not 0.0 <= self.spread < np.inf:
             raise ValueError(f"spread (--spread) must be finite and >= 0, got {self.spread!r}")
+        if self.spread > SPREAD_LIMIT:
+            raise ValueError(
+                f"spread (--spread) must be at most {SPREAD_LIMIT:g}, so that the generated "
+                f"maps' statistics stay finite in float64, got {self.spread!r}"
+            )
 
 
 @dataclass
@@ -342,21 +352,27 @@ def parse_report(text: str) -> list[tuple[str, float, str]]:
 
 
 def write_report(out_dir: Path, stem: str, report: Report) -> tuple[Path, Path]:
-    """Write the text records and the JSON summary; returns both paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    text_path = out_dir / f"{stem}.report.txt"
-    json_path = out_dir / f"{stem}.summary.json"
-    text_path.write_text(format_report(report.records), encoding="utf-8")
+    """Write the text records and the JSON summary; returns both paths.
+
+    The summary is strict JSON: a report holding a non-finite value raises
+    ValueError before either file is written.
+    """
     payload = {
         "records": [
             {"name": n, "value": v, "unit": u} for n, v, u in report.records
         ],
         "extra": report.extra,
     }
-    json_path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    try:
+        summary = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"the {stem} report holds a non-finite value: {exc}") from None
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    text_path = out_dir / f"{stem}.report.txt"
+    json_path = out_dir / f"{stem}.summary.json"
+    text_path.write_text(format_report(report.records), encoding="utf-8")
+    json_path.write_text(summary + "\n", encoding="utf-8")
     return text_path, json_path
 
 

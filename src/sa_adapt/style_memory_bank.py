@@ -31,13 +31,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, StateError
-from .style_statistics import ChannelStats, sq_distances, style_vector
+from .style_statistics import ChannelStats, check_moment, sq_distances, style_vector
+from .tensor_core import DTYPE
 
 MAGIC = b"SABANK"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<6sIIIIBQdd")
 _MODES = ("train", "tta")
 _U32_LIMIT, _U64_LIMIT = 2**32, 2**64  # the file's counter widths
+# A full train bank never replaces at alpha > 1, since its nearest distance
+# is at most the mean distance, so this bound costs no behaviour; it keeps
+# tau = alpha * mean distance, and its mean over a stream, finite.
+ALPHA_LIMIT = 1e6
 
 
 def _is_count(value, low: int, limit: int) -> bool:
@@ -45,6 +50,11 @@ def _is_count(value, low: int, limit: int) -> bool:
     float such as 2.5 or 2.0 is not, since the file stores counters as
     integers."""
     return isinstance(value, (int, np.integer)) and low <= value < limit
+
+
+def _check_updates(prototypes, step) -> None:
+    if any(p.last_update > step for p in prototypes):
+        raise ValueError(f"a prototype's last_update is past step {step}")
 
 
 def _record_dtype(channels: int) -> np.dtype:
@@ -58,28 +68,35 @@ def _record_dtype(channels: int) -> np.dtype:
 @dataclass
 class StylePrototype(ChannelStats):
     """One stored style basis: a ChannelStats plus usage counters; ``mean`` and
-    ``std`` are views of one (2C,) row, its own copy or its bank's matrix row."""
+    ``std`` are views of one (2C,) row, its own copy or its bank's matrix row.
+
+    Whether ``last_update`` is past its bank's ``step`` is checked by the bank
+    (a prototype does not know its bank), on assignment and in ``save``.
+    """
 
     use_count: int = 1
     last_update: int = 0
 
     def __post_init__(self):
         super().__post_init__()
-        if not _is_count(self.use_count, 1, _U64_LIMIT):
-            raise ValueError(f"use_count must be an integer in [1, 2**64), got {self.use_count!r}")
-        if not _is_count(self.last_update, 0, _U64_LIMIT):
-            raise ValueError(
-                f"last_update must be an integer in [0, 2**64), got {self.last_update!r}"
-            )
         self._row = style_vector(self)
 
     def __setattr__(self, name: str, value) -> None:
-        """Assigning ``_row`` makes it the storage of ``mean`` and ``std``;
-        assigning either of those then writes into that row."""
+        """Check the counters on every assignment, the constructor's included:
+        integers in the file's range, ``use_count`` at least 1. Assigning
+        ``_row`` makes it the storage of ``mean`` and ``std``; assigning either
+        of those then checks the value as the constructor does and writes it
+        into that row."""
+        if name == "use_count" and not _is_count(value, 1, _U64_LIMIT):
+            raise ValueError(f"use_count must be an integer in [1, 2**64), got {value!r}")
+        if name == "last_update" and not _is_count(value, 0, _U64_LIMIT):
+            raise ValueError(f"last_update must be an integer in [0, 2**64), got {value!r}")
         if name == "_row":
             c = len(value) // 2
             vars(self).update(_row=value, mean=value[:c], std=value[c:])
         elif name in ("mean", "std") and "_row" in vars(self):
+            value = np.asarray(value, dtype=DTYPE)
+            check_moment(name, value)
             getattr(self, name)[...] = value
         else:
             object.__setattr__(self, name, value)
@@ -121,16 +138,25 @@ class StyleMemoryBank:
     def __setattr__(self, name: str, value) -> None:
         """Check every field on every assignment, the constructor's included,
         before the value is stored: ``capacity`` and ``step`` are integers in
-        the file's ranges, and the prototypes, at most ``capacity``, agree on
-        the channel count and are not updated past ``step`` (their counters
-        are checked by their constructor).
+        the file's ranges, ``alpha`` is at most ``ALPHA_LIMIT``, and the
+        prototypes, at most ``capacity``, agree on the channel count and are
+        not updated past ``step``, whether ``prototypes`` or ``step`` is
+        assigned (their counters are checked on their own assignment).
         """
-        if name == "step" and not _is_count(value, 0, _U64_LIMIT):
-            raise ValueError(f"step must be an integer in [0, 2**64), got {value!r}")
+        if name == "step":
+            if not _is_count(value, 0, _U64_LIMIT):
+                raise ValueError(f"step must be an integer in [0, 2**64), got {value!r}")
+            if value < vars(self).get("step", 0):  # only a falling step can pass one
+                _check_updates(self.prototypes, value)
         if name == "capacity" and not _is_count(value, 1, _U32_LIMIT):
             raise ValueError(f"capacity must be an integer in [1, 2**32), got {value!r}")
         if name == "alpha" and not 0.0 < value < np.inf:
             raise ValueError("alpha must be positive and finite")
+        if name == "alpha" and value > ALPHA_LIMIT:
+            raise ValueError(
+                f"alpha (--alpha) must be at most {ALPHA_LIMIT:g}, got {value!r}: above 1 a "
+                "full bank never replaces, and larger values only push tau toward overflow"
+            )
         if name == "momentum" and not 0.0 < value < 1.0:
             raise ValueError("momentum must lie in (0, 1)")
         if name == "mode" and value not in _MODES:
@@ -142,8 +168,7 @@ class StyleMemoryBank:
                     f"{len(state['prototypes'])} prototypes exceed capacity {state['capacity']}"
                 )
         if name == "prototypes":
-            if any(p.last_update > self.step for p in value):
-                raise ValueError(f"a prototype's last_update is past step {self.step}")
+            _check_updates(value, self.step)
             if len({p.channels for p in value}) > 1:
                 raise ValueError("prototypes disagree on the channel count")
             own, ids, adopted = vars(self).get("_matrix"), set(), []
@@ -231,7 +256,9 @@ class StyleMemoryBank:
         return UpdateReport("fuse", nearest, d_min=d_min, tau=tau)
 
     def save(self) -> bytes:
-        """Serialize to the versioned binary format documented above."""
+        """Serialize to the versioned binary format documented above; raises
+        ValueError for a prototype whose ``last_update`` was set past ``step``."""
+        _check_updates(self.prototypes, self.step)
         c = self.channels or 0
         header = _HEADER.pack(
             MAGIC, FORMAT_VERSION, self.capacity, c, len(self.prototypes),

@@ -44,14 +44,20 @@ class ChannelStats:
             raise ValueError(
                 f"mean/std channel counts disagree: {self.mean.shape} vs {self.std.shape}"
             )
-        require_finite(self.mean, "channel means")
-        require_finite(self.std, "channel stds")
-        if np.any(self.std <= 0.0):
-            raise ValueError("channel stds must be strictly positive")
+        check_moment("mean", self.mean)
+        check_moment("std", self.std)
 
     @property
     def channels(self) -> int:
         return self.mean.shape[0]
+
+
+def check_moment(name: str, values: np.ndarray) -> None:
+    """Raise ValueError unless ``values``, channel ``mean``s or ``std``s, are
+    finite, and stds strictly positive."""
+    require_finite(values, f"channel {name}s")
+    if name == "std" and np.any(values <= 0.0):
+        raise ValueError("channel stds must be strictly positive")
 
 
 def compute_stats(f: np.ndarray, epsilon: float = EPSILON) -> list[ChannelStats]:

@@ -681,6 +681,19 @@ class TestReports:
         assert payload["records"] == [{"name": "x", "value": 1, "unit": "count"}]
         assert payload["extra"]["traj"] == [1.0, 2.0]
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_report_writes_neither_file(self, tmp_path, value):
+        report = Report()
+        report.add("x", 1, "count")
+        report.extra["traj"] = [1.0, value]
+        with pytest.raises(ValueError, match="the demo report holds a non-finite value"):
+            write_report(tmp_path / "out", "demo", report)
+        assert not (tmp_path / "out").exists()
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
 
 class TestCli:
     def test_train_then_tta_then_inspect(self, tmp_path, capsys):
@@ -798,6 +811,30 @@ class TestCli:
         err = self.user_error(capsys, argv)
         assert f"spread (--spread) must be finite and >= 0, got {float(value)!r}" in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", ["1e308", "1e200"])
+    def test_huge_spread_is_a_user_error(self, tmp_path, capsys, value):
+        argv = ["train-bank", f"--spread={value}", "--out-dir", str(tmp_path)]
+        err = self.user_error(capsys, argv)
+        assert "spread (--spread) must be at most 1e+100, so that the generated maps' " in err
+        assert f"got {float(value)!r}" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_alpha_is_a_user_error(self, tmp_path, capsys):
+        argv = ["train-bank", "--alpha", "1e308", "--out-dir", str(tmp_path)]
+        assert "alpha (--alpha) must be at most 1e+06, got 1e+308" in self.user_error(capsys, argv)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags", [[], ["--alpha", "1e6"], ["--spread", "1e100"]])
+    def test_largest_accepted_values_write_strict_json(self, tmp_path, flags):
+        argv = ["train-bank", *flags, "--samples-per-cluster", "8", "--out-dir", str(tmp_path)]
+        assert cli_main(argv) == 0
+        text = (tmp_path / "train.summary.json").read_text()
+        summary = json.loads(text, parse_constant=reject_constant)
+        assert all(math.isfinite(r["value"]) for r in summary["records"])
 
     def test_fewer_samples_than_k_is_a_user_error_before_streaming(self, tmp_path, capsys):
         argv = ["train-bank", "--clusters", "3", "--samples-per-cluster", "1", "--k", "8",

@@ -83,10 +83,11 @@ def checked_assignments(draw):
     for _ in range(draw(st.integers(0, capacity + 1))):
         bank.observe(random_stats(rng, 2))
     bad_floats = [0.0, -1.0, 1.0, np.inf, -np.inf, np.nan]
-    name = draw(st.sampled_from(["capacity", "alpha", "momentum", "mode"]))
+    name = draw(st.sampled_from(["capacity", "alpha", "momentum", "mode", "step"]))
     value = draw(
         {
             "capacity": st.one_of(st.integers(-1, 4), st.sampled_from([2**32 - 1, 2**32])),
+            "step": st.one_of(st.integers(-1, 6), st.sampled_from([2**64 - 1, 2**64])),
             "alpha": st.one_of(st.floats(0.01, 4.0), st.sampled_from(bad_floats)),
             "momentum": st.one_of(st.floats(0.01, 0.99), st.sampled_from(bad_floats)),
             "mode": st.sampled_from(["train", "tta", "other"]),
@@ -574,6 +575,42 @@ class TestAssignment:
         before = bank.save()
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             setattr(bank, name, value)
+        assert bank.save() == before
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("use_count", 0),
+            ("use_count", 2.5),
+            ("use_count", -1),
+            ("use_count", 2**64),
+            ("last_update", -1),
+            ("last_update", 0.5),
+            ("mean", [np.nan, 0.0]),
+            ("mean", [np.inf, 0.0]),
+            ("std", [-1.0, 1.0]),
+            ("std", [0.0, 1.0]),
+            ("std", [np.nan, 1.0]),
+        ],
+    )
+    def test_hostile_prototype_assignment_is_rejected(self, name, value):
+        bank = full_bank(np.random.default_rng(3), channels=2)
+        before = bank.save()
+        with pytest.raises(ValueError):
+            setattr(bank.prototypes[1], name, value)
+        assert bank.save() == before
+
+    def test_prototype_updated_past_the_bank_step_is_not_saved(self):
+        bank = full_bank(np.random.default_rng(3), channels=2)
+        bank.prototypes[1].last_update = bank.step + 5  # a prototype does not know its bank
+        with pytest.raises(ValueError, match="last_update is past step"):
+            bank.save()
+
+    def test_step_below_a_last_update_is_rejected(self):
+        bank = full_bank(np.random.default_rng(3), channels=2, k=3)
+        before = bank.save()
+        with pytest.raises(ValueError, match="last_update is past step 0"):
+            bank.step = 0
         assert bank.save() == before
 
     @settings(deadline=None, max_examples=300)
