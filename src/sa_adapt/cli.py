@@ -6,10 +6,14 @@ fusion-only bank updates), ``ocl-demo`` (object-gated contrastive pass
 with gradient verification), ``bench`` (latency protocol) and
 ``inspect-bank`` (dump a serialized bank).
 
-Flags mirror the RunConfig fields; ``--config`` points at a ``key = value``
-file that flags override, and the ``SA_ADAPT_SEED`` environment variable
-overrides the seed from both. User errors (missing file, malformed blob,
-bad value) print one ``sa-adapt: error: <msg>`` line and return 2.
+Each run subcommand takes flags for only the RunConfig fields its run reads
+(``_RUN_FIELDS``), plus ``--config``, ``--seed`` and ``--out-dir``; any other
+field flag is a usage error. ``--config`` points at a ``key = value`` file
+that may set every field and that flags override, and the ``SA_ADAPT_SEED``
+environment variable overrides the seed from both. User errors (missing
+file, malformed blob, bad value) print one ``sa-adapt: error: <msg>`` line
+and return 2; so does a size too large to allocate, as
+``sa-adapt: error: out of memory: <msg>``.
 """
 
 from __future__ import annotations
@@ -36,24 +40,36 @@ def _parse_hw_list(text: str, flag: str) -> list[tuple[int, int]]:
     return shapes
 
 
-def _config_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
+# The flags of each RunConfig field, and the fields that each run subcommand reads.
+_FIELD_FLAGS = {
+    "k": (("--k", "--capacity"), dict(type=int, help="bank capacity K")),
+    "alpha": (("--alpha",), dict(type=float, help="adaptive threshold coefficient")),
+    "momentum": (("--momentum", "--lambda"), dict(type=float, help="EMA momentum")),
+    "lambda_c": (("--lambda-c",), dict(type=float, help="contrastive weight")),
+    "epsilon": (("--epsilon",), dict(type=float, help="statistics variance floor")),
+    "weighting": (("--weighting",), dict(choices=config_mod.WEIGHTINGS)),
+    "softmax_temperature": (("--softmax-temperature",), dict(type=float)),
+    "tta_order": (("--tta-order",), dict(choices=config_mod.TTA_ORDERS)),
+    "heads": (("--heads",), dict(type=int, help="attention heads")),
+    "d": (("--dim",), dict(type=int, help="query/token dimension d")),
+    "seed": (("--seed",), dict(type=int, help="master RNG seed")),
+    "out_dir": (("--out-dir",), dict(help="where reports and banks go")),
+}
+_RUN_FIELDS = {
+    "train-bank": ("k", "alpha", "momentum", "epsilon"),
+    "tta-run": ("epsilon", "weighting", "softmax_temperature", "tta_order"),
+    "ocl-demo": ("lambda_c", "heads", "d"),
+    "bench": ("k", "alpha", "momentum", "epsilon", "weighting", "softmax_temperature"),
+}
+
+
+def _run_parser(sub, name: str, **kwargs) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, **kwargs)
     g = p.add_argument_group("run configuration")
-    g.add_argument("--config", help="key = value config file; flags override it")
-    g.add_argument("--k", "--capacity", dest="k", type=int, help="bank capacity K")
-    g.add_argument("--alpha", type=float, help="adaptive threshold coefficient")
-    g.add_argument(
-        "--momentum", "--lambda", dest="momentum", type=float, help="EMA momentum"
-    )
-    g.add_argument("--lambda-c", dest="lambda_c", type=float, help="contrastive weight")
-    g.add_argument("--epsilon", type=float, help="statistics variance floor")
-    g.add_argument("--weighting", choices=config_mod.WEIGHTINGS)
-    g.add_argument("--softmax-temperature", dest="softmax_temperature", type=float)
-    g.add_argument("--tta-order", dest="tta_order", choices=config_mod.TTA_ORDERS)
-    g.add_argument("--heads", type=int, help="attention heads")
-    g.add_argument("--dim", dest="d", type=int, help="query/token dimension d")
-    g.add_argument("--seed", type=int, help="master RNG seed")
-    g.add_argument("--out-dir", dest="out_dir", help="where reports and banks go")
+    g.add_argument("--config", help="key = value file that may set any field; flags override it")
+    for field in (*_RUN_FIELDS[name], "seed", "out_dir"):
+        flags, options = _FIELD_FLAGS[field]
+        g.add_argument(*flags, dest=field, **options)
     return p
 
 
@@ -98,33 +114,33 @@ def build_domain_spec(cfg: config_mod.RunConfig, args: argparse.Namespace) -> ha
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    config_mod.selftest()
-    parent = _config_parent()
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sa-adapt",
         description="Online style-bank adaptation and object-gated contrastive tooling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train-bank", parents=[parent], help="populate style banks")
+    p_train = _run_parser(sub, "train-bank", help="populate style banks")
     _stream_flags(p_train)
 
-    p_tta = sub.add_parser("tta-run", parents=[parent], help="adapt to an unseen stream")
+    p_tta = _run_parser(sub, "tta-run", help="adapt to an unseen stream")
     _stream_flags(p_tta)
     p_tta.set_defaults(style_salt=1, clusters=1)
-    p_tta.add_argument("--bank-dir", help="directory with bank_level*.sabank (default: out dir)")
+    p_tta.add_argument("--bank-dir", help="directory with bank_level*.sabank files, which hold "
+                       "k, alpha and momentum (default: out dir)")
 
-    p_ocl = sub.add_parser("ocl-demo", parents=[parent], help="gated contrastive demo")
+    p_ocl = _run_parser(sub, "ocl-demo", help="gated contrastive demo")
     p_ocl.add_argument("--categories", type=int, default=5)
-    p_ocl.add_argument("--image-size", default="64x64", help="HxW of the annotated image")
+    image = p_ocl.add_mutually_exclusive_group()
+    image.add_argument("--image-size", default="64x64", help="HxW of the synthetic image")
+    image.add_argument("--annotations", help="annotation text file; its first record is used")
     p_ocl.add_argument("--demo-levels", default="8x8,4x4", help="token level shapes")
     p_ocl.add_argument("--blocks", type=int, default=2, help="encoder blocks")
     p_ocl.add_argument("--l-det", dest="l_det", type=float, default=1.0,
                        help="stand-in detection loss scalar")
-    p_ocl.add_argument("--annotations", help="optional annotation text file; first record is used")
 
-    p_bench = sub.add_parser("bench", parents=[parent], help="latency protocol")
+    p_bench = _run_parser(sub, "bench", help="latency protocol")
     p_bench.add_argument("--runs", type=int, default=500)
     p_bench.add_argument("--warmup", type=int, default=20)
     p_bench.add_argument("--bench-channels", type=int, default=256)
@@ -132,12 +148,19 @@ def main(argv: list[str] | None = None) -> int:
 
     p_inspect = sub.add_parser("inspect-bank", help="print a serialized bank")
     p_inspect.add_argument("path")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    config_mod.selftest()
+    args = build_parser().parse_args(argv)
     try:
         return _run(args)
     except (OSError, ValueError) as exc:  # user input: files, blobs (FormatError), values
         print(f"sa-adapt: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # sizes too large to allocate
+        print(f"sa-adapt: error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 
@@ -188,7 +211,7 @@ def _run(args: argparse.Namespace) -> int:
     else:  # bench; the subcommand is required, so no other value reaches here
         shapes = _parse_hw_list(args.bench_levels, "--bench-levels")
         if any(h != w for h, w in shapes):
-            raise ValueError(f"bench levels must be square HxH, got {args.bench_levels}")
+            raise ValueError(f"--bench-levels must be square HxH, got {args.bench_levels}")
         report = harness.bench(
             cfg,
             runs=args.runs,

@@ -34,6 +34,7 @@ DEFAULT_ALPHA = 0.7
 DEFAULT_MOMENTUM = 0.9
 DEFAULT_LAMBDA_C = 0.1
 DEFAULT_EPSILON = 1e-6
+EPSILON_LIMIT = 1e100  # a floored std of sqrt(1e100) keeps squared style distances finite
 TTA_ORDERS = ("observe-first", "project-first")
 
 
@@ -67,8 +68,11 @@ class RunConfig:
             raise ValueError("momentum must lie in (0, 1)")
         if self.lambda_c < 0:
             raise ValueError("lambda_c must be >= 0")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon <= EPSILON_LIMIT:
+            raise ValueError(
+                f"epsilon (--epsilon) must be positive and at most {EPSILON_LIMIT:g}, so that "
+                f"style distances stay finite in float64, got {self.epsilon!r}"
+            )
         if self.weighting not in WEIGHTINGS:
             raise ValueError(f"unknown weighting {self.weighting!r}")
         if self.tta_order not in TTA_ORDERS:

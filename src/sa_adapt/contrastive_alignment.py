@@ -154,4 +154,9 @@ def total_loss(l_det: float, l_contra: float, lambda_c: float) -> float:
             raise ValueError(f"{name} must be finite, got {value}")
     if lambda_c < 0.0:
         raise ValueError(f"lambda_c must be >= 0, got {lambda_c}")
-    return float(l_det + lambda_c * l_contra)
+    total = float(l_det + lambda_c * l_contra)
+    if not math.isfinite(total):
+        raise ValueError(
+            f"l_det + lambda_c * l_contra overflows: {l_det} + {lambda_c} * {l_contra}"
+        )
+    return total

@@ -54,6 +54,15 @@ style_vector_of = style_vector  # the prototype spelling, kept for importers
 # Under this spread a generated map's values, their squared deviations and the
 # style distances between samples stay finite in float64.
 SPREAD_LIMIT = 1e100
+# numpy describes an array by a byte count below 2**63, so no float64 array
+# holds this many values, whatever the host's memory.
+MAX_ARRAY_VALUES = 2**60
+
+
+def _require_allocatable(values: int, what: str) -> None:
+    """Raise MemoryError for an array of ``values`` float64 values that cannot exist."""
+    if values >= MAX_ARRAY_VALUES:
+        raise MemoryError(f"{what} would hold {values} values, above the 2**60 that fit")
 
 
 @dataclass
@@ -83,14 +92,21 @@ class SyntheticDomainSpec:
 
     def __post_init__(self):
         if not self.style_clusters:
-            raise ValueError("need at least one style cluster")
+            raise ValueError("need at least one style cluster (--clusters)")
         if self.samples_per_cluster < 1:
             raise ValueError("samples_per_cluster must be >= 1")
+        _require_allocatable(
+            len(self.style_clusters) * self.samples_per_cluster,
+            "the stream (--clusters x --samples-per-cluster)",
+        )
         for c, h, w in self.pyramid_shapes:
             if c < 1 or h < 1 or w < 1:
-                raise ValueError(f"invalid pyramid shape ({c}, {h}, {w})")
+                raise ValueError(
+                    f"invalid pyramid shape ({c}, {h}, {w}) from --channels and --levels"
+                )
             if h * w < 2:
                 raise ValueError("levels need H*W >= 2 so content can carry exact stats")
+            _require_allocatable(c * h * w, f"a ({c}, {h}, {w}) level (--channels, --levels)")
 
 
 def cluster_centers(spec: SyntheticDomainSpec) -> list[list[tuple[np.ndarray, np.ndarray]]]:
@@ -421,10 +437,11 @@ def run_train_phase(
         )
         prot = banks[li].vectors()
         matched, dists = match_to_centers(prot, centers)
-        spreads = [
-            float(sq_distances(points[assign == j], centers[j : j + 1]).mean())
-            for j in range(config.k)
-        ]
+        spreads = []
+        for j in range(config.k):
+            members = points[assign == j]  # none when k-means drew equal points as centers
+            spread = sq_distances(members, centers[j : j + 1]).mean() if len(members) else 0.0
+            spreads.append(float(spread))
         center_distances.append(dists)
         taus = [rep.tau for rep in decisions if rep.tau is not None]
         evictions = sum(rep.action == "replace" for rep in decisions)
@@ -480,9 +497,13 @@ def run_tta_phase(
     """
     if len(banks) != len(spec.pyramid_shapes):
         raise ValueError(f"{len(banks)} banks for {len(spec.pyramid_shapes)} levels")
-    for li, bank in enumerate(banks):
+    for li, (bank, (c, _, _)) in enumerate(zip(banks, spec.pyramid_shapes)):
         if not bank.prototypes:
             raise ValueError(f"the level {li} bank is empty; tta needs a trained bank")
+        if bank.channels != c:
+            raise ValueError(
+                f"the level {li} bank has C={bank.channels}, but the stream has C={c} (--channels)"
+            )
     for bank in banks:
         bank.mode = "tta"
     counts_before = [len(b) for b in banks]
@@ -547,7 +568,7 @@ def synthetic_annotation(
     """
     h, w = image_size
     if h < 2 or w < 2:
-        raise ValueError(f"image size must be at least 2x2, got {h}x{w}")
+        raise ValueError(f"image size (--image-size) must be at least 2x2, got {h}x{w}")
     boxes, cats = [], []
     for cat in range(max(num_categories - absent, 1)):
         for _ in range(int(rng.integers(1, 4))):
@@ -619,9 +640,23 @@ def run_ocl_demo(
     finite-difference gradient comparison, and per-category token
     coverage.
     """
+    if num_categories < 1 or blocks < 1:
+        raise ValueError(
+            f"--categories and --blocks must be >= 1, got {num_categories} and {blocks}"
+        )
+    _require_allocatable(
+        num_categories * image_size[0] * image_size[1], "the masks (--categories x --image-size)"
+    )
     rng = np.random.default_rng(config.seed)
     if annotation is None:
         annotation = synthetic_annotation(rng, image_size, num_categories)
+    for h, w in level_shapes:
+        if not (1 <= h <= image_size[0] and 1 <= w <= image_size[1]):
+            raise ValueError(
+                f"token level {h}x{w} (--demo-levels) must fit in the "
+                f"{image_size[0]}x{image_size[1]} image"
+            )
+        _require_allocatable(config.d * h * w, f"a ({config.d}, {h}, {w}) level (--dim)")
     mask_set = align_to_tokens(
         build_masks(annotation, image_size, num_categories), list(level_shapes)
     )
@@ -711,6 +746,11 @@ def bench(
     """
     if runs < 1 or warmup < 0:
         raise ValueError(f"bench needs runs >= 1 and warmup >= 0, got {runs} and {warmup}")
+    if channels < 1 or min(level_hw, default=0) < 1:
+        raise ValueError(
+            f"bench needs --bench-channels and --bench-levels >= 1, got {channels} and {level_hw}"
+        )
+    _require_allocatable(channels * max(level_hw) ** 2, "a bench level (--bench-channels)")
     rng = np.random.default_rng(config.seed)
     banks, pyramid, stats = [], [], []
     for side in level_hw:

@@ -57,7 +57,14 @@ def projection_weights(
         raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     if not temperature > 0.0:
         raise ValueError("softmax temperature must be positive")
-    logits = np.asarray(distances, dtype=float) / temperature
+    distances = np.asarray(distances, dtype=float)
+    with np.errstate(over="ignore"):  # a tiny temperature overflows; reported below
+        logits = distances / temperature
+    if not np.isfinite(logits).all() and np.isfinite(distances).all():
+        raise ValueError(
+            f"softmax_temperature (--softmax-temperature) {temperature!r} is too small for "
+            "these distances: distance / temperature overflows float64"
+        )
     if weighting == "neg-distance":
         logits = -logits
     return softmax(logits)

@@ -1,10 +1,11 @@
+import argparse
 import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
-from sa_adapt.cli import _config_parent
+from sa_adapt.cli import build_parser
 from sa_adapt.config import RunConfig, load_config, parse_config_text, selftest
 
 
@@ -95,8 +96,9 @@ class TestConfigFile:
 
 
 def test_every_run_config_field_has_a_flag():
-    # cli.build_config reads one flag per RunConfig field; a field without
-    # a flag would be silently ignored there.
-    dests = {action.dest for action in _config_parent()._actions}
+    # cli.build_config reads the fields from the flags; a field that no
+    # subcommand takes could be set only in a config file.
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {action.dest for parser in sub.choices.values() for action in parser._actions}
     missing = {f.name for f in fields(RunConfig)} - dests
     assert not missing

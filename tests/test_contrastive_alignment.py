@@ -198,3 +198,7 @@ class TestTotalLoss:
             total_loss(np.inf, 0.0, 0.1)
         with pytest.raises(ValueError):
             total_loss(0.0, 0.0, -0.1)
+
+    def test_overflowing_sum_is_rejected(self):
+        with pytest.raises(ValueError, match=r"l_det \+ lambda_c \* l_contra overflows"):
+            total_loss(1e308, 2.0, 1e308)

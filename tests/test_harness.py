@@ -863,6 +863,38 @@ class TestCli:
         err = self.user_error(capsys, ["train-bank", "--k", "0", "--out-dir", str(tmp_path)])
         assert "k must be >= 1" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e308"])
+    def test_infinite_or_huge_epsilon_is_a_user_error(self, tmp_path, capsys, value):
+        argv = ["train-bank", "--epsilon", value, "--out-dir", str(tmp_path)]
+        err = self.user_error(capsys, argv)
+        assert "epsilon (--epsilon) must be positive and at most 1e+100" in err
+        assert f"got {float(value)!r}" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tta-run", "--channels", "4", "--samples-per-cluster", "2", "--levels", "4x4"],
+            ["bench", "--runs", "1", "--warmup", "0", "--bench-channels", "4",
+             "--bench-levels", "4x4"],
+        ],
+    )
+    def test_overflowing_softmax_temperature_is_a_user_error(self, tmp_path, capsys, argv):
+        out = ["--out-dir", str(tmp_path)]
+        train = ["--channels", "4", "--samples-per-cluster", "2", "--levels", "4x4"]
+        assert cli_main(["train-bank", *train, *out]) == 0
+        capsys.readouterr()
+        err = self.user_error(capsys, [*argv, "--softmax-temperature", "1e-320", *out])
+        assert "softmax_temperature (--softmax-temperature) 1e-320 is too small" in err
+
+    @pytest.mark.parametrize("flag", ["--samples-per-cluster", "--channels"])
+    @pytest.mark.parametrize("value", [2**50, 2**63])
+    def test_unallocatable_size_is_one_out_of_memory_line(self, tmp_path, capsys, flag, value):
+        argv = ["train-bank", flag, str(value), "--out-dir", str(tmp_path)]
+        assert self.user_error(capsys, argv).startswith("sa-adapt: error: out of memory: ")
+        assert not any(tmp_path.iterdir())
+
     def test_bench_without_runs_is_a_user_error(self, tmp_path, capsys):
         out = ["--out-dir", str(tmp_path)]
         assert "runs >= 1" in self.user_error(capsys, ["bench", "--runs", "0", *out])

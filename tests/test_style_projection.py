@@ -10,6 +10,7 @@ from sa_adapt.style_projection import (
     rectified_stats,
 )
 from sa_adapt.style_statistics import ChannelStats, compute_stats, style_distance
+from sa_adapt.tensor_core import softmax
 
 
 def bank_with(stats_list):
@@ -211,6 +212,17 @@ class TestWeighting:
         sharp = projection_weights(d, temperature=0.5)
         flat = projection_weights(d, temperature=10.0)
         assert sharp[0] > flat[0] > 0.5
+
+    @pytest.mark.filterwarnings("error")
+    def test_temperature_that_overflows_the_logits_names_the_field(self):
+        named = r"softmax_temperature \(--softmax-temperature\) 1e-320"
+        with pytest.raises(ValueError, match=named):
+            projection_weights(np.array([0.0, 2.0]), temperature=1e-320)
+        with pytest.raises(ValueError, match="softmax input contains non-finite values"):
+            projection_weights(np.array([np.nan, 2.0]), temperature=1e-320)
+        d = np.array([0.0, 1e-300, 2.0, 3.5])
+        for t in (1e-300, 1e-3, 1.0, 1e308):
+            assert projection_weights(d, temperature=t).tobytes() == softmax(-(d / t)).tobytes()
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
