@@ -54,6 +54,12 @@ style_vector_of = style_vector  # the prototype spelling, kept for importers
 # Under this spread a generated map's values, their squared deviations and the
 # style distances between samples stay finite in float64.
 SPREAD_LIMIT = 1e100
+# ocl-demo draws boxes category by category; this is above any detection
+# vocabulary the demo stands in for (LVIS has 1,203 categories).
+MAX_CATEGORIES = 4096
+# bench fills every level's bank one prototype at a time, at a cost that grows
+# as k squared: at this k the set-up takes seconds, not hours.
+BENCH_MAX_K = 1024
 # numpy describes an array by a byte count below 2**63, so no float64 array
 # holds this many values, whatever the host's memory.
 MAX_ARRAY_VALUES = 2**60
@@ -493,7 +499,8 @@ def run_tta_phase(
     Banks are switched to tta mode; per level the report tracks the d_min
     trajectory, a prototype-count delta (always 0), and the nearest-prototype
     distance of the input to the bank the projection used (pre) and of the
-    output to the bank after this sample's update (post).
+    output to the bank after this sample's update (post). The output's
+    statistics are taken inside the remap pass; no rectified map is built.
     """
     if len(banks) != len(spec.pyramid_shapes):
         raise ValueError(f"{len(banks)} banks for {len(spec.pyramid_shapes)} levels")
@@ -519,13 +526,14 @@ def run_tta_phase(
             s = compute_stats(fmap, config.epsilon)[0]
             if observe_first:
                 decision = bank.observe(s)
-                result = project(bank, fmap, config.weighting, config.softmax_temperature, [s])[0]
-            else:
-                result = project(bank, fmap, config.weighting, config.softmax_temperature, [s])[0]
+            (result,) = project(
+                bank, fmap, config.weighting, config.softmax_temperature, [s],
+                epsilon=config.epsilon, build_map=False,
+            )
+            if not observe_first:
                 decision = bank.observe(s)
-            rect_stats = compute_stats(result.rectified, config.epsilon)[0]
-            pre = float(np.min(result.distances))
-            steps[li].append((decision, pre, float(np.min(bank.distances(rect_stats)))))
+            post = float(np.min(bank.distances(result.rectified_stats)))
+            steps[li].append((decision, float(np.min(result.distances)), post))
 
     report = Report()
     report.add("tta.samples", samples, "count")
@@ -644,6 +652,8 @@ def run_ocl_demo(
         raise ValueError(
             f"--categories and --blocks must be >= 1, got {num_categories} and {blocks}"
         )
+    if num_categories > MAX_CATEGORIES:
+        raise ValueError(f"--categories must be at most {MAX_CATEGORIES}, got {num_categories}")
     _require_allocatable(
         num_categories * image_size[0] * image_size[1], "the masks (--categories x --image-size)"
     )
@@ -742,7 +752,8 @@ def bench(
     of the reference pyramid; (b) observe: one fusion-only bank update per
     level with precomputed statistics (the marginal cost of keeping
     adaptation on at test time). Reports mean and p95 in milliseconds.
-    Raises ValueError unless ``runs >= 1`` and ``warmup >= 0``.
+    Raises ValueError unless ``runs >= 1``, ``warmup >= 0`` and ``config.k <=
+    BENCH_MAX_K``.
     """
     if runs < 1 or warmup < 0:
         raise ValueError(f"bench needs runs >= 1 and warmup >= 0, got {runs} and {warmup}")
@@ -751,6 +762,11 @@ def bench(
             f"bench needs --bench-channels and --bench-levels >= 1, got {channels} and {level_hw}"
         )
     _require_allocatable(channels * max(level_hw) ** 2, "a bench level (--bench-channels)")
+    if config.k > BENCH_MAX_K:
+        raise ValueError(
+            f"bench fills each level's bank one prototype at a time, so --k must be at most "
+            f"{BENCH_MAX_K}, got {config.k}"
+        )
     rng = np.random.default_rng(config.seed)
     banks, pyramid, stats = [], [], []
     for side in level_hw:

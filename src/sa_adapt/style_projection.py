@@ -7,7 +7,9 @@ is copied once per call) is turned into softmax weights, one product
 remapped per channel by the affine instance renormalization (AdaIN)
 ``f * scale + shift`` with ``scale = sigma' / sigma`` and
 ``shift = mu' - mu * scale``. A caller that has measured (mu, sigma)
-passes them as ``stats``. All K prototypes participate; no KNN pruning.
+passes them as ``stats``; one that needs only the statistics of the
+remapped map asks for them instead of the map, and they are taken inside
+the remap pass. All K prototypes participate; no KNN pruning.
 
 Weighting modes:
   * ``neg-distance`` (default): weights = softmax(-d / temperature), so the
@@ -25,7 +27,9 @@ import numpy as np
 
 from .errors import StateError
 from .style_memory_bank import StyleMemoryBank
-from .style_statistics import EPSILON, ChannelStats, compute_stats, sq_distances, style_vector
+from .style_statistics import (
+    EPSILON, ChannelStats, _moments, compute_stats, sq_distances, style_vector,
+)
 from .tensor_core import (
     _channel_blocks,
     _require_finite_block,
@@ -39,13 +43,15 @@ WEIGHTINGS = ("neg-distance", "raw-distance")
 
 @dataclass
 class ProjectionResult:
-    """Rectified sample plus the target statistics, weights and bank distances behind it."""
+    """Rectified sample, or only its statistics, plus the target statistics,
+    weights and bank distances behind it."""
 
-    rectified: np.ndarray  # (1, C, H, W)
+    rectified: np.ndarray | None  # (1, C, H, W); None when only its statistics were taken
     target_mean: np.ndarray  # (C,)
     target_std: np.ndarray  # (C,)
     weights: np.ndarray  # (K,)
     distances: np.ndarray  # (K,)
+    rectified_stats: ChannelStats | None = None  # set when no map was built
 
 
 def projection_weights(
@@ -76,20 +82,24 @@ def project(
     weighting: str = "neg-distance",
     temperature: float = 1.0,
     stats: list[ChannelStats] | None = None,
+    epsilon: float = EPSILON,
+    build_map: bool = True,
 ) -> list[ProjectionResult]:
     """Project every sample of a (B, C, H, W) map onto the bank's style manifold.
 
-    ``stats`` is :func:`compute_stats` of ``f``, measured here when omitted.
-    Returns one ProjectionResult per batch sample; ``rectified`` keeps the
-    (1, C, H, W) layout. The scale divides by the epsilon-floored std from
-    the statistics pass, so it is always well defined.
+    ``stats`` is :func:`compute_stats` of ``f``, measured here with ``epsilon``
+    when omitted. Returns one ProjectionResult per batch sample; ``rectified``
+    keeps the (1, C, H, W) layout. The scale divides by the epsilon-floored std
+    from the statistics pass, so it is always well defined. With ``build_map``
+    False no map is built: ``rectified`` is None and ``rectified_stats`` holds
+    the bits of ``compute_stats(rectified, epsilon)``, taken inside the remap.
 
     A non-finite map is the first fault reported, before a statistics count,
     bank or weighting error; the remap pass proves a finite one finite.
     """
     f = check_feature_map(f)
     if stats is None:
-        stats = compute_stats(f)
+        stats = compute_stats(f, epsilon)
     try:
         if len(stats) != f.shape[0]:
             raise ValueError(f"{len(stats)} statistics for a batch of {f.shape[0]}")
@@ -110,8 +120,11 @@ def project(
     for b, (s, (d, w, target_mean, target_std)) in enumerate(zip(stats, targets)):
         scale = target_std / s.std
         shift = target_mean - s.mean * scale
-        rectified = _remap(f[b], scale, shift)
-        results.append(ProjectionResult(rectified, target_mean, target_std, w, d))
+        if build_map:
+            rectified, rect_stats = _remap(f[b], scale, shift), None
+        else:
+            rectified, rect_stats = None, _moments(f[b : b + 1], epsilon, scale, shift)[0]
+        results.append(ProjectionResult(rectified, target_mean, target_std, w, d, rect_stats))
     return results
 
 
@@ -149,11 +162,12 @@ def project_pyramid(
     if not pyramid:
         raise ValueError("empty pyramid")
     return [
-        project(bank, level, weighting, temperature, compute_stats(level, epsilon))
+        project(bank, level, weighting, temperature, epsilon=epsilon)
         for bank, level in zip(banks, pyramid)
     ]
 
 
 def rectified_stats(result: ProjectionResult) -> ChannelStats:
-    """Re-measure the output statistics of a projection (convenience)."""
-    return compute_stats(result.rectified)[0]
+    """Output statistics of a projection: those taken in its remap pass when it
+    built no map, else re-measured (convenience)."""
+    return result.rectified_stats or compute_stats(result.rectified)[0]

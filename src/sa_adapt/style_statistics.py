@@ -75,7 +75,12 @@ def compute_stats(f: np.ndarray, epsilon: float = EPSILON) -> list[ChannelStats]
     theirs. The first row sums prove each block finite; one check of all
     (B, C) means and stds stands in for the records' own checks.
     """
-    f = check_feature_map(f)
+    return _moments(check_feature_map(f), epsilon)
+
+
+def _moments(f, epsilon, scale=None, shift=None) -> list[ChannelStats]:
+    """:func:`compute_stats` of a checked map ``f``, or, given (B*C,) ``scale`` and
+    ``shift``, of ``f * scale + shift``, each block remapped into the buffer first."""
     b, c, h, w = f.shape
     rows = f.reshape(b * c, h * w)
     blocks = _channel_blocks(b * c, h * w)
@@ -84,10 +89,13 @@ def compute_stats(f: np.ndarray, epsilon: float = EPSILON) -> list[ChannelStats]
     buf = np.empty_like(rows[blocks[0]])
     for sl in blocks:
         block = rows[sl]
+        dev = buf[: block.shape[0]]
+        if scale is not None:
+            block = np.multiply(block, scale[sl, None], out=dev)
+            block += shift[sl, None]
         total = block.sum(axis=1)
         _require_finite_block(total, block)
         np.divide(total, h * w, out=mean[sl])
-        dev = buf[: block.shape[0]]
         np.subtract(block, mean[sl, None], out=dev)
         np.multiply(dev, dev, out=dev)
         np.divide(dev.sum(axis=1), h * w, out=var[sl])

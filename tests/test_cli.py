@@ -231,6 +231,8 @@ OUT_OF_MEMORY = "sa-adapt: error: out of memory: "
 @example(["ocl-demo", "--l-det=inf"])
 @example(["ocl-demo", "--categories=8", "--image-size=8x8", "--lambda-c=1e308", "--l-det=1e308"])
 @example(["bench", "--bench-channels=-1"])
+@example(["ocl-demo", "--categories=1000000000000000", "--image-size=2x2"])
+@example(["bench", "--k=100000000"])
 def test_any_flag_value_ends_in_a_finite_report_or_one_error_line(bank_dir, argv):
     command, hostile = argv[0], argv[1:]
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from sa_adapt import harness, tensor_core
 from sa_adapt.config import RunConfig
-from sa_adapt.style_memory_bank import StyleMemoryBank
-from sa_adapt.style_projection import project, project_pyramid
+from sa_adapt.style_memory_bank import StyleMemoryBank, load
+from sa_adapt.style_projection import _remap, project, project_pyramid
 from sa_adapt.style_statistics import ChannelStats, compute_stats
 
 import oracles
@@ -16,6 +16,14 @@ import oracles
 NON_FINITE = "feature map contains non-finite values"
 # 48 channel rows of 64x64 doubles: 16 rows (512 KiB) a block, three blocks a sample
 C, SIDE = 48, 64
+
+# generators of small maps: any extent, the real block or blocks of one row or
+# several (down to rows longer than a block), and values far from 0 or tiny or large
+EXTENTS = st.integers(1, 9)
+BLOCK_BYTES = st.one_of(st.none(), st.integers(1, 4096))
+OFFSETS = st.sampled_from([0.0, 1e6, -1e6])
+SCALES = st.sampled_from([1.0, 1e-150, 1e3])
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 def random_bank(rng, channels, k=3):
@@ -40,14 +48,13 @@ class TestSameBitsAsTheWholeMap:
     @settings(max_examples=150, deadline=None)
     @given(
         batch=st.integers(1, 3),
-        channels=st.integers(1, 9),
-        h=st.integers(1, 9),
-        w=st.integers(1, 9),
-        # the real block, or blocks of one row or several, down to rows longer than a block
-        block_bytes=st.one_of(st.none(), st.integers(1, 4096)),
-        offset=st.sampled_from([0.0, 1e6, -1e6]),
-        scale=st.sampled_from([1.0, 1e-150, 1e3]),
-        seed=st.integers(0, 2**32 - 1),
+        channels=EXTENTS,
+        h=EXTENTS,
+        w=EXTENTS,
+        block_bytes=BLOCK_BYTES,
+        offset=OFFSETS,
+        scale=SCALES,
+        seed=SEEDS,
     )
     def test_statistics_and_remap(self, batch, channels, h, w, block_bytes, offset, scale, seed):
         rng = np.random.default_rng(seed)
@@ -56,6 +63,40 @@ class TestSameBitsAsTheWholeMap:
             if block_bytes is not None:
                 mp.setattr(tensor_core, "_BLOCK_BYTES", block_bytes)
             assert_matches_whole_map_formulas(f, random_bank(rng, channels))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        channels=EXTENTS,
+        h=EXTENTS,
+        w=EXTENTS,
+        block_bytes=BLOCK_BYTES,
+        offset=OFFSETS,
+        scale=SCALES,
+        epsilon=st.sampled_from([1e-6, 1e-2]),
+        seed=SEEDS,
+    )
+    def test_rectified_statistics_without_the_map(
+        self, channels, h, w, block_bytes, offset, scale, epsilon, seed
+    ):
+        """The statistics taken inside the remap pass are those of the built map."""
+        rng = np.random.default_rng(seed)
+        f = rng.normal(size=(1, channels, h, w)) * scale + offset
+        bank = random_bank(rng, channels)
+        with pytest.MonkeyPatch.context() as mp:
+            if block_bytes is not None:
+                mp.setattr(tensor_core, "_BLOCK_BYTES", block_bytes)
+            (s,) = compute_stats(f, epsilon)
+            (fused,) = project(bank, f, epsilon=epsilon, build_map=False)
+            (built,) = project(bank, f, stats=[s])
+            scale_ = built.target_std / s.std
+            expected = compute_stats(
+                _remap(f[0], scale_, built.target_mean - s.mean * scale_), epsilon
+            )[0]
+        assert fused.rectified is None and built.rectified_stats is None
+        assert fused.rectified_stats.mean.tobytes() == expected.mean.tobytes()
+        assert fused.rectified_stats.std.tobytes() == expected.std.tobytes()
+        for name in ("target_mean", "target_std", "weights", "distances"):
+            assert getattr(fused, name).tobytes() == getattr(built, name).tobytes()
 
     @pytest.mark.parametrize(
         "shape",
@@ -190,3 +231,61 @@ class TestFaultOrder:
             expected = oracles.affine_remap(big, scale, res.target_mean - tiny.mean * scale)
         assert np.isinf(res.rectified).all()
         assert res.rectified.tobytes() == expected.tobytes()
+
+
+class TestOverflowingRemapInTheTtaStep:
+    """A tta step whose remap overflows fails as ``project`` followed by
+    ``compute_stats`` of the rectified map fails on the same inputs."""
+
+    @staticmethod
+    def step_inputs(case):
+        """A 2-channel 2x2 map with finite statistics and a one-prototype bank
+        whose target std makes the remap overflow."""
+        if case == "non-finite-value":  # scale ~1e4 takes the constant 1e306 channel past 1e308
+            channel, proto_std = np.full((2, 2), 1e306), 10.0
+        else:  # scale ~2: the values stay finite, their squared deviations' sum overflows
+            a = 6.5e153
+            channel, proto_std = np.array([[a, -a], [a, -a]]), 2 * a
+        fmap = np.stack([channel, np.array([[0.0, 1.0], [2.0, 3.0]])])[None]
+        (s,) = compute_stats(fmap)
+        bank = StyleMemoryBank(capacity=1)
+        bank.observe(ChannelStats(s.mean, np.array([proto_std, s.std[1]])))
+        return fmap, bank
+
+    @pytest.mark.parametrize("order", ["observe-first", "project-first"])
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("non-finite-value", NON_FINITE),
+            ("overflowing-sums", "channel stds contains non-finite values"),
+        ],
+    )
+    def test_same_error_as_the_built_map(self, case, message, order, monkeypatch):
+        fmap, bank = self.step_inputs(case)
+        cfg = RunConfig(tta_order=order)
+        oracle = load(bank.save())
+        oracle.mode = "tta"
+        with np.errstate(over="ignore", invalid="ignore"):
+            (s,) = compute_stats(fmap, cfg.epsilon)
+            if order == "observe-first":
+                oracle.observe(s)
+            (res,) = project(oracle, fmap, cfg.weighting, cfg.softmax_temperature, [s])
+            if order == "project-first":
+                before_the_update = oracle.save()
+                oracle.observe(s)
+            with pytest.raises(ValueError, match=message) as expected:
+                compute_stats(res.rectified, cfg.epsilon)
+
+            spec = harness.SyntheticDomainSpec(
+                style_clusters=[harness.StyleCluster(mean_seed=1, std_seed=2)],
+                pyramid_shapes=[(2, 2, 2)],
+                samples_per_cluster=1,
+                rng_seed=0,
+            )
+            monkeypatch.setattr(harness, "generate_stream", lambda spec: iter([([fmap], 0)]))
+            with pytest.raises(ValueError) as got:
+                harness.run_tta_phase(cfg, [bank], spec)
+        assert str(got.value) == str(expected.value)
+        assert bank.mode == oracle.mode == "tta"
+        # project-first: the step now fails before the bank absorbs the sample
+        assert bank.save() == (oracle.save() if order == "observe-first" else before_the_update)

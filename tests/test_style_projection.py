@@ -72,6 +72,15 @@ class TestProject:
             np.testing.assert_allclose(out.mean, res.target_mean, atol=1e-9)
             np.testing.assert_allclose(out.std, res.target_std, atol=1e-4)
 
+    def test_statistics_without_the_map_are_the_built_maps(self):
+        rng = np.random.default_rng(11)
+        f = rng.normal(size=(3, 5, 6, 7)) * 2 + 1
+        bank = random_bank(rng, 5)
+        for built, fused in zip(project(bank, f), project(bank, f, build_map=False)):
+            assert fused.rectified is None
+            s, t = rectified_stats(built), rectified_stats(fused)
+            assert (s.mean.tobytes(), s.std.tobytes()) == (t.mean.tobytes(), t.std.tobytes())
+
     def test_batched_input_gives_per_sample_results(self):
         rng = np.random.default_rng(2)
         f = rng.normal(size=(3, 4, 5, 5))
