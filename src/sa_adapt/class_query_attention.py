@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -148,11 +149,20 @@ def _interleaved(angles: np.ndarray) -> np.ndarray:
     return enc
 
 
+@lru_cache(maxsize=1)
+def _shared_positions(level_shapes: tuple[tuple[int, int], ...], d: int) -> np.ndarray:
+    """Read-only :func:`sine_positions`, kept for the next sequence of the same layout."""
+    positions = sine_positions(list(level_shapes), d)
+    positions.flags.writeable = False
+    return positions
+
+
 def tokens_from_pyramid(pyramid: list[np.ndarray]) -> TokenSequence:
     """Flatten a single-sample pyramid into a token sequence with encodings.
 
     Each level must be (1, d, H, W) with a common channel count d, which
     becomes the token dimension; tokens run row-major within a level.
+    Consecutive sequences of one layout (a pair) share read-only positions.
     """
     flats, shapes = [], []
     d = None
@@ -168,7 +178,7 @@ def tokens_from_pyramid(pyramid: list[np.ndarray]) -> TokenSequence:
         flats.append(level[0].reshape(c, h * w).T)  # (H*W, d)
         shapes.append((h, w))
     tokens = np.concatenate(flats, axis=0)
-    positions = sine_positions(shapes, d)
+    positions = _shared_positions(tuple(shapes), d)
     boundaries = [0]
     for h, w in shapes:
         boundaries.append(boundaries[-1] + h * w)
@@ -242,9 +252,10 @@ def cross_attend(
     are projected once for the tokens any category attends (or taken from
     ``projections``, the :func:`project_keys_values` result for the same
     sequence, masks and parameters); then the logits of all categories and
-    heads go through one masked softmax. With ``return_weights`` the
-    per-head attention weights are also returned as a (C, heads, N) array
-    (zeros at ignored positions).
+    heads go through one masked softmax, which shifts and exponentiates
+    only the attendable logits, into a zeroed array. With
+    ``return_weights`` the per-head attention weights are also returned as
+    a (C, heads, N) array (zeros at ignored positions).
     """
     q = np.asarray(queries, dtype=DTYPE)
     if q.ndim != 2:
@@ -277,9 +288,10 @@ def cross_attend(
     logits = qh @ keys.reshape(m, heads, d_head).transpose(1, 2, 0)
     logits *= 1.0 / math.sqrt(d_head)
     require_finite(logits[:, live], "attention logits")
-    np.copyto(logits, -np.inf, where=~live)
-    logits -= logits.max(axis=2, keepdims=True)
-    weights = np.exp(logits, out=logits)  # masked positions become exactly 0
+    row_max = logits.max(axis=2, keepdims=True, where=live, initial=-np.inf)
+    np.subtract(logits, row_max, out=logits, where=live)
+    weights = np.zeros_like(logits)
+    np.exp(logits, out=weights, where=live)
     weights /= weights.sum(axis=2, keepdims=True)
 
     ctx = weights @ values.reshape(m, heads, d_head).transpose(1, 0, 2)  # (H, R, d_head)

@@ -59,37 +59,43 @@ class LossReport:
 
 
 class _Forward(NamedTuple):
-    s_unit: np.ndarray  # (..., n, d) source queries, normalized if requested
+    s_unit: np.ndarray  # (n, d) source queries, normalized if requested
     a_unit: np.ndarray
-    s_norm: np.ndarray | None  # (..., n, 1) row norms when normalizing
+    s_norm: np.ndarray | None  # (n, 1) row norms when normalizing
     a_norm: np.ndarray | None
-    exp: np.ndarray  # (..., n, n) column-shifted exponentials
-    z: np.ndarray  # (..., n) column sums of exp
-    loss: np.ndarray  # (...) one loss per stacked pair
+    exp: np.ndarray  # (n, n) column-shifted exponentials
+    z: np.ndarray  # (n,) column sums of exp
+    loss: np.ndarray  # () the loss
+
+
+def _unit_rows(x: np.ndarray, normalize: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """``x`` with its rows L2-normalized if requested, and the row norms."""
+    if not normalize:
+        return x, None
+    norm = np.linalg.norm(x, axis=-1, keepdims=True)
+    if np.any(norm == 0.0):
+        raise ValueError("cannot normalize a zero query vector")
+    return x / norm, norm
+
+
+def _tail(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-shifted exponentials, their column sums and the loss of logits
+    ``[j, i] = s_j . a_i``, (n, n) or (n, n, m) with m copies innermost. Each
+    reduction over j takes one j at a time, so a copy's loss is its own alone."""
+    shifted = logits - logits.max(axis=0, keepdims=True)
+    log_prob_diag = shifted.diagonal(axis1=0, axis2=1).copy()  # ([m,] n)
+    exp = np.exp(shifted, out=shifted)
+    z = exp.sum(axis=0)
+    log_prob_diag -= np.log(z).T
+    return exp, z, -(log_prob_diag.sum(axis=-1) / logits.shape[0])
 
 
 def _forward(s: np.ndarray, a: np.ndarray, normalize: bool) -> _Forward:
-    """The loss of (..., n, d) stacks of present-row queries, and the
-    intermediates its gradients reuse.
-
-    Stabilized by per-column max subtraction. Each stacked pair goes
-    through the same operations as a lone (n, d) pair, so its loss is
-    bit-identical to the loss of that pair alone.
-    """
-    s_norm = a_norm = None
-    if normalize:
-        s_norm = np.linalg.norm(s, axis=-1, keepdims=True)
-        a_norm = np.linalg.norm(a, axis=-1, keepdims=True)
-        if np.any(s_norm == 0.0) or np.any(a_norm == 0.0):
-            raise ValueError("cannot normalize a zero query vector")
-        s, a = s / s_norm, a / a_norm
-
-    logits = s @ np.swapaxes(a, -1, -2)  # logits[..., j, i] = s_j . a_i
-    shifted = logits - logits.max(axis=-2, keepdims=True)
-    exp = np.exp(shifted)
-    z = exp.sum(axis=-2)
-    log_prob_diag = shifted.diagonal(axis1=-2, axis2=-1) - np.log(z)
-    loss = -(log_prob_diag.sum(axis=-1) / logits.shape[-1])
+    """The loss of one (n, d) pair of present-row queries, and the
+    intermediates its gradients reuse."""
+    s, s_norm = _unit_rows(s, normalize)
+    a, a_norm = _unit_rows(a, normalize)
+    exp, z, loss = _tail(s @ a.T)
     return _Forward(s, a, s_norm, a_norm, exp, z, loss)
 
 
@@ -101,19 +107,21 @@ def _present_forward(batch: ContrastiveBatch, normalize: bool) -> tuple[np.ndarr
     return idx, _forward(batch.q_source[idx], batch.q_augmented[idx], normalize)
 
 
-def contrastive_loss_stack(
+def contrastive_logits(
     q_source: np.ndarray, q_augmented: np.ndarray, normalize: bool = False
 ) -> np.ndarray:
-    """The loss of every pair in (..., n, d) stacks of present-row queries.
+    """The logits ``[..., j, i] = s_j . a_i`` of (..., n, d) stacks of
+    present-row queries, normalized first if requested, exactly as the loss
+    forms them. Raises ValueError for a zero row under ``normalize``."""
+    unit = [_unit_rows(q, normalize)[0] for q in (q_source, q_augmented)]
+    return unit[0] @ np.swapaxes(unit[1], -1, -2)
 
-    The two stacks broadcast against each other, so one side may be a
-    single (n, d) matrix. Each value is bit-identical to
-    :func:`contrastive_loss_value` of a batch whose present rows are that
-    pair; absent rows take no part in the loss and are left out here.
-    Values are unchecked: this is the batched form behind finite-difference
-    checks of already-validated queries.
-    """
-    return _forward(q_source, q_augmented, normalize).loss
+
+def contrastive_loss_of_logits(logits: np.ndarray) -> np.ndarray:
+    """The loss of (n, n) logits ``[j, i] = s_j . a_i``, or the (m,) losses of
+    an (n, n, m) stack, copies innermost: bit for bit those of the pairs whose
+    :func:`contrastive_logits` the copies equal."""
+    return _tail(logits)[2]
 
 
 def contrastive_loss_value(batch: ContrastiveBatch, normalize: bool = False) -> float:

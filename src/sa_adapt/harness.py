@@ -33,8 +33,9 @@ from .class_query_attention import (
 from .config import RunConfig
 from .contrastive_alignment import (
     ContrastiveBatch,
+    contrastive_logits,
     contrastive_loss,
-    contrastive_loss_stack,
+    contrastive_loss_of_logits,
     total_loss,
 )
 from .object_gating import Annotation, align_to_tokens, build_masks
@@ -589,38 +590,55 @@ def synthetic_annotation(
     return Annotation(boxes=boxes, categories=cats)
 
 
-# Bound on the perturbed copies of one fd_gradient chunk: keeps the check's
-# working set a few MiB whatever the size of the array it perturbs.
-_FD_CHUNK_BYTES = 4 << 20
+# Bound on one stack of perturbed logits copies in fd_gradient: with its
+# temporaries it stays in L2, whatever the number of present rows.
+_FD_CHUNK_BYTES = 1 << 20
 
 
-def fd_gradient(loss, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a batched scalar function of an array.
-
-    ``loss`` maps an (m, *x.shape) stack of arrays to their (m,) values.
-    Entry i of the result is ``(loss(x + step e_i) - loss(x - step e_i)) /
-    (2 step)``, with the perturbed entries formed as ``x[i] + step`` and
-    ``x[i] - step``, exactly as when ``x`` is perturbed in place one entry
-    at a time. The +step and -step copies of a chunk of entries go to
-    ``loss`` in one stack of at most ``_FD_CHUNK_BYTES`` (or one entry's
-    pair of copies); the stack is reused from chunk to chunk. ``x`` is left
-    untouched.
-    """
-    x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    grad = np.empty(flat.size)
-    per_chunk = max(1, min(_FD_CHUNK_BYTES // max(2 * x.nbytes, 1), flat.size))
-    copies = np.tile(flat, (per_chunk, 2, 1))  # copies[k] = (up, down) of one entry
-    for start in range(0, flat.size, per_chunk):
-        entries = np.arange(start, min(start + per_chunk, flat.size))
-        rows = np.arange(entries.size)
-        copies[rows, 0, entries] += step
-        copies[rows, 1, entries] -= step
-        values = loss(copies[: entries.size].reshape(-1, *x.shape))
-        copies[rows, :, entries] = flat[entries, None]
-        up, down = values.reshape(-1, 2).T
-        grad[entries] = (up - down) / (2.0 * step)
-    return grad.reshape(x.shape)
+def fd_gradient(s: np.ndarray, a: np.ndarray, side: str, normalize: bool = False,
+                step: float = 1e-5) -> np.ndarray:
+    """Central differences of the contrastive loss of (n, d) present-row queries
+    with respect to the ``side`` ("source" or "augmented") matrix x: entry
+    (i, k) is ``(loss(up) - loss(down)) / (2 step)`` of the copies of x holding
+    ``x[i, k] + step`` and ``x[i, k] - step``, each loss bit-identical to that
+    copy's alone. A copy changes only row i (source) or column i (augmented) of
+    the logits ``s_j . a_i``, so each column k and sign takes one product of x
+    with column k of every row perturbed, and a copy's logits are the unperturbed
+    ones with that line taken from it. Loss tails run in one reused stack of at
+    most ``_FD_CHUNK_BYTES`` (or one copy), copies innermost. Raises the
+    per-copy losses' errors (a zero row under ``normalize``); x is untouched."""
+    if side not in ("source", "augmented"):
+        raise ValueError(f"side must be 'source' or 'augmented', got {side!r}")
+    s, a = np.asarray(s, dtype=float), np.asarray(a, dtype=float)
+    source = side == "source"
+    x = s if source else a
+    n, d = x.shape
+    def logits(xp: np.ndarray) -> np.ndarray:
+        return contrastive_logits(*((xp, a) if source else (s, xp)), normalize)
+    # with one row every copy replaces all of the logits, and that row may be zero
+    base = logits(x) if n > 1 else np.zeros((1, 1))
+    copies = max(1, _FD_CHUNK_BYTES // max(base.nbytes, 1))
+    # (column, sign) pairs per stack, each with one perturbed copy of x
+    groups = max(1, min(copies // max(n, 1), _FD_CHUNK_BYTES // max(x.nbytes, 1), 2 * d))
+    rows = max(1, min(n, copies))
+    stack = np.repeat(base[:, :, None], groups * rows, axis=2)  # stack[j, i, copy]
+    # the replaced lines: rows of the logits on the source side, columns on the augmented
+    lines, base_lines = (stack, base) if source else (stack.swapaxes(0, 1), base.T)
+    values = np.empty((2 * d, n))  # values[2 k + sign, i]
+    for g0 in range(0, 2 * d, groups):
+        group = np.arange(g0, min(g0 + groups, 2 * d))
+        xp, k = np.repeat(x[None], group.size, axis=0), group // 2
+        xp[np.arange(group.size), :, k] = np.where(group % 2, x[:, k] - step, x[:, k] + step).T
+        product_lines = logits(xp) if source else logits(xp).swapaxes(1, 2)
+        for r0 in range(0, n, rows):
+            block = np.arange(r0, min(r0 + rows, n))
+            j, i = np.repeat(np.arange(group.size), block.size), np.tile(block, group.size)
+            copy = np.arange(j.size)
+            lines[i, :, copy] = product_lines[j, i]
+            values[group[j], i] = contrastive_loss_of_logits(stack[:, :, : copy.size])
+            lines[i, :, copy] = base_lines[i]
+    up, down = values.reshape(d, 2, n).transpose(1, 2, 0)
+    return (up - down) / (2.0 * step)
 
 
 def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -703,8 +721,8 @@ def run_ocl_demo(
     s, a = batch.q_source[idx], batch.q_augmented[idx]
     fd_src = np.zeros_like(batch.q_source)
     fd_aug = np.zeros_like(batch.q_augmented)
-    fd_src[idx] = fd_gradient(lambda stack: contrastive_loss_stack(stack, a), s)
-    fd_aug[idx] = fd_gradient(lambda stack: contrastive_loss_stack(s, stack), a)
+    fd_src[idx] = fd_gradient(s, a, "source")
+    fd_aug[idx] = fd_gradient(s, a, "augmented")
     fd_err = max(
         max_relative_error(loss_rep.grad_q_source, fd_src),
         max_relative_error(loss_rep.grad_q_augmented, fd_aug),

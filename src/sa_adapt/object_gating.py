@@ -111,18 +111,20 @@ def align_to_tokens(
     """Fill the token-level masks for a multi-scale token sequence.
 
     Levels are concatenated in the given order; within a level tokens run
-    row-major. Token count equals sum(H_l * W_l).
+    row-major. Token count equals sum(H_l * W_l). A cell's token is the
+    exact ``any`` over its rows' slice of the mask, then over its columns'.
     """
     if not level_shapes:
         raise ValueError("level_shapes must be non-empty")
     h, w = mask_set.image_size
+    masks, c = mask_set.per_category, mask_set.num_categories
     per_level = []
     for h_l, w_l in level_shapes:
-        rows = _floor_partition(h, h_l)
-        cols = _floor_partition(w, w_l)
-        pooled = np.maximum.reduceat(mask_set.per_category, rows, axis=1)
-        pooled = np.maximum.reduceat(pooled, cols, axis=2)
-        per_level.append(pooled.reshape(mask_set.num_categories, h_l * w_l))
+        rows = _floor_partition(h, h_l).tolist() + [h]
+        cols = _floor_partition(w, w_l).tolist() + [w]
+        by_rows = np.stack([masks[:, r0:r1].any(axis=1) for r0, r1 in zip(rows, rows[1:])], 1)
+        pooled = np.stack([by_rows[:, :, c0:c1].any(axis=2) for c0, c1 in zip(cols, cols[1:])], 2)
+        per_level.append(pooled.reshape(c, h_l * w_l))
     token_masks = np.concatenate(per_level, axis=1)
     return replace(
         mask_set, token_masks=token_masks, level_shapes=[tuple(s) for s in level_shapes]

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written as plain loops (or a separate
 textbook algorithm), independent of the library code paths it checks. The
-whole-map formulas (``stats_whole_map``, ``affine_remap``) are the
-exception: they are the reference the blocked passes reproduce bit for bit.
+whole-map formulas (``stats_whole_map``, ``affine_remap``), the stacked-copies
+finite differences and the dense masked attention are the exception: they
+are the references that the faster forms reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -116,6 +117,36 @@ def naive_masked_attention(queries, tokens, positions, token_masks, params, head
     return out
 
 
+def dense_masked_attention(queries, tokens, positions, token_masks, params, heads):
+    """Masked cross-attention with one dense softmax over all categories and
+    heads, masked logits set to -inf first; returns (output, (C, heads, N)
+    weights). The earlier whole-array form of ``cross_attend``."""
+    q = np.asarray(queries, dtype=float)
+    c_count, d = q.shape
+    index = np.flatnonzero(token_masks.any(axis=0))
+    keys = (tokens[index] + positions[index]) @ params.w_k
+    values = tokens[index] @ params.w_v
+    live = token_masks[:, index]
+    rows = np.flatnonzero(live.any(axis=1))
+    live = live[rows]
+    out = q.copy()
+    attn = np.zeros((c_count, heads, len(tokens)))
+    if rows.size == 0:
+        return out, attn
+    d_head, m = d // heads, len(index)
+    qh = (q[rows] @ params.w_q).reshape(len(rows), heads, d_head).transpose(1, 0, 2)
+    logits = qh @ keys.reshape(m, heads, d_head).transpose(1, 2, 0)
+    logits *= 1.0 / math.sqrt(d_head)
+    np.copyto(logits, -np.inf, where=~live)
+    logits -= logits.max(axis=2, keepdims=True)
+    weights = np.exp(logits, out=logits)
+    weights /= weights.sum(axis=2, keepdims=True)
+    ctx = weights @ values.reshape(m, heads, d_head).transpose(1, 0, 2)
+    out[rows] += ctx.transpose(1, 0, 2).reshape(len(rows), d) @ params.w_o
+    attn[np.ix_(rows, np.arange(heads), index)] = weights.transpose(1, 0, 2)
+    return out, attn
+
+
 def central_difference(func, x, step=1e-5):
     """Central finite-difference gradient of scalar func() w.r.t. array x."""
     grad = np.zeros_like(x, dtype=float)
@@ -129,6 +160,44 @@ def central_difference(func, x, step=1e-5):
         flat[i] = orig
         grad.reshape(-1)[i] = (up - down) / (2 * step)
     return grad
+
+
+def stacked_contrastive_loss(s, a, normalize=False):
+    """The contrastive loss of every pair in (..., n, d) stacks of present-row
+    queries, from whole (..., n, n) logits stacks. The earlier stacked form
+    of the library's loss."""
+    if normalize:
+        s_norm = np.linalg.norm(s, axis=-1, keepdims=True)
+        a_norm = np.linalg.norm(a, axis=-1, keepdims=True)
+        if np.any(s_norm == 0.0) or np.any(a_norm == 0.0):
+            raise ValueError("cannot normalize a zero query vector")
+        s, a = s / s_norm, a / a_norm
+    logits = s @ np.swapaxes(a, -1, -2)
+    shifted = logits - logits.max(axis=-2, keepdims=True)
+    z = np.exp(shifted).sum(axis=-2)
+    log_prob_diag = shifted.diagonal(axis1=-2, axis2=-1) - np.log(z)
+    return -(log_prob_diag.sum(axis=-1) / logits.shape[-1])
+
+def stacked_fd_gradient(loss, x, step=1e-5, chunk_bytes=4 << 20):
+    """Central differences from stacked whole copies of ``x``: ``loss`` maps
+    an (m, *x.shape) stack to its (m,) values, and each chunk of entries
+    sends its +step and -step copies in one stack of at most ``chunk_bytes``.
+    The earlier form of ``harness.fd_gradient``."""
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    grad = np.empty(flat.size)
+    per_chunk = max(1, min(chunk_bytes // max(2 * x.nbytes, 1), flat.size))
+    copies = np.tile(flat, (per_chunk, 2, 1))  # copies[k] = (up, down) of one entry
+    for start in range(0, flat.size, per_chunk):
+        entries = np.arange(start, min(start + per_chunk, flat.size))
+        rows = np.arange(entries.size)
+        copies[rows, 0, entries] += step
+        copies[rows, 1, entries] -= step
+        values = loss(copies[: entries.size].reshape(-1, *x.shape))
+        copies[rows, :, entries] = flat[entries, None]
+        up, down = values.reshape(-1, 2).T
+        grad[entries] = (up - down) / (2.0 * step)
+    return grad.reshape(x.shape)
 
 
 def relative_gap(a, b):

@@ -38,6 +38,12 @@ def test_same_checkout_gives_identical_outputs_and_three_phases(name):
     assert out["reports_identical"] is True
     phases = ("call_s", "stream_s", "finalize_s")
     assert set(out["change_wins"]) == set(phases)
+    # one round per half, the second half imported and set up in the other order
+    halves = out["halves"]
+    assert [h["import_order"] for h in halves] == [["parent", "change"], ["change", "parent"]]
+    assert [h["rounds"] for h in halves] == [1, 1]
+    for phase in phases:
+        assert sum(h["change_wins"][phase] for h in halves) == out["change_wins"][phase]
     for side in ("parent", "change"):
         assert set(out[side]) == set(phases)
         for phase in phases:

@@ -90,6 +90,22 @@ class TestSinePositions:
         assert enc.shape == (24 + 6, 8)
 
 
+@st.composite
+def attention_cases(draw):
+    """Queries, tokens and masks whose rows attend no token, every token, or
+    a random share of them; heads of 1-4 dimensions."""
+    c, n = draw(st.integers(1, 5)), draw(st.integers(1, 40))
+    heads, d_head = draw(st.sampled_from([1, 2, 4])), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    token_masks = rng.random((c, n)) < draw(st.floats(0.05, 0.95))
+    for row, mode in enumerate(draw(st.lists(st.sampled_from(["none", "all", "random"]),
+                                             min_size=c, max_size=c))):
+        if mode != "random":
+            token_masks[row] = mode == "all"
+    q, seq, _, params = random_setup(rng, c=c, n=n, d=heads * d_head)
+    return q, seq, token_masks, params, heads
+
+
 class TestCrossAttend:
     def test_fully_masked_category_passes_through_exactly(self):
         rng = np.random.default_rng(0)
@@ -118,6 +134,20 @@ class TestCrossAttend:
                 q, seq.tokens, seq.positions, masks.token_masks, params, heads
             )
             np.testing.assert_allclose(got, want, atol=1e-9)
+
+    @settings(deadline=None, max_examples=150)
+    @given(attention_cases())
+    def test_equals_the_dense_masked_softmax(self, case):
+        q, seq, token_masks, params, heads = case
+        out, attn = cross_attend(q, seq, make_masks(token_masks), params, heads,
+                                 return_weights=True)
+        want_out, want_attn = oracles.dense_masked_attention(
+            q, seq.tokens, seq.positions, token_masks, params, heads
+        )
+        assert out.tobytes() == want_out.tobytes()
+        assert attn.tobytes() == want_attn.tobytes()
+        alone = cross_attend(q, seq, make_masks(token_masks), params, heads)
+        assert alone.tobytes() == want_out.tobytes()
 
     def test_masked_content_never_read(self):
         rng = np.random.default_rng(3)
@@ -265,6 +295,18 @@ class TestTokensFromPyramid:
         assert seq.level_boundaries == [0, 16, 20]
         # token 0 of level 1 is the feature column at (h=0, w=0)
         np.testing.assert_array_equal(seq.tokens[16], pyramid[1][0, :, 0, 0])
+
+    def test_a_pair_of_one_layout_shares_its_positions(self):
+        rng = np.random.default_rng(14)
+        source = [rng.normal(size=(1, 8, 4, 4)), rng.normal(size=(1, 8, 2, 2))]
+        seq_src = tokens_from_pyramid(source)
+        seq_aug = tokens_from_pyramid([level * 2.0 for level in source])
+        assert seq_aug.positions is seq_src.positions
+        assert not seq_src.positions.flags.writeable
+        expected = sine_positions([(4, 4), (2, 2)], 8)
+        assert seq_src.positions.tobytes() == expected.tobytes()
+        other = tokens_from_pyramid([rng.normal(size=(1, 8, 2, 2))])
+        assert other.positions.tobytes() == sine_positions([(2, 2)], 8).tobytes()
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError):

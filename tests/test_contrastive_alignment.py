@@ -6,7 +6,8 @@ import pytest
 from sa_adapt.contrastive_alignment import (
     ContrastiveBatch,
     contrastive_loss,
-    contrastive_loss_stack,
+    contrastive_logits,
+    contrastive_loss_of_logits,
     contrastive_loss_value,
     total_loss,
 )
@@ -158,6 +159,12 @@ class TestContrastiveLoss:
             ContrastiveBatch(np.ones((2, 3)), np.ones((2, 4)), np.ones(2, dtype=bool))
 
 
+def stacked_loss(q_source, q_augmented, normalize):
+    """Losses of (m, n, d) stacks, through an (n, n, m) logits stack."""
+    logits = contrastive_logits(q_source, q_augmented, normalize)
+    return contrastive_loss_of_logits(np.moveaxis(logits, 0, -1))
+
+
 class TestStackedLoss:
     @pytest.mark.parametrize("normalize", [False, True])
     def test_each_stack_index_is_the_loss_of_that_slice(self, normalize):
@@ -166,7 +173,7 @@ class TestStackedLoss:
         idx = np.flatnonzero(present)
         q_s = rng.normal(size=(6, 5, 8))
         q_a = rng.normal(size=(6, 5, 8))
-        stacked = contrastive_loss_stack(q_s[:, idx], q_a[:, idx], normalize)
+        stacked = stacked_loss(q_s[:, idx], q_a[:, idx], normalize)
         assert stacked.shape == (6,)
         for k in range(6):
             batch = batch_of(q_s[k], q_a[k], present)
@@ -176,8 +183,8 @@ class TestStackedLoss:
     def test_a_lone_side_broadcasts_against_a_stack(self, normalize):
         rng = np.random.default_rng(9)
         q_s, q_a = rng.normal(size=(4, 3, 6)), rng.normal(size=(3, 6))
-        by_source = contrastive_loss_stack(q_s, q_a, normalize)
-        by_augmented = contrastive_loss_stack(q_a, q_s, normalize)
+        by_source = stacked_loss(q_s, q_a, normalize)
+        by_augmented = stacked_loss(q_a, q_s, normalize)
         for k in range(4):
             assert by_source[k] == contrastive_loss_value(batch_of(q_s[k], q_a), normalize)
             assert by_augmented[k] == contrastive_loss_value(batch_of(q_a, q_s[k]), normalize)

@@ -9,7 +9,7 @@ from sa_adapt.cli import main as cli_main
 from sa_adapt.config import TTA_ORDERS, RunConfig
 from sa_adapt.contrastive_alignment import (
     ContrastiveBatch,
-    contrastive_loss_stack,
+    contrastive_loss,
     contrastive_loss_value,
 )
 from sa_adapt.object_gating import Annotation
@@ -576,63 +576,118 @@ class TestOclDemo:
 @st.composite
 def fd_cases(draw):
     """A contrastive batch with at least one present category, the side to
-    perturb, ``normalize``, and an fd_gradient chunk of 1..size entries."""
+    perturb, ``normalize``, and a stack bound of 1..2*n*d logits copies."""
     c, d = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     present = np.array(draw(st.lists(st.booleans(), min_size=c, max_size=c)))
     present[draw(st.integers(0, c - 1))] = True
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     batch = ContrastiveBatch(rng.normal(size=(c, d)), rng.normal(size=(c, d)), present)
     side, normalize = draw(st.sampled_from(["source", "augmented"])), draw(st.booleans())
-    entries = draw(st.integers(1, int(present.sum()) * d))
-    return batch, side, normalize, entries
+    copies = draw(st.integers(1, 2 * int(present.sum()) * d))
+    return batch, side, normalize, copies
+
+
+def stacked_fd(s, a, side, normalize=False, **kw):
+    """The stacked-copies check of the same loss, from ``oracles``."""
+    def loss(stack):
+        pair = (stack, a) if side == "source" else (s, stack)
+        return oracles.stacked_contrastive_loss(*pair, normalize)
+
+    return oracles.stacked_fd_gradient(loss, s if side == "source" else a, **kw)
 
 
 class TestFdGradient:
     @settings(deadline=None, max_examples=150)
     @given(fd_cases())
     def test_batched_check_equals_the_per_entry_loop(self, case):
-        batch, side, normalize, entries = case
+        batch, side, normalize, copies = case
         idx = np.flatnonzero(batch.present)
         s, a = batch.q_source[idx], batch.q_augmented[idx]
-        if side == "source":
-            x = batch.q_source
-            stacked = lambda stack: contrastive_loss_stack(stack, a, normalize)
-        else:
-            x = batch.q_augmented
-            stacked = lambda stack: contrastive_loss_stack(s, stack, normalize)
+        x = batch.q_source if side == "source" else batch.q_augmented
         expected = oracles.central_difference(
             lambda: contrastive_loss_value(batch, normalize), x
         )
         got = np.zeros_like(x)
-        # a chunk of ``entries`` entries, so most cases end in a partial chunk
-        chunk_bytes = entries * 2 * x[idx].nbytes
+        # stacks of ``copies`` logits copies, so most cases end in a partial stack
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(harness_mod, "_FD_CHUNK_BYTES", chunk_bytes)
-            got[idx] = fd_gradient(stacked, x[idx])
+            mp.setattr(harness_mod, "_FD_CHUNK_BYTES", copies * idx.size**2 * 8)
+            got[idx] = fd_gradient(s, a, side, normalize)
         assert got.tobytes() == expected.tobytes()
 
-    def test_stacks_stay_within_the_chunk_bound(self):
-        x = np.random.default_rng(0).normal(size=(19, 256))
-        before = x.copy()
-        largest, entries = [0], [0]
+    @pytest.mark.parametrize("side", ["source", "augmented"])
+    def test_equals_the_stacked_copies_check_at_the_ocl_gated_shape(self, side):
+        rng = np.random.default_rng(15)
+        s, a = rng.normal(size=(19, 256)), rng.normal(size=(19, 256))
+        assert fd_gradient(s, a, side).tobytes() == stacked_fd(s, a, side).tobytes()
+
+    @pytest.mark.parametrize("n, d", [(19, 256), (300, 2)])
+    def test_logits_stacks_stay_within_the_chunk_bound(self, monkeypatch, n, d):
+        # at n=300 one whole (n, n, n) stack of a column's copies would take 216 MB
+        rng = np.random.default_rng(n)
+        s, a = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+        before = s.tobytes(), a.tobytes()
+        largest, copies = [0], [0]
+        real = harness_mod.contrastive_loss_of_logits
 
         def spy(stack):
             largest[0] = max(largest[0], stack.nbytes)
-            entries[0] += stack.shape[0] // 2
-            return stack.sum(axis=(1, 2))
+            copies[0] += stack.shape[2]
+            return real(stack)
 
-        grad = fd_gradient(spy, x)
-        assert 0 < largest[0] <= harness_mod._FD_CHUNK_BYTES
-        assert entries[0] == x.size
-        assert x.tobytes() == before.tobytes()
-        # each entry moves its row sum by +-step
-        np.testing.assert_allclose(grad, 1.0, rtol=1e-6)
+        monkeypatch.setattr(harness_mod, "contrastive_loss_of_logits", spy)
+        bound = max(harness_mod._FD_CHUNK_BYTES, n * n * 8)
+        report = contrastive_loss(ContrastiveBatch(s, a, np.ones(n, dtype=bool)))
+        for side, analytic in (("source", report.grad_q_source),
+                               ("augmented", report.grad_q_augmented)):
+            largest[0] = copies[0] = 0
+            grad = fd_gradient(s, a, side)
+            assert 0 < largest[0] <= bound
+            assert copies[0] == 2 * n * d
+            assert oracles.relative_gap(grad, analytic) < 1e-6
+        assert (s.tobytes(), a.tobytes()) == before
 
-    def test_an_entry_larger_than_the_bound_goes_alone(self, monkeypatch):
+    def test_a_copy_larger_than_the_bound_goes_alone(self, monkeypatch):
         monkeypatch.setattr(harness_mod, "_FD_CHUNK_BYTES", 8)
         sizes = []
-        fd_gradient(lambda stack: sizes.append(stack.shape[0]) or stack.sum(axis=1), np.ones(3))
-        assert sizes == [2, 2, 2]
+        real = harness_mod.contrastive_loss_of_logits
+        monkeypatch.setattr(
+            harness_mod, "contrastive_loss_of_logits",
+            lambda stack: sizes.append(stack.shape[2]) or real(stack),
+        )
+        s = np.arange(6.0).reshape(3, 2)
+        fd_gradient(s, s[::-1], "augmented")
+        assert sizes == [1] * 12
+
+    @pytest.mark.parametrize(
+        "s, a",
+        [
+            ([[1.0, 2.0], [0.0, 0.0]], [[1.0, 0.5], [2.0, 1.0]]),  # a zero row
+            ([[1.0, 2.0], [3.0, 1.0]], [[1.0, 0.5], [0.0, 0.0]]),  # a zero row on the other side
+            ([[1e-5, 0.0], [3.0, 1.0]], [[1.0, 0.5], [2.0, 1.0]]),  # a copy with a zero row
+            ([[0.0, 0.0]], [[1.0, 0.5]]),  # one zero row: every copy perturbs it
+            ([[1.0, 2.0], [3.0, 1.0]], [[1.0, 0.5], [2.0, 1.0]]),
+        ],
+        ids=["zero-row", "other-side-zero-row", "perturbed-to-zero", "lone-zero-row", "no-zero"],
+    )
+    @pytest.mark.parametrize("side", ["source", "augmented"])
+    def test_normalize_raises_where_a_per_copy_loss_does(self, s, a, side):
+        s, a = np.array(s), np.array(a)
+        try:
+            expected = stacked_fd(s, a, side, normalize=True)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                fd_gradient(s, a, side, normalize=True)
+        else:
+            assert fd_gradient(s, a, side, normalize=True).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    @pytest.mark.parametrize("side", ["source", "augmented"])
+    def test_empty_queries_give_an_empty_gradient(self, shape, side):
+        assert fd_gradient(np.ones(shape), np.ones(shape), side).shape == shape
+
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ValueError, match="side must be"):
+            fd_gradient(np.ones((2, 2)), np.ones((2, 2)), "target")
 
 
 class TestBench:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sa_adapt.object_gating import (
     Annotation,
     AnnotationRecord,
+    GatingMaskSet,
     align_to_tokens,
     build_masks,
     format_annotations,
@@ -110,6 +112,25 @@ class TestAlignToTokens:
             aligned = align_to_tokens(ms, shapes)
             expected = oracles.token_align_any(ms.per_category, shapes)
             np.testing.assert_array_equal(aligned.token_masks, expected)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        size=st.tuples(st.integers(1, 17), st.integers(1, 17)),
+        cells=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=3),
+        density=st.floats(0.0, 0.3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(size=(13, 7), cells=[(0.25, 0.34), (0.34, 0.17)], density=0.05, seed=0)
+    def test_any_pool_on_sizes_the_levels_do_not_divide(self, size, cells, density, seed):
+        # cells[i] picks each level's shape within the image, 13x7 into 4x3 and 5x2 above
+        h, w = size
+        shapes = [(1 + int(fh * (h - 1)), 1 + int(fw * (w - 1))) for fh, fw in cells]
+        per_category = np.random.default_rng(seed).random((3, h, w)) < density
+        ms = GatingMaskSet(per_category, per_category.any(axis=(1, 2)), (h, w))
+        aligned = align_to_tokens(ms, shapes)
+        expected = oracles.token_align_any(per_category, shapes)
+        assert aligned.token_masks.dtype == bool
+        assert aligned.token_masks.tobytes() == expected.tobytes()
 
     def test_token_count_matches_level_sizes(self):
         ann = Annotation(boxes=[(0, 0, 3, 3)], categories=[0])

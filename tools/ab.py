@@ -5,10 +5,12 @@ Usage, from anywhere:
     python3 tools/ab.py --workload train-churn --parent-dir PARENT \\
         --change-dir CHANGE --rounds 16 --seed 1209 --out ab.json
 
-Both checkouts' ``sa_adapt`` packages are imported into one process (the
-parent's first, then the change's, each under the package name in turn), so
-no between-process bias can enter. Each side builds the workload from the
-change's ``benchmarks/workloads.py`` (``WORKLOADS[name](pkg, seed, SIZES)``,
+Both checkouts' ``sa_adapt`` packages are imported into one process, each
+under the package name in turn, so no between-process bias can enter. The
+side imported and set up second read faster in same-checkout runs, so the
+rounds run in two halves: the first half imports and sets up the parent
+first, the second half the change first. Each side builds the workload from
+the change's ``benchmarks/workloads.py`` (``WORKLOADS[name](pkg, seed, SIZES)``,
 then ``setup()``): the shapes, seeds, set-up and checks of
 ``benchmarks/run.py``. Each side generates the workload's stream
 (``workload.spec``) once; unless the items are equal by ``tobytes()`` the
@@ -22,7 +24,8 @@ asks for the item after the last one (the whole call without a stream); and
 first, both sides' reports and the saved bytes of their banks, where the
 workload has them, must be equal, or the tool exits 1. Prints (and with
 ``--out`` writes) per side and phase the median, quartiles and every run,
-and per phase ``change_wins``, the rounds the change was faster.
+and per phase ``change_wins``, the rounds the change was faster, overall
+and, under ``halves``, per half with its import order.
 """
 
 from __future__ import annotations
@@ -102,18 +105,13 @@ def timed_call(workload, marks: list, index: int):
     return (end - start, mark - start, end - mark), report
 
 
-def run(parent_dir: Path, change_dir: Path, name: str, rounds: int, seed: int,
-        sizes: dict | None = None) -> dict:
-    """The A/B result object; raises SystemExit with a message when the two
-    sides' streams, checks or outputs disagree."""
-    workloads = import_workloads(change_dir)
-    if name not in workloads.WORKLOADS:
-        known = ", ".join(workloads.WORKLOADS)
-        raise SystemExit(f"error: unknown workload {name!r}, not one of {known}")
-    sides, items = {}, None
-    for side, checkout in zip(SIDES, (parent_dir, change_dir)):
-        pkg = import_package(checkout)
-        workload = workloads.WORKLOADS[name](pkg, seed, sizes or workloads.SIZES)
+def set_up(dirs: dict, workloads, name: str, seed: int, sizes: dict, order, items):
+    """Import and set up each side in ``order``; their (workload, marks) and
+    the stream items that both sides replay."""
+    sides = {}
+    for side in order:
+        pkg = import_package(dirs[side])
+        workload = workloads.WORKLOADS[name](pkg, seed, sizes)
         workload.setup()
         marks = []
         if hasattr(workload, "spec"):
@@ -124,21 +122,43 @@ def run(parent_dir: Path, change_dir: Path, name: str, rounds: int, seed: int,
                 raise SystemExit(f"error: the two sides generate different {name} streams")
             replay(pkg.harness, workload, items, marks)
         sides[side] = workload, marks
-
-    for side, (workload, marks) in sides.items():
-        if errors := workload.check(timed_call(workload, marks, 0)[1]):
+    for side in SIDES:
+        if errors := sides[side][0].check(timed_call(*sides[side], 0)[1]):
             raise SystemExit(f"error: {side} check failed: {'; '.join(errors)}")
+    return sides, items
+
+
+def wins(times: dict, rounds: range) -> dict:
+    """Per phase, the rounds of ``rounds`` in which the change was faster."""
+    return {phase: sum(times["change"][phase][r] < times["parent"][phase][r] for r in rounds)
+            for phase in PHASES}
+
+
+def run(parent_dir: Path, change_dir: Path, name: str, rounds: int, seed: int,
+        sizes: dict | None = None) -> dict:
+    """The A/B result object; raises SystemExit with a message when the two
+    sides' streams, checks or outputs disagree."""
+    workloads = import_workloads(change_dir)
+    if name not in workloads.WORKLOADS:
+        known = ", ".join(workloads.WORKLOADS)
+        raise SystemExit(f"error: unknown workload {name!r}, not one of {known}")
+    dirs = {"parent": parent_dir, "change": change_dir}
     times = {side: {phase: [] for phase in PHASES} for side in SIDES}
-    for r in range(rounds):
-        seen = {}
-        for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-            phases, report = timed_call(*sides[side], r)
-            banks = getattr(sides[side][0], "banks", None)
-            seen[side] = workloads.report_key(report), banks and [b.save() for b in banks]
-            for phase, value in zip(PHASES, phases):
-                times[side][phase].append(value)
-        if seen["parent"] != seen["change"]:
-            raise SystemExit(f"error: reports or bank bytes differ in round {r}")
+    halves, items = [], None
+    for order, span in ((SIDES, range(rounds // 2)), (SIDES[::-1], range(rounds // 2, rounds))):
+        sides, items = set_up(dirs, workloads, name, seed, sizes or workloads.SIZES, order, items)
+        for r in span:
+            seen = {}
+            for side in SIDES if r % 2 == 0 else SIDES[::-1]:
+                phases, report = timed_call(*sides[side], r)
+                banks = getattr(sides[side][0], "banks", None)
+                seen[side] = workloads.report_key(report), banks and [b.save() for b in banks]
+                for phase, value in zip(PHASES, phases):
+                    times[side][phase].append(value)
+            if seen["parent"] != seen["change"]:
+                raise SystemExit(f"error: reports or bank bytes differ in round {r}")
+        halves.append({"import_order": list(order), "rounds": len(span),
+                       "change_wins": wins(times, span)})
 
     out = {"workload": name, "seed": seed, "rounds": rounds, "reports_identical": True}
     for side in SIDES:
@@ -146,10 +166,8 @@ def run(parent_dir: Path, change_dir: Path, name: str, rounds: int, seed: int,
         for phase, values in times[side].items():
             q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
             out[side][phase] = {"median_s": median, "q1_s": q1, "q3_s": q3, "runs_s": values}
-    out["change_wins"] = {
-        phase: sum(c < p for p, c in zip(times["parent"][phase], times["change"][phase]))
-        for phase in PHASES
-    }
+    out["change_wins"] = wins(times, range(rounds))
+    out["halves"] = halves
     return out
 
 
