@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -149,21 +148,8 @@ def _interleaved(angles: np.ndarray) -> np.ndarray:
     return enc
 
 
-@lru_cache(maxsize=1)
-def _shared_positions(level_shapes: tuple[tuple[int, int], ...], d: int) -> np.ndarray:
-    """Read-only :func:`sine_positions`, kept for the next sequence of the same layout."""
-    positions = sine_positions(list(level_shapes), d)
-    positions.flags.writeable = False
-    return positions
-
-
-def tokens_from_pyramid(pyramid: list[np.ndarray]) -> TokenSequence:
-    """Flatten a single-sample pyramid into a token sequence with encodings.
-
-    Each level must be (1, d, H, W) with a common channel count d, which
-    becomes the token dimension; tokens run row-major within a level.
-    Consecutive sequences of one layout (a pair) share read-only positions.
-    """
+def _flat_tokens(pyramid: list[np.ndarray]) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The (N, d) tokens of a single-sample pyramid and its level shapes."""
     flats, shapes = [], []
     d = None
     for level in pyramid:
@@ -177,8 +163,17 @@ def tokens_from_pyramid(pyramid: list[np.ndarray]) -> TokenSequence:
             raise ValueError(f"channel counts differ across levels: {d} vs {c}")
         flats.append(level[0].reshape(c, h * w).T)  # (H*W, d)
         shapes.append((h, w))
-    tokens = np.concatenate(flats, axis=0)
-    positions = _shared_positions(tuple(shapes), d)
+    return np.concatenate(flats, axis=0), shapes
+
+
+def tokens_from_pyramid(pyramid: list[np.ndarray]) -> TokenSequence:
+    """Flatten a single-sample pyramid into a token sequence with encodings.
+
+    Each level must be (1, d, H, W) with a common channel count d, which
+    becomes the token dimension; tokens run row-major within a level.
+    """
+    tokens, shapes = _flat_tokens(pyramid)
+    positions = sine_positions(shapes, tokens.shape[1])
     boundaries = [0]
     for h, w in shapes:
         boundaries.append(boundaries[-1] + h * w)

@@ -107,21 +107,49 @@ def _present_forward(batch: ContrastiveBatch, normalize: bool) -> tuple[np.ndarr
     return idx, _forward(batch.q_source[idx], batch.q_augmented[idx], normalize)
 
 
-def contrastive_logits(
-    q_source: np.ndarray, q_augmented: np.ndarray, normalize: bool = False
-) -> np.ndarray:
-    """The logits ``[..., j, i] = s_j . a_i`` of (..., n, d) stacks of
-    present-row queries, normalized first if requested, exactly as the loss
-    forms them. Raises ValueError for a zero row under ``normalize``."""
-    unit = [_unit_rows(q, normalize)[0] for q in (q_source, q_augmented)]
-    return unit[0] @ np.swapaxes(unit[1], -1, -2)
+# Bound on one stack of perturbed logits copies in _fd_gradient: with its
+# temporaries it stays in L2, whatever the number of present rows.
+_FD_CHUNK_BYTES = 1 << 20
 
 
-def contrastive_loss_of_logits(logits: np.ndarray) -> np.ndarray:
-    """The loss of (n, n) logits ``[j, i] = s_j . a_i``, or the (m,) losses of
-    an (n, n, m) stack, copies innermost: bit for bit those of the pairs whose
-    :func:`contrastive_logits` the copies equal."""
-    return _tail(logits)[2]
+def _fd_gradient(s: np.ndarray, a: np.ndarray, source: bool, step: float) -> np.ndarray:
+    """Central differences of the (unnormalized) loss of (n, d) present-row
+    queries with respect to x = ``s`` if ``source``, else ``a``.
+
+    Entry (i, k) is ``(loss(up) - loss(down)) / (2 step)`` of the copies of x
+    holding ``x[i, k] + step`` and ``x[i, k] - step``, each loss bit-identical
+    to that copy's alone. A copy changes only row i (source) or column i
+    (augmented) of the logits ``s_j . a_i``, so each column k and sign takes
+    one product of x with column k of every row perturbed, and a copy's logits
+    are the unperturbed ones with that line taken from the product. Loss tails
+    run in one reused stack of at most ``_FD_CHUNK_BYTES`` (or one copy),
+    copies innermost. x is left untouched.
+    """
+    x = s if source else a
+    n, d = x.shape
+    base = s @ a.T
+    copies = max(1, _FD_CHUNK_BYTES // max(base.nbytes, 1))
+    # (column, sign) pairs per stack, each with one perturbed copy of x
+    groups = max(1, min(copies // max(n, 1), _FD_CHUNK_BYTES // max(x.nbytes, 1), 2 * d))
+    rows = max(1, min(n, copies))
+    stack = np.repeat(base[:, :, None], groups * rows, axis=2)  # stack[j, i, copy]
+    # the replaced lines: rows of the logits on the source side, columns on the augmented
+    lines, base_lines = (stack, base) if source else (stack.swapaxes(0, 1), base.T)
+    values = np.empty((2 * d, n))  # values[2 k + sign, i]
+    for g0 in range(0, 2 * d, groups):
+        group = np.arange(g0, min(g0 + groups, 2 * d))
+        xp, k = np.repeat(x[None], group.size, axis=0), group // 2
+        xp[np.arange(group.size), :, k] = np.where(group % 2, x[:, k] - step, x[:, k] + step).T
+        product_lines = xp @ a.T if source else (s @ xp.swapaxes(1, 2)).swapaxes(1, 2)
+        for r0 in range(0, n, rows):
+            block = np.arange(r0, min(r0 + rows, n))
+            j, i = np.repeat(np.arange(group.size), block.size), np.tile(block, group.size)
+            copy = np.arange(j.size)
+            lines[i, :, copy] = product_lines[j, i]
+            values[group[j], i] = _tail(stack[:, :, : copy.size])[2]
+            lines[i, :, copy] = base_lines[i]
+    up, down = values.reshape(d, 2, n).transpose(1, 2, 0)
+    return (up - down) / (2.0 * step)
 
 
 def contrastive_loss_value(batch: ContrastiveBatch, normalize: bool = False) -> float:

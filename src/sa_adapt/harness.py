@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .class_query_attention import (
     AttentionParams,
+    _flat_tokens,
     init_class_queries,
     run_encoder_side,
     tokens_from_pyramid,
@@ -33,9 +34,8 @@ from .class_query_attention import (
 from .config import RunConfig
 from .contrastive_alignment import (
     ContrastiveBatch,
-    contrastive_logits,
+    _fd_gradient,
     contrastive_loss,
-    contrastive_loss_of_logits,
     total_loss,
 )
 from .object_gating import Annotation, align_to_tokens, build_masks
@@ -590,55 +590,12 @@ def synthetic_annotation(
     return Annotation(boxes=boxes, categories=cats)
 
 
-# Bound on one stack of perturbed logits copies in fd_gradient: with its
-# temporaries it stays in L2, whatever the number of present rows.
-_FD_CHUNK_BYTES = 1 << 20
-
-
-def fd_gradient(s: np.ndarray, a: np.ndarray, side: str, normalize: bool = False,
-                step: float = 1e-5) -> np.ndarray:
-    """Central differences of the contrastive loss of (n, d) present-row queries
-    with respect to the ``side`` ("source" or "augmented") matrix x: entry
-    (i, k) is ``(loss(up) - loss(down)) / (2 step)`` of the copies of x holding
-    ``x[i, k] + step`` and ``x[i, k] - step``, each loss bit-identical to that
-    copy's alone. A copy changes only row i (source) or column i (augmented) of
-    the logits ``s_j . a_i``, so each column k and sign takes one product of x
-    with column k of every row perturbed, and a copy's logits are the unperturbed
-    ones with that line taken from it. Loss tails run in one reused stack of at
-    most ``_FD_CHUNK_BYTES`` (or one copy), copies innermost. Raises the
-    per-copy losses' errors (a zero row under ``normalize``); x is untouched."""
-    if side not in ("source", "augmented"):
-        raise ValueError(f"side must be 'source' or 'augmented', got {side!r}")
-    s, a = np.asarray(s, dtype=float), np.asarray(a, dtype=float)
-    source = side == "source"
-    x = s if source else a
-    n, d = x.shape
-    def logits(xp: np.ndarray) -> np.ndarray:
-        return contrastive_logits(*((xp, a) if source else (s, xp)), normalize)
-    # with one row every copy replaces all of the logits, and that row may be zero
-    base = logits(x) if n > 1 else np.zeros((1, 1))
-    copies = max(1, _FD_CHUNK_BYTES // max(base.nbytes, 1))
-    # (column, sign) pairs per stack, each with one perturbed copy of x
-    groups = max(1, min(copies // max(n, 1), _FD_CHUNK_BYTES // max(x.nbytes, 1), 2 * d))
-    rows = max(1, min(n, copies))
-    stack = np.repeat(base[:, :, None], groups * rows, axis=2)  # stack[j, i, copy]
-    # the replaced lines: rows of the logits on the source side, columns on the augmented
-    lines, base_lines = (stack, base) if source else (stack.swapaxes(0, 1), base.T)
-    values = np.empty((2 * d, n))  # values[2 k + sign, i]
-    for g0 in range(0, 2 * d, groups):
-        group = np.arange(g0, min(g0 + groups, 2 * d))
-        xp, k = np.repeat(x[None], group.size, axis=0), group // 2
-        xp[np.arange(group.size), :, k] = np.where(group % 2, x[:, k] - step, x[:, k] + step).T
-        product_lines = logits(xp) if source else logits(xp).swapaxes(1, 2)
-        for r0 in range(0, n, rows):
-            block = np.arange(r0, min(r0 + rows, n))
-            j, i = np.repeat(np.arange(group.size), block.size), np.tile(block, group.size)
-            copy = np.arange(j.size)
-            lines[i, :, copy] = product_lines[j, i]
-            values[group[j], i] = contrastive_loss_of_logits(stack[:, :, : copy.size])
-            lines[i, :, copy] = base_lines[i]
-    up, down = values.reshape(d, 2, n).transpose(1, 2, 0)
-    return (up - down) / (2.0 * step)
+def fd_gradient(s: np.ndarray, a: np.ndarray, source: bool, step: float = 1e-5) -> np.ndarray:
+    """Central differences of the contrastive loss of (n, d) present-row
+    queries with respect to ``s`` (``source``) or ``a``, each perturbed copy's
+    loss bit-identical to that copy's alone; see
+    :func:`contrastive_alignment._fd_gradient`."""
+    return _fd_gradient(np.asarray(s, dtype=float), np.asarray(a, dtype=float), source, step)
 
 
 def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -707,7 +664,8 @@ def run_ocl_demo(
     params = AttentionParams.init_random(d, rng)
     q0 = init_class_queries(num_categories, d, rng)
     seq_src = tokens_from_pyramid(source)
-    seq_aug = tokens_from_pyramid(augmented)
+    # the augmented levels have the source's shapes, so the pair shares one positions array
+    seq_aug = replace(seq_src, tokens=_flat_tokens(augmented)[0])
     q_source = run_encoder_side(q0, [seq_src] * blocks, mask_set, params, config.heads)
     q_augmented = run_encoder_side(q0, [seq_aug] * blocks, mask_set, params, config.heads)
 
@@ -721,8 +679,8 @@ def run_ocl_demo(
     s, a = batch.q_source[idx], batch.q_augmented[idx]
     fd_src = np.zeros_like(batch.q_source)
     fd_aug = np.zeros_like(batch.q_augmented)
-    fd_src[idx] = fd_gradient(s, a, "source")
-    fd_aug[idx] = fd_gradient(s, a, "augmented")
+    fd_src[idx] = fd_gradient(s, a, source=True)
+    fd_aug[idx] = fd_gradient(s, a, source=False)
     fd_err = max(
         max_relative_error(loss_rep.grad_q_source, fd_src),
         max_relative_error(loss_rep.grad_q_augmented, fd_aug),

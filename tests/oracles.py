@@ -162,16 +162,10 @@ def central_difference(func, x, step=1e-5):
     return grad
 
 
-def stacked_contrastive_loss(s, a, normalize=False):
+def stacked_contrastive_loss(s, a):
     """The contrastive loss of every pair in (..., n, d) stacks of present-row
     queries, from whole (..., n, n) logits stacks. The earlier stacked form
     of the library's loss."""
-    if normalize:
-        s_norm = np.linalg.norm(s, axis=-1, keepdims=True)
-        a_norm = np.linalg.norm(a, axis=-1, keepdims=True)
-        if np.any(s_norm == 0.0) or np.any(a_norm == 0.0):
-            raise ValueError("cannot normalize a zero query vector")
-        s, a = s / s_norm, a / a_norm
     logits = s @ np.swapaxes(a, -1, -2)
     shifted = logits - logits.max(axis=-2, keepdims=True)
     z = np.exp(shifted).sum(axis=-2)

@@ -76,3 +76,14 @@ def test_a_changed_parent_exits_nonzero(tmp_path, module, old, new, message):
     result = run_ab(tmp_path, "train-churn")
     assert result.returncode == 1
     assert message in result.stderr
+
+
+@pytest.mark.parametrize("rounds", ["1", "3"])
+def test_rounds_that_do_not_split_into_two_equal_halves_are_rejected(rounds):
+    args = ["--workload", "ocl-gated", "--parent-dir", str(ROOT), "--change-dir", str(ROOT),
+            "--rounds", rounds, "--seed", "4"]
+    result = subprocess.run([sys.executable, str(ROOT / "tools" / "ab.py"), *args],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1
+    assert f"rounds must be even and at least 2, one half per import order, got {rounds}" \
+        in result.stderr

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import sa_adapt.contrastive_alignment as ca_mod
 from sa_adapt.contrastive_alignment import (
     ContrastiveBatch,
     contrastive_loss,
-    contrastive_logits,
-    contrastive_loss_of_logits,
     contrastive_loss_value,
     total_loss,
 )
@@ -160,9 +159,10 @@ class TestContrastiveLoss:
 
 
 def stacked_loss(q_source, q_augmented, normalize):
-    """Losses of (m, n, d) stacks, through an (n, n, m) logits stack."""
-    logits = contrastive_logits(q_source, q_augmented, normalize)
-    return contrastive_loss_of_logits(np.moveaxis(logits, 0, -1))
+    """Losses of (m, n, d) stacks, from the loss tail of an (n, n, m) logits stack
+    formed as the loss forms one pair's logits."""
+    s, a = (ca_mod._unit_rows(q, normalize)[0] for q in (q_source, q_augmented))
+    return ca_mod._tail(np.moveaxis(s @ np.swapaxes(a, -1, -2), 0, -1))[2]
 
 
 class TestStackedLoss:

@@ -13,6 +13,7 @@ from sa_adapt.contrastive_alignment import (
     contrastive_loss_value,
 )
 from sa_adapt.object_gating import Annotation
+import sa_adapt.contrastive_alignment as ca_mod
 import sa_adapt.harness as harness_mod
 from sa_adapt.harness import (
     Report,
@@ -553,6 +554,24 @@ class TestOclDemo:
                 assert norm == 0.0
                 assert coverage == 0.0
 
+    def test_the_pair_shares_one_positions_array(self, monkeypatch):
+        import sa_adapt.class_query_attention as cqa
+
+        made, encoded = [], []
+        real_positions, real_run = cqa.sine_positions, harness_mod.run_encoder_side
+        monkeypatch.setattr(
+            cqa, "sine_positions", lambda *args: made.append(real_positions(*args)) or made[-1]
+        )
+        monkeypatch.setattr(
+            harness_mod, "run_encoder_side",
+            lambda q0, seqs, *args: encoded.append(seqs[0]) or real_run(q0, seqs, *args),
+        )
+        run_ocl_demo(small_config(d=16, heads=2))
+        seq_src, seq_aug = encoded
+        assert len(made) == 1
+        assert seq_src.positions is seq_aug.positions is made[0]
+        assert seq_src.tokens.tobytes() != seq_aug.tokens.tobytes()
+
     def test_fd_agreement_below_tolerance(self):
         cfg = small_config(d=16, heads=2)
         report = run_ocl_demo(cfg)
@@ -576,49 +595,56 @@ class TestOclDemo:
 @st.composite
 def fd_cases(draw):
     """A contrastive batch with at least one present category, the side to
-    perturb, ``normalize``, and a stack bound of 1..2*n*d logits copies."""
+    perturb, and a stack bound of 1..2*n*d logits copies."""
     c, d = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     present = np.array(draw(st.lists(st.booleans(), min_size=c, max_size=c)))
     present[draw(st.integers(0, c - 1))] = True
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     batch = ContrastiveBatch(rng.normal(size=(c, d)), rng.normal(size=(c, d)), present)
-    side, normalize = draw(st.sampled_from(["source", "augmented"])), draw(st.booleans())
     copies = draw(st.integers(1, 2 * int(present.sum()) * d))
-    return batch, side, normalize, copies
+    return batch, draw(st.booleans()), copies
 
 
-def stacked_fd(s, a, side, normalize=False, **kw):
+def stacked_fd(s, a, source):
     """The stacked-copies check of the same loss, from ``oracles``."""
     def loss(stack):
-        pair = (stack, a) if side == "source" else (s, stack)
-        return oracles.stacked_contrastive_loss(*pair, normalize)
+        return oracles.stacked_contrastive_loss(*((stack, a) if source else (s, stack)))
 
-    return oracles.stacked_fd_gradient(loss, s if side == "source" else a, **kw)
+    return oracles.stacked_fd_gradient(loss, s if source else a)
+
+
+def spy_on_loss_tails(monkeypatch, seen):
+    """Record the copy count of every logits stack the check hands to the loss tail."""
+    real = ca_mod._tail
+
+    def spy(logits):
+        seen.append((logits.shape[2], logits.nbytes))
+        return real(logits)
+
+    monkeypatch.setattr(ca_mod, "_tail", spy)
 
 
 class TestFdGradient:
     @settings(deadline=None, max_examples=150)
     @given(fd_cases())
     def test_batched_check_equals_the_per_entry_loop(self, case):
-        batch, side, normalize, copies = case
+        batch, source, copies = case
         idx = np.flatnonzero(batch.present)
         s, a = batch.q_source[idx], batch.q_augmented[idx]
-        x = batch.q_source if side == "source" else batch.q_augmented
-        expected = oracles.central_difference(
-            lambda: contrastive_loss_value(batch, normalize), x
-        )
+        x = batch.q_source if source else batch.q_augmented
+        expected = oracles.central_difference(lambda: contrastive_loss_value(batch), x)
         got = np.zeros_like(x)
         # stacks of ``copies`` logits copies, so most cases end in a partial stack
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(harness_mod, "_FD_CHUNK_BYTES", copies * idx.size**2 * 8)
-            got[idx] = fd_gradient(s, a, side, normalize)
+            mp.setattr(ca_mod, "_FD_CHUNK_BYTES", copies * idx.size**2 * 8)
+            got[idx] = fd_gradient(s, a, source)
         assert got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("side", ["source", "augmented"])
-    def test_equals_the_stacked_copies_check_at_the_ocl_gated_shape(self, side):
+    @pytest.mark.parametrize("source", [True, False])
+    def test_equals_the_stacked_copies_check_at_the_ocl_gated_shape(self, source):
         rng = np.random.default_rng(15)
         s, a = rng.normal(size=(19, 256)), rng.normal(size=(19, 256))
-        assert fd_gradient(s, a, side).tobytes() == stacked_fd(s, a, side).tobytes()
+        assert fd_gradient(s, a, source).tobytes() == stacked_fd(s, a, source).tobytes()
 
     @pytest.mark.parametrize("n, d", [(19, 256), (300, 2)])
     def test_logits_stacks_stay_within_the_chunk_bound(self, monkeypatch, n, d):
@@ -626,68 +652,31 @@ class TestFdGradient:
         rng = np.random.default_rng(n)
         s, a = rng.normal(size=(n, d)), rng.normal(size=(n, d))
         before = s.tobytes(), a.tobytes()
-        largest, copies = [0], [0]
-        real = harness_mod.contrastive_loss_of_logits
-
-        def spy(stack):
-            largest[0] = max(largest[0], stack.nbytes)
-            copies[0] += stack.shape[2]
-            return real(stack)
-
-        monkeypatch.setattr(harness_mod, "contrastive_loss_of_logits", spy)
-        bound = max(harness_mod._FD_CHUNK_BYTES, n * n * 8)
         report = contrastive_loss(ContrastiveBatch(s, a, np.ones(n, dtype=bool)))
-        for side, analytic in (("source", report.grad_q_source),
-                               ("augmented", report.grad_q_augmented)):
-            largest[0] = copies[0] = 0
-            grad = fd_gradient(s, a, side)
-            assert 0 < largest[0] <= bound
-            assert copies[0] == 2 * n * d
+        bound = max(ca_mod._FD_CHUNK_BYTES, n * n * 8)
+        for source, analytic in ((True, report.grad_q_source),
+                                 (False, report.grad_q_augmented)):
+            seen = []
+            with pytest.MonkeyPatch.context() as mp:
+                spy_on_loss_tails(mp, seen)
+                grad = fd_gradient(s, a, source)
+            assert 0 < max(nbytes for _, nbytes in seen) <= bound
+            assert sum(copies for copies, _ in seen) == 2 * n * d
             assert oracles.relative_gap(grad, analytic) < 1e-6
         assert (s.tobytes(), a.tobytes()) == before
 
     def test_a_copy_larger_than_the_bound_goes_alone(self, monkeypatch):
-        monkeypatch.setattr(harness_mod, "_FD_CHUNK_BYTES", 8)
-        sizes = []
-        real = harness_mod.contrastive_loss_of_logits
-        monkeypatch.setattr(
-            harness_mod, "contrastive_loss_of_logits",
-            lambda stack: sizes.append(stack.shape[2]) or real(stack),
-        )
+        monkeypatch.setattr(ca_mod, "_FD_CHUNK_BYTES", 8)
+        seen = []
+        spy_on_loss_tails(monkeypatch, seen)
         s = np.arange(6.0).reshape(3, 2)
-        fd_gradient(s, s[::-1], "augmented")
-        assert sizes == [1] * 12
-
-    @pytest.mark.parametrize(
-        "s, a",
-        [
-            ([[1.0, 2.0], [0.0, 0.0]], [[1.0, 0.5], [2.0, 1.0]]),  # a zero row
-            ([[1.0, 2.0], [3.0, 1.0]], [[1.0, 0.5], [0.0, 0.0]]),  # a zero row on the other side
-            ([[1e-5, 0.0], [3.0, 1.0]], [[1.0, 0.5], [2.0, 1.0]]),  # a copy with a zero row
-            ([[0.0, 0.0]], [[1.0, 0.5]]),  # one zero row: every copy perturbs it
-            ([[1.0, 2.0], [3.0, 1.0]], [[1.0, 0.5], [2.0, 1.0]]),
-        ],
-        ids=["zero-row", "other-side-zero-row", "perturbed-to-zero", "lone-zero-row", "no-zero"],
-    )
-    @pytest.mark.parametrize("side", ["source", "augmented"])
-    def test_normalize_raises_where_a_per_copy_loss_does(self, s, a, side):
-        s, a = np.array(s), np.array(a)
-        try:
-            expected = stacked_fd(s, a, side, normalize=True)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=str(exc)):
-                fd_gradient(s, a, side, normalize=True)
-        else:
-            assert fd_gradient(s, a, side, normalize=True).tobytes() == expected.tobytes()
+        fd_gradient(s, s[::-1], source=False)
+        assert [copies for copies, _ in seen] == [1] * 12
 
     @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
-    @pytest.mark.parametrize("side", ["source", "augmented"])
-    def test_empty_queries_give_an_empty_gradient(self, shape, side):
-        assert fd_gradient(np.ones(shape), np.ones(shape), side).shape == shape
-
-    def test_unknown_side_rejected(self):
-        with pytest.raises(ValueError, match="side must be"):
-            fd_gradient(np.ones((2, 2)), np.ones((2, 2)), "target")
+    @pytest.mark.parametrize("source", [True, False])
+    def test_empty_queries_give_an_empty_gradient(self, shape, source):
+        assert fd_gradient(np.ones(shape), np.ones(shape), source).shape == shape
 
 
 class TestBench:

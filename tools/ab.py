@@ -8,11 +8,11 @@ Usage, from anywhere:
 Both checkouts' ``sa_adapt`` packages are imported into one process, each
 under the package name in turn, so no between-process bias can enter. The
 side imported and set up second read faster in same-checkout runs, so the
-rounds run in two halves: the first half imports and sets up the parent
-first, the second half the change first. Each side builds the workload from
-the change's ``benchmarks/workloads.py`` (``WORKLOADS[name](pkg, seed, SIZES)``,
-then ``setup()``): the shapes, seeds, set-up and checks of
-``benchmarks/run.py``. Each side generates the workload's stream
+rounds (an even number) run in two equal halves: the first half imports and
+sets up the parent first, the second half the change first. Each side builds
+the workload from the change's ``benchmarks/workloads.py``
+(``WORKLOADS[name](pkg, seed, SIZES)``, then ``setup()``): the shapes, seeds,
+set-up and checks of ``benchmarks/run.py``. Each side generates the workload's stream
 (``workload.spec``) once; unless the items are equal by ``tobytes()`` the
 tool exits 1, and both sides then replay the same item arrays. Other specs
 go to the real generator.
@@ -136,8 +136,12 @@ def wins(times: dict, rounds: range) -> dict:
 
 def run(parent_dir: Path, change_dir: Path, name: str, rounds: int, seed: int,
         sizes: dict | None = None) -> dict:
-    """The A/B result object; raises SystemExit with a message when the two
-    sides' streams, checks or outputs disagree."""
+    """The A/B result object for an even ``rounds`` of at least 2; raises
+    SystemExit with a message when the two sides' streams, checks or outputs
+    disagree."""
+    if rounds < 2 or rounds % 2:
+        raise SystemExit(f"error: rounds must be even and at least 2, one half per "
+                         f"import order, got {rounds}")
     workloads = import_workloads(change_dir)
     if name not in workloads.WORKLOADS:
         known = ", ".join(workloads.WORKLOADS)
@@ -159,6 +163,7 @@ def run(parent_dir: Path, change_dir: Path, name: str, rounds: int, seed: int,
                 raise SystemExit(f"error: reports or bank bytes differ in round {r}")
         halves.append({"import_order": list(order), "rounds": len(span),
                        "change_wins": wins(times, span)})
+        del sides  # the next half sets up without this half's workloads alive
 
     out = {"workload": name, "seed": seed, "rounds": rounds, "reports_identical": True}
     for side in SIDES:
@@ -180,8 +185,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    if args.rounds < 2:
-        parser.error("--rounds must be at least 2, for quartiles")
     out = run(args.parent_dir, args.change_dir, args.workload, args.rounds, args.seed)
     text = json.dumps(out)
     print(text)
