@@ -58,9 +58,15 @@ SPREAD_LIMIT = 1e100
 # ocl-demo draws boxes category by category; this is above any detection
 # vocabulary the demo stands in for (LVIS has 1,203 categories).
 MAX_CATEGORIES = 4096
-# bench fills every level's bank one prototype at a time, at a cost that grows
-# as k squared: at this k the set-up takes seconds, not hours.
+# Each timed bench run reads every level's (k, 2C) style matrix, and the set-up
+# fills the banks at a cost linear in k. At C=256 on the four reference levels
+# (2 vCPUs), k = 1024 took ~0.35 s to set up and ~65 ms per run, so the 520
+# default runs take about half a minute; k = 4096 took ~1.2 s and ~105 ms.
 BENCH_MAX_K = 1024
+# Bytes of train-stream maps whose statistics one call takes: at C=64, chunks of
+# 8 (8x8) and 32 (4x4) samples cut the per-sample cost ~4x, as larger ones do.
+# A buffer of this size adds to the peak of a stream of large maps.
+_CHUNK_BYTES = 256 << 10
 # numpy describes an array by a byte count below 2**63, so no float64 array
 # holds this many values, whatever the host's memory.
 MAX_ARRAY_VALUES = 2**60
@@ -412,6 +418,12 @@ def run_train_phase(
     and, per level, the distance of every final prototype to its matched
     offline k-means center (the clustering is computed first, on the same
     observations the bank saw).
+
+    Each level's statistics are taken per chunk of samples, at most
+    ``_CHUNK_BYTES`` of maps stacked in one reused buffer (or one map alone,
+    uncopied), straight into the level's (N, 2C) k-means points; the bank then
+    observes the chunk's samples in stream order. The stream's last sample
+    ends the last chunk, so no sample is drawn before those drawn are observed.
     """
     stream_size = len(spec.style_clusters) * spec.samples_per_cluster
     if stream_size < config.k:
@@ -424,34 +436,44 @@ def run_train_phase(
         StyleMemoryBank(capacity=config.k, alpha=config.alpha, momentum=config.momentum)
         for _ in range(levels)
     ]
-    # one (decision, style vector) step per sample and level
-    steps: list[list[tuple[UpdateReport, np.ndarray]]] = [[] for _ in range(levels)]
-    for pyramid, _ in generate_stream(spec):
+    # one step per sample and level: the bank's decision and the style vector
+    decisions: list[list[UpdateReport]] = [[] for _ in range(levels)]
+    for c, _, _ in spec.pyramid_shapes:
+        _require_allocatable(stream_size * 2 * c, "the style vectors (stream x --channels)")
+    points = [np.empty((stream_size, 2 * c)) for c, _, _ in spec.pyramid_shapes]
+    chunks = [max(1, _CHUNK_BYTES // (8 * c * h * w)) for c, h, w in spec.pyramid_shapes]
+    buffers = [
+        np.empty((n, *shape)) if n > 1 else None for n, shape in zip(chunks, spec.pyramid_shapes)
+    ]
+    for i, (pyramid, _) in enumerate(generate_stream(spec)):
         for li, fmap in enumerate(pyramid):
-            s = compute_stats(fmap, config.epsilon)[0]
-            steps[li].append((banks[li].observe(s), style_vector(s)))
+            j, buf = i % chunks[li], buffers[li]
+            if buf is not None:
+                buf[j] = fmap[0]
+            if j + 1 == chunks[li] or i + 1 == stream_size:
+                chunk = fmap if buf is None else buf[: j + 1]
+                stats = compute_stats(chunk, config.epsilon, out=points[li][i - j : i + 1])
+                decisions[li].extend(banks[li].observe(s) for s in stats)
 
     report = Report()
     report.add("train.samples", stream_size, "count")
     report.add("train.levels", levels, "count")
     report.add("train.capacity", config.k, "count")
     center_distances = []
-    for li, level_steps in enumerate(steps):
-        decisions, vectors = zip(*level_steps)
-        points = np.stack(vectors)
+    for li, level_points in enumerate(points):
         centers, assign, inertia = offline_kmeans(
-            points, config.k, restarts=50, seed=config.seed
+            level_points, config.k, restarts=50, seed=config.seed
         )
         prot = banks[li].vectors()
         matched, dists = match_to_centers(prot, centers)
         spreads = []
         for j in range(config.k):
-            members = points[assign == j]  # none when k-means drew equal points as centers
+            members = level_points[assign == j]  # none when k-means drew equal points as centers
             spread = sq_distances(members, centers[j : j + 1]).mean() if len(members) else 0.0
             spreads.append(float(spread))
         center_distances.append(dists)
-        taus = [rep.tau for rep in decisions if rep.tau is not None]
-        evictions = sum(rep.action == "replace" for rep in decisions)
+        taus = [rep.tau for rep in decisions[li] if rep.tau is not None]
+        evictions = sum(rep.action == "replace" for rep in decisions[li])
         report.add(f"train.level{li}.evictions", evictions, "count")
         report.add(f"train.level{li}.kmeans_inertia", inertia, "dist2")
         report.add(
@@ -464,7 +486,7 @@ def run_train_phase(
             report.add(
                 f"train.level{li}.proto{j}.cluster_spread", spreads[center_idx], "dist2"
             )
-    report.extra["tau_trajectory"] = [[rep.tau for rep, _ in level] for level in steps]
+    report.extra["tau_trajectory"] = [[rep.tau for rep in level] for level in decisions]
     report.extra["center_distances"] = center_distances
 
     if out_dir is not None:

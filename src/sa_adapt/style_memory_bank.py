@@ -26,12 +26,19 @@ Binary persistence format (version 1, little-endian throughout):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FormatError, StateError
-from .style_statistics import ChannelStats, check_moment, sq_distances, style_vector
+from .style_statistics import (
+    ChannelStats,
+    check_moment,
+    check_vector,
+    checked_vector,
+    sq_distances,
+    style_vector,
+)
 from .tensor_core import DTYPE
 
 MAGIC = b"SABANK"
@@ -78,8 +85,7 @@ class StylePrototype(ChannelStats):
     last_update: int = 0
 
     def __post_init__(self):
-        super().__post_init__()
-        self._row = style_vector(self)
+        self._row = checked_vector(self)
 
     def __setattr__(self, name: str, value) -> None:
         """Check the counters on every assignment, the constructor's included:
@@ -105,6 +111,15 @@ class StylePrototype(ChannelStats):
     p_std = property(lambda self: self.std, doc="Read-only alias of ``std``.")
 
 
+def _fresh_prototype(row: np.ndarray, step: int) -> StylePrototype:
+    """A prototype first seen at ``step``, stored in ``row``, a style vector
+    already checked: none of the constructor's passes repeats that check."""
+    p = object.__new__(StylePrototype)
+    p._row = row
+    vars(p).update(use_count=1, last_update=step)
+    return p
+
+
 @dataclass
 class UpdateReport:
     """What a single observe() did: which prototype was credited and why."""
@@ -122,10 +137,13 @@ class StyleMemoryBank:
     ``observe`` is a read-modify-write and needs exclusive access;
     ``distances``/``save`` are read-only between updates.
 
-    The (K, 2C) style matrix is the storage: prototype i's ``mean`` and ``std``
-    are views of row i. Each assignment of ``prototypes`` (bootstrap's too)
-    builds it once, copying a prototype bound to another matrix or listed
-    twice; replace and fuse write one row in place.
+    The style matrix is the storage: prototype i's ``mean`` and ``std`` are
+    views of row i; rows past ``len(prototypes)`` are free. Each assignment of
+    ``prototypes`` builds it once, copying a prototype bound to another matrix
+    or listed twice. Bootstrap writes the next free row (the matrix grows
+    geometrically, at most to ``capacity``), replace and fuse write one row in
+    place; bootstrap and replace change only the list of live prototypes, from
+    which the ``prototypes`` tuple is rebuilt when next read.
     """
 
     capacity: int = 4
@@ -133,7 +151,13 @@ class StyleMemoryBank:
     momentum: float = 0.9
     mode: str = "train"
     step: int = 0
-    prototypes: tuple[StylePrototype, ...] = ()
+    prototypes: tuple[StylePrototype, ...] = field(default_factory=tuple)
+
+    def __getattr__(self, name: str):  # only reached while ``prototypes`` is stale
+        if name != "prototypes" or "_live" not in vars(self):
+            raise AttributeError(name)
+        value = vars(self)["prototypes"] = tuple(self._live)
+        return value
 
     def __setattr__(self, name: str, value) -> None:
         """Check every field on every assignment, the constructor's included,
@@ -147,7 +171,7 @@ class StyleMemoryBank:
             if not _is_count(value, 0, _U64_LIMIT):
                 raise ValueError(f"step must be an integer in [0, 2**64), got {value!r}")
             if value < vars(self).get("step", 0):  # only a falling step can pass one
-                _check_updates(self.prototypes, value)
+                _check_updates(vars(self).get("_live", ()), value)
         if name == "capacity" and not _is_count(value, 1, _U32_LIMIT):
             raise ValueError(f"capacity must be an integer in [1, 2**32), got {value!r}")
         if name == "alpha" and not 0.0 < value < np.inf:
@@ -162,11 +186,10 @@ class StyleMemoryBank:
         if name == "mode" and value not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {value!r}")
         if name == "capacity" or name == "prototypes":
-            state = vars(self) | {name: value}
-            if "prototypes" in state and len(state["prototypes"]) > state["capacity"]:
-                raise ValueError(
-                    f"{len(state['prototypes'])} prototypes exceed capacity {state['capacity']}"
-                )
+            count = len(value if name == "prototypes" else vars(self).get("_live", ()))
+            capacity = value if name == "capacity" else self.capacity
+            if count > capacity:
+                raise ValueError(f"{count} prototypes exceed capacity {capacity}")
         if name == "prototypes":
             _check_updates(value, self.step)
             if len({p.channels for p in value}) > 1:
@@ -183,17 +206,18 @@ class StyleMemoryBank:
             for p, row in zip(value, matrix):
                 p._row = row
             object.__setattr__(self, "_matrix", matrix)
+            object.__setattr__(self, "_live", list(value))
         object.__setattr__(self, name, value)
 
     def __reduce__(self):  # copy, deepcopy and pickle go through the file format
         return load, (self.save(),)
 
     def __len__(self) -> int:
-        return len(self.prototypes)
+        return len(self._live)
 
     @property
     def channels(self) -> int | None:
-        return self.prototypes[0].channels if self.prototypes else None
+        return self._live[0].channels if self._live else None
 
     def _check_channels(self, s: ChannelStats) -> None:
         c = self.channels
@@ -202,9 +226,9 @@ class StyleMemoryBank:
 
     def vectors(self) -> np.ndarray:
         """A copy of the (K, 2C) style matrix: prototype style vectors in storage order."""
-        if not self.prototypes:
+        if not self._live:
             raise StateError("empty bank holds no prototype vectors")
-        return self._matrix.copy()
+        return self._matrix[: len(self._live)].copy()
 
     def distances(self, s: ChannelStats) -> np.ndarray:
         """Style distance from ``s`` to every stored prototype, storage order."""
@@ -221,29 +245,38 @@ class StyleMemoryBank:
         a state error.
         """
         self._check_channels(s)
-        if not self.prototypes and self.mode != "train":
+        if not self._live and self.mode != "train":
             raise StateError("observe() on an empty bank in tta mode")
         self.step += 1
-        if len(self.prototypes) < self.capacity and self.mode == "train":
-            self.prototypes = (*self.prototypes, StylePrototype(s.mean, s.std, 1, self.step))
-            return UpdateReport("bootstrap", len(self.prototypes) - 1)
+        protos, n = self._live, len(self._live)
+        if n < self.capacity and self.mode == "train":
+            v = checked_vector(s)
+            if n == len(self._matrix):  # no free row: grow geometrically, at most to capacity
+                grown = np.empty((min(self.capacity, 2 * n + 1), len(v)))
+                for p, row in zip(protos, grown):
+                    row[...] = p._row
+                    p._row = row
+                object.__setattr__(self, "_matrix", grown)
+            self._matrix[n] = v
+            protos.append(_fresh_prototype(self._matrix[n], self.step))
+            vars(self).pop("prototypes", None)
+            return UpdateReport("bootstrap", n)
 
         v = style_vector(s)
-        d = sq_distances(v[None], self._matrix)[0]
+        d = sq_distances(v[None], self._matrix[:n])[0]
         tau = float(self.alpha / self.capacity * np.sum(d))
         nearest = int(np.argmin(d))
         d_min = float(d[nearest])
 
-        protos = self.prototypes
         if d_min > tau and self.mode == "train":
+            check_vector(v)
             victim = min(
                 range(len(protos)), key=lambda i: (protos[i].use_count, protos[i].last_update)
             )
-            fresh = StylePrototype(s.mean, s.std, 1, self.step)
             protos[victim]._row = self._matrix[victim].copy()  # the evicted one keeps its values
             self._matrix[victim] = v
-            fresh._row = self._matrix[victim]
-            object.__setattr__(self, "prototypes", (*protos[:victim], fresh, *protos[victim + 1 :]))
+            protos[victim] = _fresh_prototype(self._matrix[victim], self.step)
+            vars(self).pop("prototypes", None)
             return UpdateReport("replace", victim, d_min=d_min, tau=tau)
 
         p = protos[nearest]

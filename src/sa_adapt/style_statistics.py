@@ -38,14 +38,7 @@ class ChannelStats:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=DTYPE)
         self.std = np.asarray(self.std, dtype=DTYPE)
-        if self.mean.ndim != 1 or self.std.ndim != 1 or self.mean.size == 0:
-            raise ValueError("mean and std must be non-empty 1-D per-channel vectors")
-        if self.mean.shape != self.std.shape:
-            raise ValueError(
-                f"mean/std channel counts disagree: {self.mean.shape} vs {self.std.shape}"
-            )
-        check_moment("mean", self.mean)
-        check_moment("std", self.std)
+        checked_vector(self)
 
     @property
     def channels(self) -> int:
@@ -60,25 +53,52 @@ def check_moment(name: str, values: np.ndarray) -> None:
         raise ValueError("channel stds must be strictly positive")
 
 
-def compute_stats(f: np.ndarray, epsilon: float = EPSILON) -> list[ChannelStats]:
+def check_vector(v: np.ndarray) -> None:
+    """:func:`check_moment` of both halves of a ``[mean, std]`` vector, in one
+    pass over it when it is valid; a fault raises the error of its half."""
+    c = len(v) // 2
+    if not (np.isfinite(v).all() and (v[c:] > 0.0).all()):
+        check_moment("mean", v[:c])
+        check_moment("std", v[c:])
+
+
+def checked_vector(s: ChannelStats) -> np.ndarray:
+    """``style_vector(s)`` in float64, raising the ValueError of the
+    ``ChannelStats(s.mean, s.std)`` constructor for values assigned or changed
+    in place since ``s`` was built."""
+    mean = np.asarray(s.mean, dtype=DTYPE)
+    std = np.asarray(s.std, dtype=DTYPE)
+    if mean.ndim != 1 or std.ndim != 1 or mean.size == 0:
+        raise ValueError("mean and std must be non-empty 1-D per-channel vectors")
+    if mean.shape != std.shape:
+        raise ValueError(f"mean/std channel counts disagree: {mean.shape} vs {std.shape}")
+    v = np.concatenate([mean, std])
+    check_vector(v)
+    return v
+
+
+def compute_stats(f: np.ndarray, epsilon: float = EPSILON, out=None) -> list[ChannelStats]:
     """Per-sample channel statistics of a (B, C, H, W) feature map.
 
     mean[b, c] is the spatial average; std[b, c] = sqrt(spatial variance
     + epsilon), so a constant channel yields std = sqrt(epsilon). Returns
-    one ChannelStats per batch sample.
+    one ChannelStats per batch sample. Row b of the (B, 2C) style matrix
+    ``out`` (allocated when omitted) receives sample b's style vector
+    ``[mean, std]``, and that record's ``mean`` and ``std`` are views of it.
 
     One pass over blocks of channel rows: per block, the row sums give the
     means, ``block - mean`` is written into one reused buffer and squared in
     place, and its row sums give the variances. Every channel is reduced
     over its own contiguous H*W run, as ``f.mean(axis=(2, 3))`` and
     ``np.mean((f - mean) ** 2, axis=(2, 3))`` reduce it, so the bits are
-    theirs. The first row sums prove each block finite; one check of all
-    (B, C) means and stds stands in for the records' own checks.
+    theirs, whatever the batch size. The first row sums prove each block
+    finite; one check of the style matrix stands in for the records' own
+    checks.
     """
-    return _moments(check_feature_map(f), epsilon)
+    return _moments(check_feature_map(f), epsilon, out=out)
 
 
-def _moments(f, epsilon, scale=None, shift=None) -> list[ChannelStats]:
+def _moments(f, epsilon, scale=None, shift=None, out=None) -> list[ChannelStats]:
     """:func:`compute_stats` of a checked map ``f``, or, given (B*C,) ``scale`` and
     ``shift``, of ``f * scale + shift``, each block remapped into the buffer first."""
     b, c, h, w = f.shape
@@ -99,13 +119,15 @@ def _moments(f, epsilon, scale=None, shift=None) -> list[ChannelStats]:
         np.subtract(block, mean[sl, None], out=dev)
         np.multiply(dev, dev, out=dev)
         np.divide(dev.sum(axis=1), h * w, out=var[sl])
-    mean = mean.reshape(b, c)
-    std = np.sqrt(var + epsilon).reshape(b, c)
-    if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0.0).all()):
-        return [ChannelStats(m, sd) for m, sd in zip(mean, std)]  # raises the first fault
+    out = np.empty((b, 2 * c)) if out is None else out
+    out[:, :c] = mean.reshape(b, c)
+    var += epsilon
+    np.sqrt(var.reshape(b, c), out=out[:, c:])
+    if not (np.isfinite(out).all() and (out[:, c:] > 0.0).all()):
+        return [ChannelStats(v[:c], v[c:]) for v in out]  # raises the first fault
     records = [object.__new__(ChannelStats) for _ in range(b)]  # valid, as checked above
-    for s, m, sd in zip(records, mean, std):
-        s.mean, s.std = m, sd
+    for s, v in zip(records, out):
+        s.mean, s.std = v[:c], v[c:]
     return records
 
 

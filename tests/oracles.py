@@ -3,8 +3,9 @@
 Everything here is deliberately written as plain loops (or a separate
 textbook algorithm), independent of the library code paths it checks. The
 whole-map formulas (``stats_whole_map``, ``affine_remap``), the stacked-copies
-finite differences and the dense masked attention are the exception: they
-are the references that the faster forms reproduce bit for bit.
+finite differences, the dense masked attention and the per-sample train phase
+are the exception: they are the references that the faster forms reproduce
+bit for bit.
 """
 
 from __future__ import annotations
@@ -275,3 +276,60 @@ def match_permutations(vectors, centers):
         if cost < best_cost:
             best_perm, best_cost = perm, cost
     return list(best_perm)
+
+
+def per_sample_train(config, spec):
+    """The train phase one sample and level at a time, as it ran before the
+    stream was taken in chunks: one ``compute_stats`` call per map and one
+    ``style_vector`` per step. Returns (banks, report), the reference for
+    ``harness.run_train_phase`` (which also writes the files)."""
+    from sa_adapt.harness import (
+        Report, StyleMemoryBank, compute_stats, generate_stream, match_to_centers,
+        offline_kmeans, sq_distances, style_vector,
+    )
+
+    stream_size = len(spec.style_clusters) * spec.samples_per_cluster
+    levels = len(spec.pyramid_shapes)
+    banks = [
+        StyleMemoryBank(capacity=config.k, alpha=config.alpha, momentum=config.momentum)
+        for _ in range(levels)
+    ]
+    steps = [[] for _ in range(levels)]
+    for pyramid, _ in generate_stream(spec):
+        for li, fmap in enumerate(pyramid):
+            s = compute_stats(fmap, config.epsilon)[0]
+            steps[li].append((banks[li].observe(s), style_vector(s)))
+
+    report = Report()
+    report.add("train.samples", stream_size, "count")
+    report.add("train.levels", levels, "count")
+    report.add("train.capacity", config.k, "count")
+    center_distances = []
+    for li, level_steps in enumerate(steps):
+        decisions, vectors = zip(*level_steps)
+        points = np.stack(vectors)
+        centers, assign, inertia = offline_kmeans(
+            points, config.k, restarts=50, seed=config.seed
+        )
+        matched, dists = match_to_centers(banks[li].vectors(), centers)
+        spreads = []
+        for j in range(config.k):
+            members = points[assign == j]
+            spread = sq_distances(members, centers[j : j + 1]).mean() if len(members) else 0.0
+            spreads.append(float(spread))
+        center_distances.append(dists)
+        taus = [rep.tau for rep in decisions if rep.tau is not None]
+        evictions = sum(rep.action == "replace" for rep in decisions)
+        report.add(f"train.level{li}.evictions", evictions, "count")
+        report.add(f"train.level{li}.kmeans_inertia", inertia, "dist2")
+        report.add(
+            f"train.level{li}.tau_mean", float(np.mean(taus)) if taus else 0.0, "dist2"
+        )
+        for j, (center_idx, dist) in enumerate(zip(matched, dists)):
+            report.add(f"train.level{li}.proto{j}.center_distance", dist, "dist2")
+            report.add(
+                f"train.level{li}.proto{j}.cluster_spread", spreads[center_idx], "dist2"
+            )
+    report.extra["tau_trajectory"] = [[rep.tau for rep, _ in level] for level in steps]
+    report.extra["center_distances"] = center_distances
+    return banks, report

@@ -87,3 +87,31 @@ def test_rounds_that_do_not_split_into_two_equal_halves_are_rejected(rounds):
     assert result.returncode == 1
     assert f"rounds must be even and at least 2, one half per import order, got {rounds}" \
         in result.stderr
+
+
+STUB_RUN = """
+import json
+print("host " + json.dumps({"git_commit": "unknown"}))
+metrics = {m: {"value": 1.0, "unit": "x"}
+           for m in ("items_per_s", "call_s.mean", "setup_s", "peak_rss_mb")}
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}))
+"""
+
+
+def test_bench_pairs_records_each_sides_resolved_checkout(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "benchmarks").mkdir(parents=True)
+        (tmp_path / side / "benchmarks" / "run.py").write_text(STUB_RUN)
+        (tmp_path / side / "src").mkdir()
+    out = tmp_path / "pairs.json"
+    args = ["--parent-dir", str(tmp_path / "change" / ".." / "parent"),
+            "--change-dir", "change", "--pairs", "train-churn=2", "--first-seed", "1",
+            "--seconds", "0.1", "--out", str(out)]
+    result = subprocess.run([sys.executable, str(ROOT / "tools" / "bench_pairs.py"), *args],
+                            cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    document = json.loads(out.read_text())
+    paths = {side: str((tmp_path / side).resolve()) for side in ("parent", "change")}
+    assert document["checkouts"] == paths
+    assert len(document["runs"]) == 4
+    assert all(run["checkout"] == paths[run["side"]] for run in document["runs"])

@@ -1,9 +1,11 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sa_adapt.cli import main as cli_main
 from sa_adapt.config import TTA_ORDERS, RunConfig
@@ -36,6 +38,52 @@ from sa_adapt.harness import (
     write_report,
 )
 from sa_adapt.style_memory_bank import StyleMemoryBank, load
+
+
+def _benchmark_report_key():
+    """``report_key`` of ``benchmarks/workloads.py``: the canonical report text
+    the benchmark compares calls by."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.report_key
+
+
+report_key = _benchmark_report_key()
+
+
+def stream_spec(seed, clusters, samples, channels, levels, spread=0.05):
+    return SyntheticDomainSpec(
+        style_clusters=[
+            StyleCluster(mean_seed=31 * seed + 7 * i, std_seed=31 * seed + 7 * i + 1, spread=spread)
+            for i in range(clusters)
+        ],
+        pyramid_shapes=[(channels, h, w) for h, w in levels],
+        samples_per_cluster=samples,
+        rng_seed=seed,
+    )
+
+
+def recording_stream(monkeypatch, on_next=None):
+    """Wrap ``generate_stream`` in the harness; returns the list of the maps
+    it yielded, per sample. ``on_next(i)`` runs before the i-th ``next()``."""
+    real, yielded = harness_mod.generate_stream, []
+
+    def stream(spec):
+        gen = real(spec)
+        while True:
+            if on_next is not None:
+                on_next(len(yielded))
+            try:
+                item = next(gen)
+            except StopIteration:
+                return
+            yielded.append(item[0])
+            yield item
+
+    monkeypatch.setattr(harness_mod, "generate_stream", stream)
+    return yielded
 from sa_adapt.style_projection import project
 from sa_adapt.style_statistics import compute_stats, sq_distances
 
@@ -418,6 +466,123 @@ class TestTrainPhase:
         a = np.stack([p.p_mean for p in banks[0].prototypes])
         b = np.stack([p.p_mean for p in banks[1].prototypes])
         assert a.shape == b.shape and not np.allclose(a, b)
+
+
+
+class TestTrainChunks:
+    """The train stream's statistics are taken per chunk of samples; every
+    output equals the per-sample loop's (``oracles.per_sample_train``)."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**16),
+        clusters=st.integers(1, 4),
+        samples=st.integers(1, 9),
+        channels=st.integers(1, 3),
+        levels=st.lists(
+            st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda s: s[0] * s[1] >= 2),
+            min_size=1, max_size=3,
+        ),
+        k=st.integers(1, 4),
+        alpha=st.sampled_from([0.05, 0.7]),
+        chunk_bytes=st.integers(1, 2048),
+    )
+    # one-sample chunks everywhere
+    @example(seed=1, clusters=3, samples=5, channels=2, levels=[(3, 3), (2, 1)], k=3,
+             alpha=0.05, chunk_bytes=1)
+    # chunks of 3 over 10 samples: the last chunk holds one
+    @example(seed=2, clusters=2, samples=5, channels=1, levels=[(2, 2)], k=2, alpha=0.05,
+             chunk_bytes=100)
+    # a 256-byte level over the bound, alone, beside a 32-byte level in chunks of 6, 6, 2
+    @example(seed=3, clusters=2, samples=7, channels=2, levels=[(4, 4), (2, 1)], k=4,
+             alpha=0.05, chunk_bytes=200)
+    def test_chunked_stream_equals_the_per_sample_loop(
+        self, seed, clusters, samples, channels, levels, k, alpha, chunk_bytes
+    ):
+        assume(k <= clusters * samples)
+        config = RunConfig(k=k, alpha=alpha, seed=seed)
+        spec = stream_spec(seed, clusters, samples, channels, levels, spread=0.8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness_mod, "_CHUNK_BYTES", chunk_bytes)
+            banks, report = run_train_phase(config, spec)
+        ref_banks, ref_report = oracles.per_sample_train(config, spec)
+        assert [b.save() for b in banks] == [b.save() for b in ref_banks]
+        assert report_key(report) == report_key(ref_report)
+
+    def test_chunks_follow_the_byte_bound(self, monkeypatch):
+        monkeypatch.setattr(harness_mod, "_CHUNK_BYTES", 200)
+        yielded = recording_stream(monkeypatch)
+        calls, real = [], harness_mod.compute_stats
+
+        def recording(f, *args, **kwargs):
+            calls.append((f, f.copy()))  # a chunk's buffer is reused by the next chunk
+            return real(f, *args, **kwargs)
+
+        monkeypatch.setattr(harness_mod, "compute_stats", recording)
+        spec = stream_spec(3, clusters=2, samples=7, channels=2, levels=[(4, 4), (2, 1)])
+        run_train_phase(RunConfig(k=4), spec)
+        big = [f for f, _ in calls if f.shape[1:] == (2, 4, 4)]
+        small = [(f, seen) for f, seen in calls if f.shape[1:] == (2, 2, 1)]
+        # a 256-byte map is over the bound: each goes alone, as the stream's own array
+        assert len(big) == 14 and all(f is pyramid[0] for f, pyramid in zip(big, yielded))
+        # 32-byte maps go six to a chunk, and the last chunk takes the rest
+        assert [len(seen) for _, seen in small] == [6, 6, 2]
+        assert small[0][0].base is small[1][0].base is small[2][0].base  # one reused buffer
+        stacked = np.concatenate([pyramid[1] for pyramid in yielded])
+        assert np.concatenate([seen for _, seen in small]).tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 100, harness_mod._CHUNK_BYTES])
+    def test_every_sample_is_observed_before_the_stream_ends(self, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(harness_mod, "_CHUNK_BYTES", chunk_bytes)
+        observed, nexts = [], []
+        real_observe = StyleMemoryBank.observe
+
+        def counting(bank, s):
+            observed.append(1)
+            return real_observe(bank, s)
+
+        monkeypatch.setattr(StyleMemoryBank, "observe", counting)
+        yielded = recording_stream(monkeypatch, on_next=lambda i: nexts.append(len(observed)))
+        spec = stream_spec(5, clusters=3, samples=7, channels=2, levels=[(3, 2), (2, 1)])
+        run_train_phase(RunConfig(k=3), spec)
+        assert len(yielded) == 21
+        # 22 next() calls; the last one, which ends the stream, finds all 2 x 21 observed
+        assert len(nexts) == 22 and nexts[-1] == 2 * 21
+
+    @pytest.mark.parametrize("sample, level", [(4, 1), (9, 0), (20, 1)])
+    def test_a_non_finite_map_inside_a_chunk_fails_as_before(self, monkeypatch, sample, level):
+        real = harness_mod.generate_stream
+
+        def poisoned(spec):
+            for i, (pyramid, label) in enumerate(real(spec)):
+                if i == sample:
+                    pyramid[level][0, 0, 0, 0] = np.nan
+                yield pyramid, label
+
+        monkeypatch.setattr(harness_mod, "generate_stream", poisoned)
+        monkeypatch.setattr(harness_mod, "_CHUNK_BYTES", 3200)  # chunks of 8, and of all 21
+        spec = stream_spec(6, clusters=3, samples=7, channels=2, levels=[(5, 5), (2, 1)])
+        with pytest.raises(ValueError) as ours:
+            run_train_phase(RunConfig(k=3), spec)
+        with pytest.raises(ValueError) as reference:
+            oracles.per_sample_train(RunConfig(k=3), spec)
+        assert str(ours.value) == str(reference.value) == "feature map contains non-finite values"
+
+    def test_train_bank_reports_a_non_finite_map_on_one_line(self, monkeypatch, tmp_path, capsys):
+        real = harness_mod.generate_stream
+
+        def poisoned(spec):
+            for i, (pyramid, label) in enumerate(real(spec)):
+                if i == 3:
+                    pyramid[0][0, 0, 0, 0] = np.inf
+                yield pyramid, label
+
+        monkeypatch.setattr(harness_mod, "generate_stream", poisoned)
+        argv = ["train-bank", "--channels", "4", "--levels", "4x4,2x2", "--out-dir", str(tmp_path)]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "sa-adapt: error: feature map contains non-finite values\n"
+        assert not any(tmp_path.iterdir())
 
 
 class TestTtaPhase:

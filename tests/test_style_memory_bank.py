@@ -1,4 +1,5 @@
 import copy
+import re
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sa_adapt.errors import FormatError, StateError
+import sa_adapt.style_memory_bank as bank_mod
 from sa_adapt.style_memory_bank import StyleMemoryBank, StylePrototype, load
 from sa_adapt.style_statistics import ChannelStats, style_distance, style_vector
 
@@ -226,6 +228,102 @@ class TestObserve:
         bank.observe(stats([0.0], [1.0]))
         with pytest.raises(ValueError):
             bank.observe(stats([0.0, 1.0], [1.0, 1.0]))
+
+
+
+def _assign(name, value):
+    def mutate(s):
+        setattr(s, name, value)
+    return mutate
+
+
+def _in_place(name, index, value):
+    def mutate(s):
+        getattr(s, name)[index] = value
+    return mutate
+
+
+HOSTILE_STATS = {  # changes to a valid 2-channel ChannelStats after it was built
+    "nan-mean": _in_place("mean", 0, np.nan),
+    "inf-mean": _assign("mean", np.array([np.inf, 0.0])),
+    "zero-std": _in_place("std", 1, 0.0),
+    "negative-std": _assign("std", np.array([-1.0, 1.0])),
+    "nan-std": _in_place("std", 0, np.nan),
+    "three-stds": _assign("std", np.ones(3)),
+    "2-D-std": _assign("std", np.ones((2, 1))),
+}
+
+
+class TestBankGrowth:
+    def test_bootstrap_writes_one_row_and_checks_only_the_new_prototype(self, monkeypatch):
+        checked, assigned, real = [], [], bank_mod.checked_vector
+        monkeypatch.setattr(bank_mod, "checked_vector", lambda s: checked.append(1) or real(s))
+        real_setattr = StyleMemoryBank.__setattr__
+
+        def spy(bank, name, value):
+            assigned.append(name)
+            real_setattr(bank, name, value)
+
+        monkeypatch.setattr(StyleMemoryBank, "__setattr__", spy)
+        rng = np.random.default_rng(0)
+        bank = StyleMemoryBank(capacity=100)
+        observed = [random_stats(rng, 3) for _ in range(100)]
+        matrices = []
+        for s in observed:
+            bank.observe(s)
+            if not matrices or matrices[-1] is not bank._matrix:
+                matrices.append(bank._matrix)
+        assert len(checked) == 100 and assigned.count("prototypes") == 1  # the constructor's
+        # grown 1, 3, 7, 15, 31, 63 and 100 rows: geometric, and never past capacity
+        assert [len(m) for m in matrices] == [1, 3, 7, 15, 31, 63, 100]
+        assert bank.vectors().tobytes() == np.stack([style_vector(s) for s in observed]).tobytes()
+        assert all(p.mean.base is bank._matrix for p in bank.prototypes)
+
+    def test_only_live_rows_are_read(self):
+        rng = np.random.default_rng(1)
+        bank = StyleMemoryBank(capacity=10)
+        for _ in range(4):
+            bank.observe(random_stats(rng, 2))
+        assert len(bank._matrix) == 7  # three free rows
+        bank._matrix[4:] = np.nan
+        s = random_stats(rng, 2)
+        assert bank.vectors().shape == (4, 4)
+        assert bank.distances(s).shape == (4,)
+        bank.mode = "tta"
+        rep = bank.observe(s)
+        assert rep.action == "fuse" and rep.index < 4 and np.isfinite(rep.tau)
+
+    def test_a_prototype_tuple_read_before_an_update_keeps_its_entries(self):
+        bank = StyleMemoryBank(capacity=3, alpha=0.05)
+        bank.observe(stats([0.0, 0.0], [1.0, 1.0]))
+        held = bank.prototypes
+        bank.observe(stats([5.0, 5.0], [1.0, 1.0]))
+        assert len(held) == 1 and len(bank.prototypes) == 2 and bank.prototypes[0] is held[0]
+
+    @pytest.mark.parametrize("mutate", HOSTILE_STATS.values(), ids=HOSTILE_STATS)
+    def test_a_hostile_bootstrap_raises_the_constructor_error(self, mutate):
+        bank = StyleMemoryBank(capacity=3)
+        bank.observe(stats([0.0, 1.0], [1.0, 1.0]))
+        s = stats([0.5, 0.5], [1.0, 2.0])
+        mutate(s)
+        with pytest.raises(ValueError) as expected:
+            ChannelStats(s.mean, s.std)
+        before = bank.save()
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            bank.observe(s)
+        assert len(bank) == 1 and bank.vectors().tobytes() == load(before).vectors().tobytes()
+
+    @pytest.mark.parametrize("std", [0.0, -1.0])
+    def test_a_hostile_replacement_raises_the_constructor_error(self, std):
+        bank = full_bank(np.random.default_rng(5), channels=2, k=2, alpha=0.05)
+        far = stats([1e3, -1e3], [1.0, 1.0])
+        assert copy.deepcopy(bank).observe(far).action == "replace"
+        far.std[0] = std
+        held, before = bank.prototypes, bank.vectors()
+        with pytest.raises(ValueError, match="channel stds must be strictly positive"):
+            bank.observe(far)
+        assert all(p is q for p, q in zip(held, bank.prototypes))
+        assert bank.vectors().tobytes() == before.tobytes()
 
 
 class TestTtaMode:

@@ -15,8 +15,10 @@ given), and the side that runs first alternates from pair to pair, starting
 with the parent. ``--trace-seed`` adds one ``--trace 1`` pair per workload,
 kept in ``runs`` for its per-layer counts and left out of ``summary``.
 
-The output holds every run (side, workload, seed, trace flag, return code,
-the ``host`` line and the final JSON line of ``run.py``) and, per workload,
+The output holds each side's resolved checkout path (``checkouts``; a
+process's ``peak_rss_mb`` has been seen to depend on the directory that holds
+its checkout), every run (side, checkout, workload, seed, trace flag, return
+code, the ``host`` line and the final JSON line of ``run.py``) and, per workload,
 a summary of the untraced runs: for each end-to-end metric both sides' runs
 with median and quartiles (``statistics.quantiles``, inclusive method, which
 is numpy's linear percentile), the change/parent ratio of the medians, and
@@ -79,7 +81,8 @@ def run_once(checkout: Path, side: str, workload: str, seed: int, seconds: float
         sys.stderr.write(proc.stderr)
     commit = host.get("git_commit", "unknown")
     return {
-        "side": side, "workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
+        "side": side, "checkout": str(checkout), "workload": workload, "seed": seed,
+        "seconds": seconds, "trace": trace,
         "commit": side if commit == "unknown" else commit, "host": host,
         "returncode": proc.returncode, "result": result,
     }
@@ -167,6 +170,7 @@ def main(argv=None) -> int:
         "command": "python3 benchmarks/run.py --workload <w> --seed <s> --seconds <n> "
                    "--trace <0|1>",
         "parent": parent_commits.pop() if len(parent_commits) == 1 else "unknown",
+        "checkouts": {side: str(path) for side, path in dirs.items()},
         "change_src_tree": git_tree_hash(dirs["change"] / "src"),
         "runs": runs,
         "summary": summarize(runs),
