@@ -45,7 +45,6 @@ from .style_statistics import ChannelStats, compute_stats, sq_distances, style_v
 from .tensor_core import require_finite
 
 BANK_FILE_PATTERN = "bank_level{level}.sabank"
-style_vector_of = style_vector  # the prototype spelling, kept for importers
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +527,7 @@ def run_tta_phase(
     if len(banks) != len(spec.pyramid_shapes):
         raise ValueError(f"{len(banks)} banks for {len(spec.pyramid_shapes)} levels")
     for li, (bank, (c, _, _)) in enumerate(zip(banks, spec.pyramid_shapes)):
-        if not bank.prototypes:
+        if not len(bank):
             raise ValueError(f"the level {li} bank is empty; tta needs a trained bank")
         if bank.channels != c:
             raise ValueError(

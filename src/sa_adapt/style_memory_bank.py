@@ -26,20 +26,18 @@ Binary persistence format (version 1, little-endian throughout):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, StateError
 from .style_statistics import (
     ChannelStats,
-    check_moment,
     check_vector,
     checked_vector,
     sq_distances,
     style_vector,
 )
-from .tensor_core import DTYPE
 
 MAGIC = b"SABANK"
 FORMAT_VERSION = 1
@@ -52,15 +50,18 @@ _U32_LIMIT, _U64_LIMIT = 2**32, 2**64  # the file's counter widths
 ALPHA_LIMIT = 1e6
 
 
-def _is_count(value, low: int, limit: int) -> bool:
-    """Whether ``value`` is an integer (Python or numpy) in [low, limit): a
-    float such as 2.5 or 2.0 is not, since the file stores counters as
-    integers."""
-    return isinstance(value, (int, np.integer)) and low <= value < limit
+def _count(name: str, value, low: int, limit: int = _U64_LIMIT):
+    """``value``, unless it is not an integer (Python or numpy) in [low,
+    limit): then the ValueError naming ``name``. A float such as 2.5 or 2.0
+    is not one, since the file stores counters as integers."""
+    if not (isinstance(value, (int, np.integer)) and low <= value < limit):
+        bits = limit.bit_length() - 1
+        raise ValueError(f"{name} must be an integer in [{low}, 2**{bits}), got {value!r}")
+    return value
 
 
-def _check_updates(prototypes, step) -> None:
-    if any(p.last_update > step for p in prototypes):
+def _check_updates(last_updates, step) -> None:
+    if any(t > step for t in last_updates):
         raise ValueError(f"a prototype's last_update is past step {step}")
 
 
@@ -72,52 +73,26 @@ def _record_dtype(channels: int) -> np.dtype:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class StylePrototype(ChannelStats):
-    """One stored style basis: a ChannelStats plus usage counters; ``mean`` and
-    ``std`` are views of one (2C,) row, its own copy or its bank's matrix row.
+    """One stored style basis: a ChannelStats plus usage counters, a plain value.
 
-    Whether ``last_update`` is past its bank's ``step`` is checked by the bank
-    (a prototype does not know its bank), on assignment and in ``save``.
+    The constructor copies ``mean`` and ``std`` and checks the counters:
+    integers in the file's range, ``use_count`` at least 1. A bank checks a
+    prototype again when it is handed one and stores copies of its values, so
+    changing a prototype never changes a bank.
     """
 
     use_count: int = 1
     last_update: int = 0
 
     def __post_init__(self):
-        self._row = checked_vector(self)
-
-    def __setattr__(self, name: str, value) -> None:
-        """Check the counters on every assignment, the constructor's included:
-        integers in the file's range, ``use_count`` at least 1. Assigning
-        ``_row`` makes it the storage of ``mean`` and ``std``; assigning either
-        of those then checks the value as the constructor does and writes it
-        into that row."""
-        if name == "use_count" and not _is_count(value, 1, _U64_LIMIT):
-            raise ValueError(f"use_count must be an integer in [1, 2**64), got {value!r}")
-        if name == "last_update" and not _is_count(value, 0, _U64_LIMIT):
-            raise ValueError(f"last_update must be an integer in [0, 2**64), got {value!r}")
-        if name == "_row":
-            c = len(value) // 2
-            vars(self).update(_row=value, mean=value[:c], std=value[c:])
-        elif name in ("mean", "std") and "_row" in vars(self):
-            value = np.asarray(value, dtype=DTYPE)
-            check_moment(name, value)
-            getattr(self, name)[...] = value
-        else:
-            object.__setattr__(self, name, value)
+        _count("use_count", self.use_count, 1)
+        _count("last_update", self.last_update, 0)
+        self.mean, self.std = np.split(checked_vector(self), 2)
 
     p_mean = property(lambda self: self.mean, doc="Read-only alias of ``mean``.")
     p_std = property(lambda self: self.std, doc="Read-only alias of ``std``.")
-
-
-def _fresh_prototype(row: np.ndarray, step: int) -> StylePrototype:
-    """A prototype first seen at ``step``, stored in ``row``, a style vector
-    already checked: none of the constructor's passes repeats that check."""
-    p = object.__new__(StylePrototype)
-    p._row = row
-    vars(p).update(use_count=1, last_update=step)
-    return p
 
 
 @dataclass
@@ -130,50 +105,47 @@ class UpdateReport:
     tau: float | None = None
 
 
-@dataclass
 class StyleMemoryBank:
     """Capacity-K bank of style prototypes for one feature-pyramid level.
 
     ``observe`` is a read-modify-write and needs exclusive access;
     ``distances``/``save`` are read-only between updates.
 
-    The style matrix is the storage: prototype i's ``mean`` and ``std`` are
-    views of row i; rows past ``len(prototypes)`` are free. Each assignment of
-    ``prototypes`` builds it once, copying a prototype bound to another matrix
-    or listed twice. Bootstrap writes the next free row (the matrix grows
-    geometrically, at most to ``capacity``), replace and fuse write one row in
-    place; bootstrap and replace change only the list of live prototypes, from
-    which the ``prototypes`` tuple is rebuilt when next read.
+    The bank's state is its fields and three stores: the style matrix, whose
+    first ``len(bank)`` rows are the prototypes' ``[mean, std]`` vectors (the
+    rest are free), and one use count and one last update per prototype.
+    Reading ``prototypes`` builds fresh copies from them; assigning it checks
+    every entry as the StylePrototype constructor does and stacks copies.
+    Bootstrap writes the next free row (the matrix grows geometrically, at
+    most to ``capacity``); replace and fuse write one row in place.
     """
 
-    capacity: int = 4
-    alpha: float = 0.7
-    momentum: float = 0.9
-    mode: str = "train"
-    step: int = 0
-    prototypes: tuple[StylePrototype, ...] = field(default_factory=tuple)
+    def __init__(self, capacity=4, alpha=0.7, momentum=0.9, mode="train", step=0, prototypes=()):
+        self._use, self._last = [], []
+        self.capacity, self.alpha, self.momentum, self.mode = capacity, alpha, momentum, mode
+        self.step = step
+        self.prototypes = prototypes
 
-    def __getattr__(self, name: str):  # only reached while ``prototypes`` is stale
-        if name != "prototypes" or "_live" not in vars(self):
-            raise AttributeError(name)
-        value = vars(self)["prototypes"] = tuple(self._live)
-        return value
+    def __repr__(self) -> str:
+        return (
+            f"StyleMemoryBank(capacity={self.capacity!r}, alpha={self.alpha!r}, "
+            f"momentum={self.momentum!r}, mode={self.mode!r}, step={self.step!r}, "
+            f"prototypes={self.prototypes!r})"
+        )
 
     def __setattr__(self, name: str, value) -> None:
         """Check every field on every assignment, the constructor's included,
         before the value is stored: ``capacity`` and ``step`` are integers in
         the file's ranges, ``alpha`` is at most ``ALPHA_LIMIT``, and the
-        prototypes, at most ``capacity``, agree on the channel count and are
-        not updated past ``step``, whether ``prototypes`` or ``step`` is
-        assigned (their counters are checked on their own assignment).
+        prototypes, at most ``capacity``, are not updated past ``step``,
+        whether ``prototypes`` or ``step`` is assigned.
         """
         if name == "step":
-            if not _is_count(value, 0, _U64_LIMIT):
-                raise ValueError(f"step must be an integer in [0, 2**64), got {value!r}")
+            value = int(_count(name, value, 0))  # a numpy step would wrap at 2**64
             if value < vars(self).get("step", 0):  # only a falling step can pass one
-                _check_updates(vars(self).get("_live", ()), value)
-        if name == "capacity" and not _is_count(value, 1, _U32_LIMIT):
-            raise ValueError(f"capacity must be an integer in [1, 2**32), got {value!r}")
+                _check_updates(self._last, value)
+        if name == "capacity" and len(self) > _count(name, value, 1, _U32_LIMIT):
+            raise ValueError(f"{len(self)} prototypes exceed capacity {value}")
         if name == "alpha" and not 0.0 < value < np.inf:
             raise ValueError("alpha must be positive and finite")
         if name == "alpha" and value > ALPHA_LIMIT:
@@ -185,39 +157,38 @@ class StyleMemoryBank:
             raise ValueError("momentum must lie in (0, 1)")
         if name == "mode" and value not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {value!r}")
-        if name == "capacity" or name == "prototypes":
-            count = len(value if name == "prototypes" else vars(self).get("_live", ()))
-            capacity = value if name == "capacity" else self.capacity
-            if count > capacity:
-                raise ValueError(f"{count} prototypes exceed capacity {capacity}")
-        if name == "prototypes":
-            _check_updates(value, self.step)
-            if len({p.channels for p in value}) > 1:
-                raise ValueError("prototypes disagree on the channel count")
-            own, ids, adopted = vars(self).get("_matrix"), set(), []
-            for p in value:
-                base = p._row.base
-                if (base is not None and base is not own) or id(p) in ids:
-                    p = StylePrototype(p.mean, p.std, p.use_count, p.last_update)
-                ids.add(id(p))
-                adopted.append(p)
-            value = tuple(adopted)
-            matrix = np.array([style_vector(p) for p in value])
-            for p, row in zip(value, matrix):
-                p._row = row
-            object.__setattr__(self, "_matrix", matrix)
-            object.__setattr__(self, "_live", list(value))
         object.__setattr__(self, name, value)
+
+    @property
+    def prototypes(self) -> tuple[StylePrototype, ...]:
+        """Fresh copies of the stored prototypes, in storage order."""
+        c = self.channels
+        return tuple(
+            StylePrototype(row[:c], row[c:], use, last)
+            for row, use, last in zip(self._matrix, self._use, self._last)
+        )
+
+    @prototypes.setter
+    def prototypes(self, value) -> None:
+        value = [StylePrototype(p.mean, p.std, p.use_count, p.last_update) for p in value]
+        if len(value) > self.capacity:
+            raise ValueError(f"{len(value)} prototypes exceed capacity {self.capacity}")
+        _check_updates((p.last_update for p in value), self.step)
+        if len({p.channels for p in value}) > 1:
+            raise ValueError("prototypes disagree on the channel count")
+        self._matrix = np.array([style_vector(p) for p in value])
+        self._use = [int(p.use_count) for p in value]
+        self._last = [int(p.last_update) for p in value]
 
     def __reduce__(self):  # copy, deepcopy and pickle go through the file format
         return load, (self.save(),)
 
     def __len__(self) -> int:
-        return len(self._live)
+        return len(self._use)
 
     @property
     def channels(self) -> int | None:
-        return self._live[0].channels if self._live else None
+        return self._matrix.shape[1] // 2 if self._use else None
 
     def _check_channels(self, s: ChannelStats) -> None:
         c = self.channels
@@ -226,9 +197,9 @@ class StyleMemoryBank:
 
     def vectors(self) -> np.ndarray:
         """A copy of the (K, 2C) style matrix: prototype style vectors in storage order."""
-        if not self._live:
+        if not self._use:
             raise StateError("empty bank holds no prototype vectors")
-        return self._matrix[: len(self._live)].copy()
+        return self._matrix[: len(self._use)].copy()
 
     def distances(self, s: ChannelStats) -> np.ndarray:
         """Style distance from ``s`` to every stored prototype, storage order."""
@@ -245,21 +216,19 @@ class StyleMemoryBank:
         a state error.
         """
         self._check_channels(s)
-        if not self._live and self.mode != "train":
+        use, last, n = self._use, self._last, len(self._use)
+        if not n and self.mode != "train":
             raise StateError("observe() on an empty bank in tta mode")
         self.step += 1
-        protos, n = self._live, len(self._live)
         if n < self.capacity and self.mode == "train":
             v = checked_vector(s)
             if n == len(self._matrix):  # no free row: grow geometrically, at most to capacity
                 grown = np.empty((min(self.capacity, 2 * n + 1), len(v)))
-                for p, row in zip(protos, grown):
-                    row[...] = p._row
-                    p._row = row
-                object.__setattr__(self, "_matrix", grown)
+                grown[:n] = self._matrix.reshape(n, len(v))  # an empty bank's matrix is (0,)
+                self._matrix = grown
             self._matrix[n] = v
-            protos.append(_fresh_prototype(self._matrix[n], self.step))
-            vars(self).pop("prototypes", None)
+            use.append(1)
+            last.append(self.step)
             return UpdateReport("bootstrap", n)
 
         v = style_vector(s)
@@ -270,35 +239,27 @@ class StyleMemoryBank:
 
         if d_min > tau and self.mode == "train":
             check_vector(v)
-            victim = min(
-                range(len(protos)), key=lambda i: (protos[i].use_count, protos[i].last_update)
-            )
-            protos[victim]._row = self._matrix[victim].copy()  # the evicted one keeps its values
+            victim = min(range(n), key=lambda i: (use[i], last[i]))
             self._matrix[victim] = v
-            protos[victim] = _fresh_prototype(self._matrix[victim], self.step)
-            vars(self).pop("prototypes", None)
+            use[victim], last[victim] = 1, self.step
             return UpdateReport("replace", victim, d_min=d_min, tau=tau)
 
-        p = protos[nearest]
-        row, lam = p._row, self.momentum
+        count = _count("use_count", use[nearest] + 1, 1)  # before the row is written
+        row, lam = self._matrix[nearest], self.momentum
         row *= lam  # the bits of ``lam * p.mean + (1 - lam) * s.mean``, and of std
         row += (1.0 - lam) * v
-        assert np.all(p.std > 0.0)  # convex combination of positive stds
-        p.use_count += 1
-        p.last_update = self.step
+        use[nearest], last[nearest] = count, self.step
         return UpdateReport("fuse", nearest, d_min=d_min, tau=tau)
 
     def save(self) -> bytes:
-        """Serialize to the versioned binary format documented above; raises
-        ValueError for a prototype whose ``last_update`` was set past ``step``."""
-        _check_updates(self.prototypes, self.step)
+        """Serialize to the versioned binary format documented above."""
         c = self.channels or 0
         header = _HEADER.pack(
-            MAGIC, FORMAT_VERSION, self.capacity, c, len(self.prototypes),
+            MAGIC, FORMAT_VERSION, self.capacity, c, len(self),
             _MODES.index(self.mode), self.step, self.alpha, self.momentum,
         )
         records = np.array(
-            [(p.mean, p.std, p.use_count, p.last_update) for p in self.prototypes],
+            [(row[:c], row[c:], u, t) for row, u, t in zip(self._matrix, self._use, self._last)],
             dtype=_record_dtype(c),
         )
         return header + records.tobytes()

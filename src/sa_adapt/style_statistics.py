@@ -28,9 +28,10 @@ from .tensor_core import (
 EPSILON = 1e-6
 
 
-@dataclass
+@dataclass(eq=False)
 class ChannelStats:
-    """Per-channel (mean, std) pair for one sample; std is strictly positive."""
+    """Per-channel (mean, std) pair for one sample; std is strictly positive.
+    Records compare by identity."""
 
     mean: np.ndarray
     std: np.ndarray

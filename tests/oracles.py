@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 
 import numpy as np
 
@@ -276,6 +277,61 @@ def match_permutations(vectors, centers):
         if cost < best_cost:
             best_perm, best_cost = perm, cost
     return list(best_perm)
+
+
+class ReferenceBank:
+    """A style memory bank as a plain list of (mean, std, use_count,
+    last_update) records, each observation a new record or a new tuple.
+
+    Bootstrap appends while a train bank has room; otherwise the nearest
+    record (distances from ``sq_distances``) fuses as ``lam * old + (1 - lam)
+    * new``, unless a train bank finds ``d_min > tau``, with ``tau = alpha /
+    capacity * sum(d)``: then the record of fewest uses, and of these the
+    oldest, is replaced. ``observe`` returns (action, index, d_min, tau), and
+    ``save`` packs the bank file field by field with ``struct``.
+    """
+
+    def __init__(self, capacity, alpha, momentum, mode="train", step=0, records=()):
+        self.capacity, self.alpha, self.momentum = capacity, alpha, momentum
+        self.mode, self.step = mode, step
+        self.records = [(m.copy(), s.copy(), u, t) for m, s, u, t in records]
+
+    def observe(self, mean, std):
+        from sa_adapt.style_statistics import sq_distances
+
+        self.step += 1
+        n = len(self.records)
+        if n < self.capacity and self.mode == "train":
+            self.records.append((mean.copy(), std.copy(), 1, self.step))
+            return "bootstrap", n, None, None
+        stacked = np.stack([np.concatenate([m, s]) for m, s, _, _ in self.records])
+        d = sq_distances(np.concatenate([mean, std])[None], stacked)[0]
+        tau = float(self.alpha / self.capacity * np.sum(d))
+        nearest = int(np.argmin(d))
+        d_min = float(d[nearest])
+        if d_min > tau and self.mode == "train":
+            victim = 0
+            for i, (_, _, u, t) in enumerate(self.records):
+                if (u, t) < self.records[victim][2:]:
+                    victim = i
+            self.records[victim] = (mean.copy(), std.copy(), 1, self.step)
+            return "replace", victim, d_min, tau
+        m, s, u, _ = self.records[nearest]
+        lam = self.momentum
+        self.records[nearest] = (
+            lam * m + (1.0 - lam) * mean, lam * s + (1.0 - lam) * std, u + 1, self.step
+        )
+        return "fuse", nearest, d_min, tau
+
+    def save(self):
+        c = len(self.records[0][0]) if self.records else 0
+        blob = struct.pack(
+            "<6sIIIIBQdd", b"SABANK", 1, self.capacity, c, len(self.records),
+            ("train", "tta").index(self.mode), self.step, self.alpha, self.momentum,
+        )
+        for m, s, u, t in self.records:
+            blob += struct.pack(f"<{c}d{c}dQQ", *m, *s, u, t)
+        return blob
 
 
 def per_sample_train(config, spec):

@@ -20,8 +20,6 @@ from sa_adapt.harness import (
     bench,
     generate_stream,
     run_train_phase,
-    style_vector,
-    style_vector_of,
 )
 from sa_adapt.class_query_attention import (
     AttentionParams,
@@ -32,7 +30,7 @@ from sa_adapt.class_query_attention import (
 from sa_adapt.object_gating import Annotation, align_to_tokens, build_masks
 from sa_adapt.style_memory_bank import StyleMemoryBank, load
 from sa_adapt.style_projection import project, rectified_stats
-from sa_adapt.style_statistics import ChannelStats, compute_stats, style_distance
+from sa_adapt.style_statistics import ChannelStats, compute_stats, style_distance, style_vector
 
 import oracles
 
@@ -130,7 +128,7 @@ def test_c04_bank_self_organization_vs_kmeans():
             bank.observe(s)
         taken = set()
         for p in bank.prototypes:
-            vec = style_vector_of(p)
+            vec = style_vector(p)
             d = ((centers - vec) ** 2).sum(axis=1)
             j = int(d.argmin())
             assert j not in taken, "two prototypes matched the same center"

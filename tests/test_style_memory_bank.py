@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sa_adapt.errors import FormatError, StateError
 import sa_adapt.style_memory_bank as bank_mod
-from sa_adapt.style_memory_bank import StyleMemoryBank, StylePrototype, load
+from sa_adapt.style_memory_bank import StyleMemoryBank, StylePrototype, UpdateReport, load
 from sa_adapt.style_statistics import ChannelStats, style_distance, style_vector
 
 import oracles
@@ -192,13 +192,10 @@ class TestObserve:
         rng = np.random.default_rng(2)
         bank = StyleMemoryBank(capacity=4)
         for _ in range(100):
-            before = {id(p): (p.use_count, p.last_update) for p in bank.prototypes}
+            before = [(p.use_count, p.last_update) for p in bank.prototypes]
             bank.observe(random_stats(rng))
-            changed = 0
-            for p in bank.prototypes:
-                prev = before.get(id(p))
-                if prev is None or prev != (p.use_count, p.last_update):
-                    changed += 1
+            after = [(p.use_count, p.last_update) for p in bank.prototypes]
+            changed = sum(i >= len(before) or before[i] != a for i, a in enumerate(after))
             assert changed == 1
 
     def test_use_counts_sum_to_observes_without_replacement(self):
@@ -277,7 +274,6 @@ class TestBankGrowth:
         # grown 1, 3, 7, 15, 31, 63 and 100 rows: geometric, and never past capacity
         assert [len(m) for m in matrices] == [1, 3, 7, 15, 31, 63, 100]
         assert bank.vectors().tobytes() == np.stack([style_vector(s) for s in observed]).tobytes()
-        assert all(p.mean.base is bank._matrix for p in bank.prototypes)
 
     def test_only_live_rows_are_read(self):
         rng = np.random.default_rng(1)
@@ -298,7 +294,10 @@ class TestBankGrowth:
         bank.observe(stats([0.0, 0.0], [1.0, 1.0]))
         held = bank.prototypes
         bank.observe(stats([5.0, 5.0], [1.0, 1.0]))
-        assert len(held) == 1 and len(bank.prototypes) == 2 and bank.prototypes[0] is held[0]
+        assert len(held) == 1 and len(bank.prototypes) == 2
+        p, q = held[0], bank.prototypes[0]
+        assert style_vector(p).tobytes() == style_vector(q).tobytes()
+        assert (p.use_count, p.last_update) == (q.use_count, q.last_update)
 
     @pytest.mark.parametrize("mutate", HOSTILE_STATS.values(), ids=HOSTILE_STATS)
     def test_a_hostile_bootstrap_raises_the_constructor_error(self, mutate):
@@ -322,7 +321,9 @@ class TestBankGrowth:
         held, before = bank.prototypes, bank.vectors()
         with pytest.raises(ValueError, match="channel stds must be strictly positive"):
             bank.observe(far)
-        assert all(p is q for p, q in zip(held, bank.prototypes))
+        assert [(p.use_count, p.last_update) for p in held] == [
+            (p.use_count, p.last_update) for p in bank.prototypes
+        ]
         assert bank.vectors().tobytes() == before.tobytes()
 
 
@@ -331,11 +332,10 @@ class TestTtaMode:
         rng = np.random.default_rng(5)
         bank = full_bank(rng)
         bank.mode = "tta"
-        ids_before = [id(p) for p in bank.prototypes]
         for _ in range(200):
             rep = bank.observe(random_stats(rng, 6))
             assert rep.action == "fuse"
-        assert [id(p) for p in bank.prototypes] == ids_before
+        assert len(bank) == 4
 
     def test_partial_bank_never_grows_in_tta(self):
         bank = StyleMemoryBank(capacity=4)
@@ -465,10 +465,13 @@ class TestPersistence:
     def test_save_writes_the_documented_layout(self):
         # README "Bank files": header '<6sIIIIBQdd', then per prototype
         # mean (C f64), std (C f64), use_count u64, last_update u64.
-        bank = StyleMemoryBank(capacity=3, alpha=0.5, momentum=0.8)
-        bank.observe(stats([1.0, -2.0], [0.5, 0.25]))
-        bank.observe(stats([3.0, 4.0], [1.5, 2.0]))
-        bank.prototypes[0].use_count = 5  # distinct counters, so a swap shows
+        bank = StyleMemoryBank(
+            capacity=3, alpha=0.5, momentum=0.8, step=2,
+            prototypes=[  # distinct counters, so a swap shows
+                StylePrototype(np.array([1.0, -2.0]), np.array([0.5, 0.25]), 5, 1),
+                StylePrototype(np.array([3.0, 4.0]), np.array([1.5, 2.0]), 1, 2),
+            ],
+        )
         expected = struct.pack("<6sIIIIBQdd", b"SABANK", 1, 3, 2, 2, 0, 2, 0.5, 0.8)
         expected += struct.pack("<2d2dQQ", 1.0, -2.0, 0.5, 0.25, 5, 1)
         expected += struct.pack("<2d2dQQ", 3.0, 4.0, 1.5, 2.0, 1, 2)
@@ -610,6 +613,21 @@ class TestValidation:
         assert (loaded.prototypes[0].use_count, loaded.prototypes[0].last_update) == (3, 2)
         assert loaded.save() == bank.save()
 
+    def test_a_fuse_past_the_largest_use_count_changes_nothing(self):
+        p = StylePrototype(np.zeros(2), np.ones(2), use_count=2**64 - 1)
+        bank = StyleMemoryBank(capacity=1, mode="tta", prototypes=[p])
+        before = bank.vectors()
+        with pytest.raises(ValueError, match=re.escape("use_count must be an integer in [1, 2**64)")):
+            bank.observe(stats([1.0, 1.0], [1.0, 1.0]))
+        assert bank.vectors().tobytes() == before.tobytes()
+        assert load(bank.save()).prototypes[0].use_count == 2**64 - 1
+
+    def test_a_numpy_step_does_not_wrap(self):
+        bank = StyleMemoryBank(step=np.uint64(2**64 - 1))
+        with pytest.raises(ValueError, match=re.escape("step must be an integer in [0, 2**64)")):
+            bank.observe(stats([0.0], [1.0]))
+        assert len(bank) == 0 and bank.step == 2**64 - 1
+
     def test_capacity_and_hyperparameters(self):
         with pytest.raises(ValueError):
             StyleMemoryBank(capacity=0)
@@ -639,6 +657,15 @@ class TestValidation:
         mean[0], std[0] = 5.0, 7.0
         np.testing.assert_array_equal(p.p_mean, [0.0, 0.0])
         np.testing.assert_array_equal(p.p_std, [1.0, 1.0])
+
+    def test_equality_is_identity_and_never_raises(self):
+        s = stats([0.0, 1.0], [1.0, 2.0])
+        p = StylePrototype(s.mean, s.std)
+        bank = full_bank(np.random.default_rng(0), channels=2)
+        for a, b in [
+            (s, stats(s.mean, s.std)), (p, StylePrototype(p.mean, p.std)), (bank, load(bank.save()))
+        ]:
+            assert (a == b) is False and (a == a) is True
 
     def test_bank_rejects_prototypes_of_different_channel_counts(self):
         protos = [
@@ -694,15 +721,30 @@ class TestAssignment:
     def test_hostile_prototype_assignment_is_rejected(self, name, value):
         bank = full_bank(np.random.default_rng(3), channels=2)
         before = bank.save()
+        prototypes = list(bank.prototypes)
+        setattr(prototypes[1], name, value)  # a copy: the bank checks it when handed it back
         with pytest.raises(ValueError):
-            setattr(bank.prototypes[1], name, value)
+            bank.prototypes = prototypes
         assert bank.save() == before
 
     def test_prototype_updated_past_the_bank_step_is_not_saved(self):
         bank = full_bank(np.random.default_rng(3), channels=2)
-        bank.prototypes[1].last_update = bank.step + 5  # a prototype does not know its bank
+        before = bank.save()
+        prototypes = list(bank.prototypes)
+        prototypes[1].last_update = bank.step + 5  # a prototype does not know its bank
         with pytest.raises(ValueError, match="last_update is past step"):
-            bank.save()
+            bank.prototypes = prototypes
+        assert bank.save() == before
+
+    def test_writing_into_a_read_prototype_leaves_the_bank_as_it_was(self):
+        bank = full_bank(np.random.default_rng(3), channels=2)
+        before = bank.save()
+        p = bank.prototypes[0]
+        p.mean[1] = np.nan
+        p.std[0] = -1.0
+        assert bank.save() == before
+        assert load(bank.save()).save() == before
+        assert isinstance(bank.observe(random_stats(np.random.default_rng(4), 2)), UpdateReport)
 
     def test_step_below_a_last_update_is_rejected(self):
         bank = full_bank(np.random.default_rng(3), channels=2, k=3)
@@ -727,98 +769,77 @@ class TestAssignment:
 
 
 @st.composite
-def bank_operations(draw):
-    """A bank and a sequence of public operations on it: observe in either
-    mode, assignment of ``prototypes`` (own, fresh, repeated or another
-    bank's), rebinding a prototype's ``mean`` or ``std``, ``load(save())``
-    and a (deep) copy."""
+def bank_programs(draw):
+    """Two banks, their references, and a sequence of public operations, each
+    on one of the banks: observe in either mode, assignment of ``prototypes``
+    (its own, repeated, the other bank's or a fresh one), ``load(save())``, a
+    copy or deep copy, and a change to a read prototype, by assignment or in
+    place."""
     capacity = draw(st.integers(1, 4))
     channels = draw(st.integers(1, 3))
     alpha = draw(st.sampled_from([0.05, 0.7, 2.0]))  # small alphas replace often
-    kinds = st.sampled_from(["train", "train", "tta", "assign", "rebind", "reload", "copy"])
-    ops = draw(st.lists(st.tuples(kinds, st.integers(0, 2**32 - 1)), max_size=30))
-    return StyleMemoryBank(capacity=capacity, alpha=alpha), channels, ops
-
-
-def assert_matrix_in_step(bank):
-    """The bank's matrix is its prototypes' style vectors, and its file is
-    that of a bank rebuilt from copies of them."""
-    if bank.prototypes:
-        fresh = np.stack([style_vector(p) for p in bank.prototypes])
-        assert bank.vectors().tobytes() == fresh.tobytes()
-    else:
-        with pytest.raises(StateError):
-            bank.vectors()
-    rebuilt = StyleMemoryBank(
-        capacity=bank.capacity, alpha=bank.alpha, momentum=bank.momentum, mode=bank.mode,
-        step=bank.step,
-        prototypes=[
-            StylePrototype(p.mean.copy(), p.std.copy(), p.use_count, p.last_update)
-            for p in bank.prototypes
-        ],
+    momentum = draw(st.sampled_from([0.5, 0.9]))
+    kinds = st.sampled_from(
+        ["train", "train", "tta", "assign", "reload", "copy", "deepcopy", "rebind", "write"]
     )
-    assert bank.save() == rebuilt.save()
+    ops = draw(st.lists(st.tuples(kinds, st.integers(0, 1), st.integers(0, 2**32 - 1)),
+                        max_size=30))
+    pairs = [
+        (StyleMemoryBank(capacity=capacity, alpha=alpha, momentum=momentum),
+         oracles.ReferenceBank(capacity, alpha, momentum))
+        for _ in range(2)
+    ]
+    return pairs, channels, ops
 
 
-class TestStyleMatrix:
+def observe_both(bank, ref, s):
+    rep = bank.observe(s)
+    assert (rep.action, rep.index, rep.d_min, rep.tau) == ref.observe(s.mean, s.std)
+
+
+class TestReferenceBank:
     @settings(deadline=None, max_examples=200)
-    @given(bank_operations())
-    def test_matrix_stays_the_prototypes_vectors(self, case):
-        bank, channels, ops = case
-        other = StyleMemoryBank(capacity=4)  # a second bank that shares prototypes
-        for kind, seed in ops:
+    @given(bank_programs())
+    def test_every_operation_matches_the_reference(self, case):
+        pairs, channels, ops = case
+        for kind, target, seed in ops:
             rng = np.random.default_rng(seed)
-            if kind in ("train", "tta") and (bank.prototypes or kind == "train"):
-                bank.mode = kind
-                before = bank.vectors() if bank.prototypes else None
-                held = bank.prototypes
+            bank, ref = pairs[target]
+            if kind in ("train", "tta"):
+                bank.mode = ref.mode = kind
                 s = random_stats(rng, channels)
-                rep = bank.observe(s)
-                if rep.action == "replace":  # the evicted prototype keeps its values
-                    evicted = held[rep.index]
-                    assert evicted is not bank.prototypes[rep.index]
-                    assert style_vector(evicted).tobytes() == before[rep.index].tobytes()
-                if rep.action == "fuse":  # the bits of the separate mean and std updates
-                    lam = bank.momentum
-                    old = np.split(before[rep.index], 2)
-                    p = bank.prototypes[rep.index]
-                    assert p.mean.tobytes() == (lam * old[0] + (1.0 - lam) * s.mean).tobytes()
-                    assert p.std.tobytes() == (lam * old[1] + (1.0 - lam) * s.std).tobytes()
+                if kind == "tta" and not len(bank):
+                    with pytest.raises(StateError):
+                        bank.observe(s)
+                else:
+                    observe_both(bank, ref, s)
             elif kind == "assign":
                 pool = [
                     *bank.prototypes,
-                    *other.prototypes,
+                    *pairs[1 - target][0].prototypes,
                     StylePrototype(rng.normal(size=channels), rng.uniform(0.3, 2.5, channels)),
                 ]
                 picks = rng.integers(0, len(pool), int(rng.integers(0, bank.capacity + 1)))
                 chosen = [pool[i] for i in picks]
-                own = {id(p) for p in bank.prototypes}
-                bank.step = max([bank.step, *(p.last_update for p in chosen)])
+                bank.step = ref.step = max([bank.step, *(p.last_update for p in chosen)])
                 bank.prototypes = chosen
-                for i, (p, q) in enumerate(zip(chosen, bank.prototypes)):
-                    first = all(c is not p for c in chosen[:i])
-                    if first and (id(p) in own or p is pool[-1]):
-                        assert q is p  # identity stays
-                    assert style_vector(q).tobytes() == style_vector(p).tobytes()
-                if bank.prototypes and rng.integers(2):
-                    other.step = max(other.step, bank.step)
-                    other.prototypes = list(bank.prototypes)[:4]
-                    other.observe(random_stats(rng, channels))
-                    assert_matrix_in_step(other)
-            elif kind == "rebind" and bank.prototypes:
-                p = bank.prototypes[int(rng.integers(len(bank.prototypes)))]
-                if rng.integers(2):
-                    p.mean = rng.normal(size=channels)
-                else:
-                    p.std = rng.uniform(0.3, 2.5, channels)
+                ref.records = [(p.mean.copy(), p.std.copy(), p.use_count, p.last_update)
+                               for p in chosen]
             elif kind == "reload":
-                bank = load(bank.save())
-            elif kind == "copy":
+                pairs[target] = load(bank.save()), ref
+            elif kind in ("copy", "deepcopy"):
                 original, blob = bank, bank.save()
-                bank = (copy.deepcopy if rng.integers(2) else copy.copy)(bank)
-                if bank.prototypes:
-                    bank.mode = "tta"
-                    bank.observe(random_stats(rng, channels))
+                bank, ref = pairs[target] = getattr(copy, kind)(bank), copy.deepcopy(ref)
+                if len(bank):
+                    bank.mode = ref.mode = "tta"
+                    observe_both(bank, ref, random_stats(rng, channels))
                 assert original.save() == blob  # the copy shares nothing
-                assert_matrix_in_step(original)
-            assert_matrix_in_step(bank)
+            elif kind in ("rebind", "write") and len(bank):
+                p = bank.prototypes[int(rng.integers(len(bank)))]
+                if kind == "rebind":
+                    p.mean, p.std = rng.normal(size=channels), -np.ones(channels)
+                    p.use_count, p.last_update = 0, bank.step + 1
+                else:
+                    p.mean[0], p.std[-1] = np.nan, -1.0
+            for bank, ref in pairs:
+                assert bank.save() == ref.save()
