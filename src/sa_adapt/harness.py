@@ -41,7 +41,7 @@ from .contrastive_alignment import (
 from .object_gating import Annotation, align_to_tokens, build_masks
 from .style_memory_bank import StyleMemoryBank, UpdateReport, load
 from .style_projection import project, project_pyramid
-from .style_statistics import ChannelStats, compute_stats, sq_distances, style_vector
+from .style_statistics import ChannelStats, compute_stats, sq_distances
 from .tensor_core import require_finite
 
 BANK_FILE_PATTERN = "bank_level{level}.sabank"
@@ -167,40 +167,198 @@ def generate_stream(spec: SyntheticDomainSpec):
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
 _NO_OVERFLOW_NORMS = np.finfo(float).max / 8  # see offline_kmeans
+# Bytes of k-means state that one group of restarts keeps through its Lloyd
+# iterations: per restart, its (K, N) rows of ``a`` (see offline_kmeans), its
+# N assignments and, within a step, its N thresholds, 8 bytes each. A step's
+# other temporaries (the product of the changed rows, the near mask, the
+# counts) add at most about as much again. At the train-churn shape (N = 2400,
+# D = 128, K = 8: 200 KB a restart; 2 vCPUs), bounds of 512 KiB, 1, 2 and 4 MiB
+# (groups of 2, 5, 10 and 21) took 0.86, 0.73, 0.66 and 0.68 of the time of the
+# restarts run one by one, each with all K rows per iteration, at peaks of
+# traced memory of 4.1, 5.1, 7.0 and 10.9 MB against 7.1 MB one by one. 2 MiB
+# is about as fast as 4 MiB, and its peak stays under the one-by-one form's.
+# A restart whose rows alone are above the bound keeps none; each step takes
+# them per chunk of points whose rows fit under it.
+_GROUP_BYTES = 2 << 20
+# OpenBLAS takes a product of at most 2**18 multiply-adds on one thread and
+# wakes a second one above that. Where one restart's product is that small, the
+# second thread costs more than it saves (2 vCPUs, N = 16, D = 512: 20 us for a
+# (33, 512) x (512, 16) product back to back against 14 us for (32, 512); in the
+# tta-reference set-up, 18-33 ms a level for groups of 50 against 7-13 ms for
+# one restart at a time, and the work after it slowed too). So groups of such
+# restarts keep their products under this size.
+_ONE_THREAD_PRODUCT = 2**18
 
 
-def _nearest_centers(points: np.ndarray):
-    """Return ``nearest(centers)``, equal to
-    ``sq_distances(points, centers).argmin(axis=1)`` bit for bit.
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff."""
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
 
-    Each call of ``nearest`` costs one (K, D) x (D, N) product; the bound
-    that makes it exact is derived in :func:`offline_kmeans`.
+
+class _Lloyd:
+    """Lloyd iterations of k-means restarts with ``k`` centers on one finite
+    (N, D) point set; the bounds they use are derived in :func:`offline_kmeans`.
+
+    ``run`` takes a group of restarts through their iterations in lockstep,
+    ``nearest`` is one step's assignment of the group, and ``inertia`` a
+    restart's exact inertia.
     """
-    d = points.shape[1]
-    minus_twice_t = -2.0 * np.ascontiguousarray(points.T)
-    sq_norms = np.einsum("ij,ij->i", points, points)
-    gamma = (d + 4) * _UNIT_ROUNDOFF / (1.0 - (d + 4) * _UNIT_ROUNDOFF)
-    two_beta = 16.0 * (gamma * sq_norms + d * _SMALLEST_SUBNORMAL)  # less its center term
-    headroom = _NO_OVERFLOW_NORMS - sq_norms.max()
 
-    def nearest(centers: np.ndarray) -> np.ndarray:
-        center_norms = np.einsum("ij,ij->i", centers, centers)
-        center_max = center_norms.max()
-        if not center_max < headroom:
-            return sq_distances(points, centers).argmin(axis=1)
-        approx = centers @ minus_twice_t  # (K, N), so reductions over centers run along rows
-        approx += center_norms[:, None]
-        threshold = approx.min(axis=0)
-        threshold += two_beta
-        threshold += 16.0 * gamma * center_max
-        near = approx <= threshold
-        assign = np.arange(len(centers)) @ near  # the only near center, where there is one
-        unsure = np.flatnonzero(near.sum(axis=0) != 1)
-        if len(unsure):
-            assign[unsure] = sq_distances(points[unsure], centers).argmin(axis=1)
-        return assign
+    def __init__(self, points: np.ndarray, k: int):
+        n, d = points.shape
+        self.points, self.k = points, k
+        self.sq_norms = np.einsum("ij,ij->i", points, points)
+        self.gamma = _gamma(d + 4)
+        # 2 beta per point (see offline_kmeans), less its center term
+        self.two_beta = 16.0 * (self.gamma * self.sq_norms + d * _SMALLEST_SUBNORMAL)
+        self.headroom = _NO_OVERFLOW_NORMS - self.sq_norms.max()
+        self.keep_rows = 8 * k * n <= _GROUP_BYTES
+        self.group = max(1, _GROUP_BYTES // (8 * (k + 2) * n))
+        if k * n * d <= _ONE_THREAD_PRODUCT:
+            self.group = min(self.group, _ONE_THREAD_PRODUCT // (k * n * d))
+        self.width = max(1, _GROUP_BYTES // (8 * k))  # points per chunk of rows not kept
+        self.buf = np.empty(points.shape)
 
-    return nearest
+    def nearest(self, centers, rows, stale):
+        """Each restart's ``sq_distances(points, centers).argmin(axis=1)``, bit
+        for bit, as a (g, N) array, and each restart's largest squared center norm.
+
+        ``centers`` holds g restarts' (K, D) centers. ``rows``, None or their
+        (g, K, N) rows of ``a``, keeps the rows across steps: those flagged in
+        the (g, K) ``stale`` are recomputed in one product, and ``stale`` then
+        flags every row of a restart past the overflow headroom, which takes the
+        direct distances. Without ``rows``, every row is computed, per chunk of
+        ``width`` points.
+        """
+        points, (n, d) = self.points, self.points.shape
+        norms = np.einsum("gkd,gkd->gk", centers, centers)
+        center_max = norms.max(axis=1)
+        fast = center_max < self.headroom
+        margin = self.two_beta + (16.0 * self.gamma * center_max)[:, None]
+        if rows is None:
+            assign = np.zeros((len(centers), n), dtype=np.intp)
+            unsure = np.zeros((len(centers), n), dtype=bool)
+            for start in range(0, len(points), self.width) if fast.any() else ():
+                cols = slice(start, start + self.width)
+                block = (-2.0 * centers[fast]) @ points[cols].T
+                block += norms[fast][:, :, None]
+                assign[fast, cols], unsure[fast, cols] = self._choose(block, margin[fast, cols])
+        else:
+            s, j = np.nonzero(stale & fast[:, None])
+            if len(s) == stale.size:  # every row, as on a group's first steps
+                np.matmul(-2.0 * centers.reshape(-1, d), points.T, out=rows.reshape(-1, n))
+                rows += norms[:, :, None]
+            elif len(s):
+                block = (-2.0 * centers[s, j]) @ points.T
+                block += norms[s, j][:, None]
+                rows[s, j] = block
+            stale[:] = ~fast[:, None]
+            assign, unsure = self._choose(rows, margin)
+            unsure &= fast[:, None]
+        for s in np.flatnonzero(~fast):
+            assign[s] = sq_distances(points, centers[s]).argmin(axis=1)
+        for s in np.flatnonzero(unsure.any(axis=1)):
+            where = np.flatnonzero(unsure[s])
+            assign[s, where] = sq_distances(points[where], centers[s]).argmin(axis=1)
+        return assign, center_max
+
+    @staticmethod
+    def _choose(a, margin):
+        """For the (g, K, m) block ``a``: each point's only center whose ``a``
+        lies within ``margin`` of the least, and where there is not one."""
+        threshold = a.min(axis=1)
+        threshold += margin
+        near = a <= threshold[:, None, :]
+        order, assign = np.arange(a.shape[1]), np.empty(threshold.shape, dtype=np.intp)
+        for s, restart in enumerate(near):  # one at a time: ``@`` takes an int copy of ``near``
+            np.matmul(order, restart, out=assign[s])  # the only near center, where there is one
+        return assign, np.count_nonzero(near, axis=1) != 1
+
+    def run(self, draws):
+        """Take the restarts that start from ``draws`` (arrays of K point
+        indices) through their Lloyd iterations in lockstep, and yield
+        (position in ``draws``, centers, assignment, iterations, lower bound
+        on the inertia) as each one finishes, the bound NaN where there is none.
+
+        Finished restarts leave the group: the last live one takes the slot.
+        """
+        k, n = self.k, len(self.points)
+        live = len(draws)
+        slots = list(range(live))
+        centers = self.points[np.stack(draws)]
+        rows = np.zeros((live, k, n)) if self.keep_rows else None
+        stale = np.ones((live, k), dtype=bool)
+        assign = np.zeros((live, n), dtype=np.intp)
+        states = [centers, assign, stale] + ([] if rows is None else [rows])
+        for step in range(1, 201):
+            new, center_max = self.nearest(
+                centers[:live], None if rows is None else rows[:live], stale[:live]
+            )
+            dirty = np.full((live, k), step == 1)  # a restart's first step updates every cluster
+            s, i = np.nonzero(new != assign[:live])
+            dirty[s, assign[s, i]] = dirty[s, new[s, i]] = True
+            assign[:live] = new
+            for s in reversed(range(live)):
+                if self._update(centers[s], assign[s], dirty[s], stale[s]) and step < 200:
+                    continue
+                bound = np.nan
+                if rows is not None and not stale[s].any():
+                    bound = self._lower_bound(rows[s], assign[s], center_max[s])
+                yield slots[s], centers[s].copy(), assign[s].copy(), step, bound
+                live -= 1
+                slots[s] = slots[live]
+                for state in states:
+                    state[s] = state[live]
+            if not live:
+                return
+
+    def _update(self, centers, assign, dirty, stale) -> bool:
+        """Set each dirty cluster's center to its members' mean, and flag the
+        rows of those that change; False, leaving ``centers``, if none does.
+
+        A mean is ``members.mean(axis=0)`` bit for bit: the members are
+        gathered in point order and summed by one ``np.add.reduce``.
+        """
+        js = np.flatnonzero(dirty)
+        members = np.flatnonzero(dirty[assign])
+        labels = assign[members]
+        members = members[np.argsort(labels, kind="stable")]
+        gathered = np.take(self.points, members, axis=0, out=self.buf[: len(members)], mode="clip")
+        old = centers[js]
+        means, start = old.copy(), 0
+        for idx, count in enumerate(np.bincount(labels, minlength=self.k)[js].tolist()):
+            if count == 1:
+                means[idx] = gathered[start]  # the mean of one row is the row
+            elif count:
+                means[idx] = np.add.reduce(gathered[start : start + count], axis=0) / count
+            start += count
+        changed = (means != old).any(axis=1)
+        if not changed.any():
+            return False
+        centers[js] = means
+        stale[js[changed]] = True
+        return True
+
+    def _lower_bound(self, rows, assign, center_max) -> float:
+        """A lower bound on ``inertia``, from the rows of the restart's centers."""
+        n, d = self.points.shape
+        t = np.take_along_axis(rows, assign[None], axis=0)[0]
+        t += self.sq_norms
+        total = t.sum()
+        slack = (
+            0.5 * self.two_beta.sum() + 8.0 * self.gamma * n * center_max
+            + 2.0 * _gamma(n) * np.abs(t).sum() + _gamma(n * d + 2) * total
+            + n * d * _SMALLEST_SUBNORMAL
+        )
+        return total - 2.0 * slack
+
+    def inertia(self, centers, assign) -> float:
+        """The sum of squared differences, in one reused C-ordered (N, D) buffer."""
+        buf = self.buf
+        np.take(centers, assign, axis=0, out=buf, mode="clip")  # "raise" would buffer `out`
+        np.subtract(self.points, buf, out=buf)
+        np.square(buf, out=buf)
+        return float(buf.sum())
 
 
 def offline_kmeans(
@@ -211,11 +369,15 @@ def offline_kmeans(
     ``points`` must be a finite (N, D) array, ``1 <= k <= N`` and
     ``restarts >= 1``. Each restart draws ``k`` distinct points as centers
     and runs at most 200 Lloyd iterations; the least inertia wins, the
-    earliest restart on ties.
+    earliest restart on ties. The restarts run in groups of consecutive
+    ones, whose state stays under ``_GROUP_BYTES`` (and whose product under
+    ``_ONE_THREAD_PRODUCT``, where one restart's is below it): a group draws
+    its restarts' centers in restart order, the draws of one restart after
+    the other, and then runs their Lloyd iterations in lockstep.
 
     The assignment is exactly ``sq_distances(points, centers).argmin(axis=1)``,
-    first-index ties included, but costs one (K, D) x (D, N) product instead
-    of an (N, K, D) temporary. Per point x and center c it ranks
+    first-index ties included, but costs a matrix product instead of an
+    (N, K, D) temporary. Per point x and center c it ranks
     ``a = |c|^2 - 2 x.c``, which is |x - c|^2 - |x|^2: the point's own |x|^2
     is common to its row and changes no difference between centers. With
     unit roundoff u, gamma_n = n u / (1 - n u) (Higham, *Accuracy and
@@ -239,8 +401,15 @@ def offline_kmeans(
     Every other row (near-ties, exact ties) is recomputed with
     ``sq_distances`` on that row subset, whose values equal the full call's
     bit for bit. No value can overflow while max_x |x|^2 + max_j |c_j|^2 is
-    below an eighth of the largest float; where it is not, every row is
-    recomputed.
+    below an eighth of the largest float; where it is not, the restart's
+    every row is recomputed.
+
+    The argument holds for each ``a`` on its own, whatever product computed
+    it. So a group keeps each restart's (K, N) values of ``a`` between
+    steps, and each step recomputes, in one product for the whole group,
+    only those of the centers that changed in the last update. Where one
+    restart's values would not fit under the bound, none are kept, and each
+    step computes them per chunk of points.
 
     Each Lloyd iteration updates only the dirty clusters, those a point
     moved into or out of; a restart's first iteration updates all of them.
@@ -250,6 +419,21 @@ def offline_kmeans(
     reused C-ordered (N, D) buffer: the same elementwise operations and the
     same pairwise sum as ``((points - centers[assign]) ** 2).sum()``, whose
     temporary is C-ordered too.
+
+    That exact inertia is taken only for a restart that can still win. At
+    convergence, the kept values give t_i = a_i + |x_i|^2 for each point's
+    center, within beta_i of the true |x_i - c|^2 (above). So the true
+    inertia I is at least sum t_i - sum beta_i - 2 gamma_N sum |t_i|, the
+    last term for rounding t_i and summing it. The buffer holds N D squares
+    of differences, each within gamma_3 (relative) and 2^-1075 (absolute)
+    of its true value, and sums them within gamma_{ND-1}, in whatever
+    order; so the exact inertia is at least
+    (1 - gamma_{ND+2}) I - N D 2^-1075. The bound subtracts twice all of
+    these terms from sum t_i, which also covers rounding the bound itself.
+    A restart whose bound exceeds the least exact inertia so far cannot
+    win, and is skipped. Ties with it, restarts past the overflow
+    headroom, those stopped at 200 iterations and those whose values are
+    not kept all take the exact form.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -259,37 +443,19 @@ def offline_kmeans(
         raise ValueError(f"{len(points)} points cannot form {k} clusters")
     if restarts < 1:
         raise ValueError(f"k-means needs at least 1 restart, got {restarts}")
-    nearest = _nearest_centers(points)
-    buf = np.empty(points.shape)
     rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        centers = points[rng.choice(len(points), size=k, replace=False)].copy()
-        assign = None
-        for _ in range(200):
-            previous, assign = assign, nearest(centers)
-            if previous is None:  # a restart's first iteration
-                dirty = np.arange(k)
-            else:
-                moved = np.flatnonzero(assign != previous)
-                touched = np.bincount(previous[moved], minlength=k)
-                touched += np.bincount(assign[moved], minlength=k)
-                dirty = np.flatnonzero(touched)
-            new_centers = centers.copy()
-            for j in dirty:
-                members = points[assign == j]
-                if len(members):
-                    new_centers[j] = members.mean(axis=0)
-            if np.array_equal(new_centers, centers):
-                break
-            centers = new_centers
-        np.take(centers, assign, axis=0, out=buf, mode="clip")  # "raise" would buffer `out`
-        np.subtract(points, buf, out=buf)
-        np.square(buf, out=buf)
-        inertia = float(buf.sum())
-        if best is None or inertia < best[2]:
-            best = (centers, assign, inertia)
-    return best
+    lloyd = _Lloyd(points, k)
+    best = None  # (inertia, restart, centers, assignment)
+    for first in range(0, restarts, lloyd.group):
+        size = min(lloyd.group, restarts - first)
+        draws = [rng.choice(len(points), size=k, replace=False) for _ in range(size)]
+        for r, centers, assign, _, bound in lloyd.run(draws):
+            if best is not None and bound > best[0]:
+                continue  # its inertia is above the best's
+            inertia = lloyd.inertia(centers, assign)
+            if best is None or (inertia, first + r) < best[:2]:
+                best = (inertia, first + r, centers, assign)
+    return best[2], best[3], best[0]
 
 
 def match_to_centers(
@@ -831,6 +997,6 @@ def describe_bank(bank: StyleMemoryBank) -> str:
     for i, p in enumerate(bank.prototypes):
         lines.append(
             f"prototype {i}: use_count={p.use_count} last_update={p.last_update} "
-            f"mean_avg={p.p_mean.mean()!r} std_avg={p.p_std.mean()!r}"
+            f"mean_avg={float(p.p_mean.mean())!r} std_avg={float(p.p_std.mean())!r}"
         )
     return "\n".join(lines) + "\n"

@@ -219,7 +219,10 @@ class StyleMemoryBank:
         use, last, n = self._use, self._last, len(self._use)
         if not n and self.mode != "train":
             raise StateError("observe() on an empty bank in tta mode")
-        self.step += 1
+        step = self.step + 1  # a Python int (see __setattr__), so only the file's limit is left
+        if step >= _U64_LIMIT:
+            _count("step", step, 0)  # raises the message of an assignment
+        self.__dict__["step"] = step
         if n < self.capacity and self.mode == "train":
             v = checked_vector(s)
             if n == len(self._matrix):  # no free row: grow geometrically, at most to capacity
@@ -228,27 +231,29 @@ class StyleMemoryBank:
                 self._matrix = grown
             self._matrix[n] = v
             use.append(1)
-            last.append(self.step)
+            last.append(step)
             return UpdateReport("bootstrap", n)
 
         v = style_vector(s)
-        d = sq_distances(v[None], self._matrix[:n])[0]
-        tau = float(self.alpha / self.capacity * np.sum(d))
-        nearest = int(np.argmin(d))
+        d = self._matrix[:n] - v  # the bits of ``sq_distances(v[None], vectors)[0]``
+        np.square(d, out=d)
+        d = d.sum(axis=1)
+        tau = float(self.alpha / self.capacity * d.sum())
+        nearest = int(d.argmin())
         d_min = float(d[nearest])
 
         if d_min > tau and self.mode == "train":
             check_vector(v)
             victim = min(range(n), key=lambda i: (use[i], last[i]))
             self._matrix[victim] = v
-            use[victim], last[victim] = 1, self.step
+            use[victim], last[victim] = 1, step
             return UpdateReport("replace", victim, d_min=d_min, tau=tau)
 
         count = _count("use_count", use[nearest] + 1, 1)  # before the row is written
         row, lam = self._matrix[nearest], self.momentum
         row *= lam  # the bits of ``lam * p.mean + (1 - lam) * s.mean``, and of std
         row += (1.0 - lam) * v
-        use[nearest], last[nearest] = count, self.step
+        use[nearest], last[nearest] = count, step
         return UpdateReport("fuse", nearest, d_min=d_min, tau=tau)
 
     def save(self) -> bytes:

@@ -3,9 +3,9 @@
 Everything here is deliberately written as plain loops (or a separate
 textbook algorithm), independent of the library code paths it checks. The
 whole-map formulas (``stats_whole_map``, ``affine_remap``), the stacked-copies
-finite differences, the dense masked attention and the per-sample train phase
-are the exception: they are the references that the faster forms reproduce
-bit for bit.
+finite differences, the dense masked attention, the sequential k-means and the
+per-sample train phase are the exception: they are the references that the
+faster forms reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -264,6 +264,76 @@ def broadcast_kmeans(points, k, restarts=50, seed=0):
     return best
 
 
+def sequential_kmeans(points, k, restarts=50, seed=0, iterations=None):
+    """Multi-restart Lloyd clustering, one restart after the other; returns
+    (centers, assignment, inertia) and appends each restart's Lloyd iteration
+    count to ``iterations``, if given.
+
+    ``harness.offline_kmeans`` as it ran before its restarts ran in lockstep:
+    the same draws, assignment, update, convergence test and selection. Each
+    iteration ranks all K centers of every point with one (K, D) x (D, N)
+    product of ``|c|^2 - 2 x.c`` and rechecks with ``sq_distances`` each point
+    with no single center within the rounding bound of its least value; each
+    restart's inertia is taken in full.
+    """
+    from sa_adapt.style_statistics import sq_distances
+
+    points = np.asarray(points, dtype=float)
+    d = points.shape[1]
+    minus_twice_t = -2.0 * np.ascontiguousarray(points.T)
+    sq_norms = np.einsum("ij,ij->i", points, points)
+    u = 2.0**-53
+    gamma = (d + 4) * u / (1.0 - (d + 4) * u)
+    two_beta = 16.0 * (gamma * sq_norms + d * 2.0**-1074)
+    headroom = np.finfo(float).max / 8 - sq_norms.max()
+
+    def nearest(centers):
+        center_norms = np.einsum("ij,ij->i", centers, centers)
+        center_max = center_norms.max()
+        if not center_max < headroom:
+            return sq_distances(points, centers).argmin(axis=1)
+        approx = centers @ minus_twice_t
+        approx += center_norms[:, None]
+        threshold = approx.min(axis=0) + two_beta + 16.0 * gamma * center_max
+        near = approx <= threshold
+        assign = np.arange(len(centers)) @ near
+        unsure = np.flatnonzero(near.sum(axis=0) != 1)
+        if len(unsure):
+            assign[unsure] = sq_distances(points[unsure], centers).argmin(axis=1)
+        return assign
+
+    buf = np.empty(points.shape)
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(restarts):
+        centers = points[rng.choice(len(points), size=k, replace=False)].copy()
+        assign = None
+        for step in range(1, 201):
+            previous, assign = assign, nearest(centers)
+            if previous is None:
+                dirty = np.arange(k)
+            else:
+                moved = np.flatnonzero(assign != previous)
+                dirty = np.union1d(previous[moved], assign[moved])
+            new_centers = centers.copy()
+            for j in dirty:
+                members = points[assign == j]
+                if len(members):
+                    new_centers[j] = members.mean(axis=0)
+            if np.array_equal(new_centers, centers):
+                break
+            centers = new_centers
+        if iterations is not None:
+            iterations.append(step)
+        np.take(centers, assign, axis=0, out=buf, mode="clip")
+        np.subtract(points, buf, out=buf)
+        np.square(buf, out=buf)
+        inertia = float(buf.sum())
+        if best is None or inertia < best[2]:
+            best = (centers, assign, inertia)
+    return best
+
+
 def match_permutations(vectors, centers):
     """Bijective vector-to-center matching of least total squared distance,
     by trying every permutation (first minimum in lexicographic order)."""
@@ -341,8 +411,8 @@ def per_sample_train(config, spec):
     ``harness.run_train_phase`` (which also writes the files)."""
     from sa_adapt.harness import (
         Report, StyleMemoryBank, compute_stats, generate_stream, match_to_centers,
-        offline_kmeans, sq_distances, style_vector,
     )
+    from sa_adapt.style_statistics import sq_distances, style_vector
 
     stream_size = len(spec.style_clusters) * spec.samples_per_cluster
     levels = len(spec.pyramid_shapes)
@@ -364,7 +434,7 @@ def per_sample_train(config, spec):
     for li, level_steps in enumerate(steps):
         decisions, vectors = zip(*level_steps)
         points = np.stack(vectors)
-        centers, assign, inertia = offline_kmeans(
+        centers, assign, inertia = sequential_kmeans(
             points, config.k, restarts=50, seed=config.seed
         )
         matched, dists = match_to_centers(banks[li].vectors(), centers)

@@ -34,7 +34,6 @@ from sa_adapt.harness import (
     run_ocl_demo,
     run_tta_phase,
     run_train_phase,
-    style_vector,
     write_report,
 )
 from sa_adapt.style_memory_bank import StyleMemoryBank, load
@@ -85,7 +84,7 @@ def recording_stream(monkeypatch, on_next=None):
     monkeypatch.setattr(harness_mod, "generate_stream", stream)
     return yielded
 from sa_adapt.style_projection import project
-from sa_adapt.style_statistics import compute_stats, sq_distances
+from sa_adapt.style_statistics import ChannelStats, compute_stats, sq_distances, style_vector
 
 import oracles
 
@@ -269,7 +268,8 @@ class TestKmeansAssignment:
         np.testing.assert_array_equal(assign, ref_assign)
         assert np.array_equal(inertia, ref_inertia, equal_nan=True)
 
-    def test_planted_near_ties_are_rechecked_exactly(self, rechecked):
+    @pytest.mark.parametrize("kept", [True, False], ids=["rows-kept", "rows-per-chunk"])
+    def test_planted_near_ties_are_rechecked_exactly(self, rechecked, kept):
         centers = np.array([[0.0, 0.0], [2.0, 0.0]])
         ys = np.linspace(-3.0, 3.0, 7)[:, None]
         ones = np.ones_like(ys)
@@ -282,7 +282,10 @@ class TestKmeansAssignment:
                 np.hstack([1.9 * ones, ys]),
             ]
         )
-        assign = harness_mod._nearest_centers(points)(centers)
+        rows = np.zeros((1, 2, len(points))) if kept else None
+        lloyd = harness_mod._Lloyd(points, 2)
+        assign, _ = lloyd.nearest(centers[None], rows, np.ones((1, 2), dtype=bool))
+        assign = assign[0]
         assert len(rechecked) == 1
         assert 21 <= rechecked[0] < len(points)
         exact = sq_distances(points, centers)
@@ -347,22 +350,17 @@ def blob_cases(draw):
 
 
 def record_lloyd_iterations(monkeypatch):
-    """The assignment of every ``nearest`` call, one per Lloyd iteration,
-    of later ``offline_kmeans`` calls."""
+    """The assignment of each restart in every lockstep step of later
+    ``offline_kmeans`` calls: one per Lloyd iteration of a single restart."""
     calls = []
-    make = harness_mod._nearest_centers
+    nearest = harness_mod._Lloyd.nearest
 
-    def recording(points):
-        nearest = make(points)
+    def recording(self, *args):
+        assign, center_max = nearest(self, *args)
+        calls.extend(assign.copy())
+        return assign, center_max
 
-        def recorded(centers):
-            assign = nearest(centers)
-            calls.append(assign)
-            return assign
-
-        return recorded
-
-    monkeypatch.setattr(harness_mod, "_nearest_centers", recording)
+    monkeypatch.setattr(harness_mod._Lloyd, "nearest", recording)
     return calls
 
 
@@ -389,6 +387,103 @@ class TestKmeansFastRegime:
         assert repr(inertia) == repr(ref_inertia)
         assert len(calls) >= 3
         assert all(np.bincount(a, minlength=8).min() == 0 for a in calls)
+
+
+@st.composite
+def lockstep_cases(draw):
+    """(points, k, restarts, seed, group bound in bytes).
+
+    ``kmeans_cases`` and ``blob_cases`` inputs, the same points with k = N,
+    and restarts that tie: two tight blobs far apart, so most restarts end on
+    the same two clusters, with equal inertia, but not all in the same label
+    order. The bound is the module's or a few hundred bytes, which spreads
+    the restarts over several groups and can leave a restart's rows unkept.
+    """
+    kind = draw(st.sampled_from(["kmeans", "blobs", "k=N", "ties"]))
+    if kind == "ties":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n, d = draw(st.integers(4, 40)), draw(st.integers(1, 8))
+        blob = rng.integers(0, 2, size=n)
+        blob[:2] = 0, 1  # neither blob is empty
+        points = 100.0 * blob[:, None] + 1e-3 * rng.normal(size=(n, d))
+        k, restarts, seed = 2, draw(st.integers(2, 12)), draw(st.integers(0, 2**16))
+    else:
+        points, k, restarts, seed = draw(blob_cases() if kind == "blobs" else kmeans_cases())
+        if kind == "k=N":
+            k = len(points)
+        restarts = draw(st.sampled_from([restarts, 7]))
+    bound = draw(st.sampled_from([harness_mod._GROUP_BYTES, 200, 700, 3000]))
+    return points, k, restarts, seed, bound
+
+
+class TestLockstepKmeans:
+    @settings(deadline=None, max_examples=300)
+    @given(lockstep_cases())
+    def test_equals_the_sequential_restarts(self, case):
+        points, k, restarts, seed, bound = case
+        iterations = {}
+        run = harness_mod._Lloyd.run
+
+        def recording(self, draws):
+            first = len(iterations)
+            iterations.update({first + r: None for r in range(len(draws))})
+            for out in run(self, draws):
+                iterations[first + out[0]] = out[3]
+                yield out
+
+        expected = []
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+            mp.setattr(harness_mod, "_GROUP_BYTES", bound)
+            mp.setattr(harness_mod._Lloyd, "run", recording)
+            centers, assign, inertia = offline_kmeans(points, k, restarts, seed)
+            ref_centers, ref_assign, ref_inertia = oracles.sequential_kmeans(
+                points, k, restarts, seed, iterations=expected
+            )
+        assert centers.tobytes() == ref_centers.tobytes()
+        assert assign.tobytes() == ref_assign.tobytes()
+        assert repr(inertia) == repr(ref_inertia)
+        assert [iterations[r] for r in range(restarts)] == expected
+
+    def test_groups_follow_the_byte_and_product_bounds(self, monkeypatch):
+        points = np.random.default_rng(4).normal(size=(50, 3))
+        sizes = []
+        run = harness_mod._Lloyd.run
+
+        def recording(self, draws):
+            sizes.append((len(draws), self.keep_rows))
+            yield from run(self, draws)
+
+        monkeypatch.setattr(harness_mod._Lloyd, "run", recording)
+        product = 4 * 50 * 3  # one restart's multiply-adds
+        cases = [
+            (2 << 20, 2**18, [(50, True)]),
+            (8 * 6 * 50 * 3, 2**18, [(3, True)] * 16 + [(2, True)]),  # 3 restarts of K + 2 rows
+            (8 * 4 * 50 - 1, 2**18, [(1, False)] * 50),  # below one restart's K rows
+            (2 << 20, 7 * product + 1, [(7, True)] * 7 + [(1, True)]),
+            (2 << 20, product - 1, [(50, True)]),  # no restart's product is that small
+        ]
+        for bound, one_thread, expected in cases:
+            sizes.clear()
+            monkeypatch.setattr(harness_mod, "_GROUP_BYTES", bound)
+            monkeypatch.setattr(harness_mod, "_ONE_THREAD_PRODUCT", one_thread)
+            offline_kmeans(points, 4, restarts=50, seed=1)
+            assert sizes == expected
+
+    def test_most_restarts_skip_the_exact_inertia(self, monkeypatch):
+        points = np.random.default_rng(6).normal(size=(400, 6))
+        exact = []
+        inertia = harness_mod._Lloyd.inertia
+
+        def recording(self, centers, assign):
+            exact.append(inertia(self, centers, assign))
+            return exact[-1]
+
+        monkeypatch.setattr(harness_mod._Lloyd, "inertia", recording)
+        result = offline_kmeans(points, 8, restarts=50, seed=3)
+        reference = oracles.sequential_kmeans(points, 8, restarts=50, seed=3)
+        assert repr(result[2]) == repr(reference[2])
+        assert 1 <= len(exact) <= 10
+        assert min(exact) == result[2]
 
 
 class TestTrainPhase:
@@ -1242,3 +1337,12 @@ def test_describe_bank_mentions_counters(tmp_path):
     text = describe_bank(banks[0])
     assert "use_count=" in text
     assert "step 24" in text
+
+
+def test_describe_bank_prints_plain_floats():
+    stats = ChannelStats(np.array([-0.1, 0.3]), np.array([1.0, 2.5]))
+    bank = StyleMemoryBank(capacity=2)
+    bank.observe(stats)
+    line = describe_bank(bank).splitlines()[-1]
+    assert "np.float64" not in line
+    assert line.endswith(f"mean_avg={float(stats.mean.mean())!r} std_avg=1.75")
