@@ -177,8 +177,9 @@ _NO_OVERFLOW_NORMS = np.finfo(float).max / 8  # see offline_kmeans
 # restarts run one by one, each with all K rows per iteration, at peaks of
 # traced memory of 4.1, 5.1, 7.0 and 10.9 MB against 7.1 MB one by one. 2 MiB
 # is about as fast as 4 MiB, and its peak stays under the one-by-one form's.
-# A restart whose rows alone are above the bound keeps none; each step takes
-# them per chunk of points whose rows fit under it.
+# A restart whose rows alone are above the bound runs in a group of its own,
+# which keeps them: one (K, N) block, the size of the product that the
+# restarts run one by one take every iteration.
 _GROUP_BYTES = 2 << 20
 # OpenBLAS takes a product of at most 2**18 multiply-adds on one thread and
 # wakes a second one above that. Where one restart's product is that small, the
@@ -212,49 +213,37 @@ class _Lloyd:
         # 2 beta per point (see offline_kmeans), less its center term
         self.two_beta = 16.0 * (self.gamma * self.sq_norms + d * _SMALLEST_SUBNORMAL)
         self.headroom = _NO_OVERFLOW_NORMS - self.sq_norms.max()
-        self.keep_rows = 8 * k * n <= _GROUP_BYTES
         self.group = max(1, _GROUP_BYTES // (8 * (k + 2) * n))
         if k * n * d <= _ONE_THREAD_PRODUCT:
             self.group = min(self.group, _ONE_THREAD_PRODUCT // (k * n * d))
-        self.width = max(1, _GROUP_BYTES // (8 * k))  # points per chunk of rows not kept
         self.buf = np.empty(points.shape)
 
     def nearest(self, centers, rows, stale):
         """Each restart's ``sq_distances(points, centers).argmin(axis=1)``, bit
         for bit, as a (g, N) array, and each restart's largest squared center norm.
 
-        ``centers`` holds g restarts' (K, D) centers. ``rows``, None or their
-        (g, K, N) rows of ``a``, keeps the rows across steps: those flagged in
-        the (g, K) ``stale`` are recomputed in one product, and ``stale`` then
-        flags every row of a restart past the overflow headroom, which takes the
-        direct distances. Without ``rows``, every row is computed, per chunk of
-        ``width`` points.
+        ``centers`` holds g restarts' (K, D) centers and ``rows`` their
+        (g, K, N) rows of ``a``, kept across steps: those flagged in the (g, K)
+        ``stale`` are recomputed in one product, and ``stale`` then flags every
+        row of a restart past the overflow headroom, which takes the direct
+        distances.
         """
         points, (n, d) = self.points, self.points.shape
         norms = np.einsum("gkd,gkd->gk", centers, centers)
         center_max = norms.max(axis=1)
         fast = center_max < self.headroom
         margin = self.two_beta + (16.0 * self.gamma * center_max)[:, None]
-        if rows is None:
-            assign = np.zeros((len(centers), n), dtype=np.intp)
-            unsure = np.zeros((len(centers), n), dtype=bool)
-            for start in range(0, len(points), self.width) if fast.any() else ():
-                cols = slice(start, start + self.width)
-                block = (-2.0 * centers[fast]) @ points[cols].T
-                block += norms[fast][:, :, None]
-                assign[fast, cols], unsure[fast, cols] = self._choose(block, margin[fast, cols])
-        else:
-            s, j = np.nonzero(stale & fast[:, None])
-            if len(s) == stale.size:  # every row, as on a group's first steps
-                np.matmul(-2.0 * centers.reshape(-1, d), points.T, out=rows.reshape(-1, n))
-                rows += norms[:, :, None]
-            elif len(s):
-                block = (-2.0 * centers[s, j]) @ points.T
-                block += norms[s, j][:, None]
-                rows[s, j] = block
-            stale[:] = ~fast[:, None]
-            assign, unsure = self._choose(rows, margin)
-            unsure &= fast[:, None]
+        s, j = np.nonzero(stale & fast[:, None])
+        if len(s) == stale.size:  # every row, as on a group's first steps
+            np.matmul(-2.0 * centers.reshape(-1, d), points.T, out=rows.reshape(-1, n))
+            rows += norms[:, :, None]
+        elif len(s):
+            block = (-2.0 * centers[s, j]) @ points.T
+            block += norms[s, j][:, None]
+            rows[s, j] = block
+        stale[:] = ~fast[:, None]
+        assign, unsure = self._choose(rows, margin)
+        unsure &= fast[:, None]
         for s in np.flatnonzero(~fast):
             assign[s] = sq_distances(points, centers[s]).argmin(axis=1)
         for s in np.flatnonzero(unsure.any(axis=1)):
@@ -269,9 +258,9 @@ class _Lloyd:
         threshold = a.min(axis=1)
         threshold += margin
         near = a <= threshold[:, None, :]
-        order, assign = np.arange(a.shape[1]), np.empty(threshold.shape, dtype=np.intp)
-        for s, restart in enumerate(near):  # one at a time: ``@`` takes an int copy of ``near``
-            np.matmul(order, restart, out=assign[s])  # the only near center, where there is one
+        # the only near center, where there is one; ``einsum`` casts ``near`` in
+        # buffered chunks, where ``@`` would take an int copy of all of it
+        assign = np.einsum("k,gkn->gn", np.arange(a.shape[1]), near)
         return assign, np.count_nonzero(near, axis=1) != 1
 
     def run(self, draws):
@@ -286,14 +275,12 @@ class _Lloyd:
         live = len(draws)
         slots = list(range(live))
         centers = self.points[np.stack(draws)]
-        rows = np.zeros((live, k, n)) if self.keep_rows else None
+        rows = np.zeros((live, k, n))
         stale = np.ones((live, k), dtype=bool)
         assign = np.zeros((live, n), dtype=np.intp)
-        states = [centers, assign, stale] + ([] if rows is None else [rows])
+        states = [centers, assign, stale, rows]
         for step in range(1, 201):
-            new, center_max = self.nearest(
-                centers[:live], None if rows is None else rows[:live], stale[:live]
-            )
+            new, center_max = self.nearest(centers[:live], rows[:live], stale[:live])
             dirty = np.full((live, k), step == 1)  # a restart's first step updates every cluster
             s, i = np.nonzero(new != assign[:live])
             dirty[s, assign[s, i]] = dirty[s, new[s, i]] = True
@@ -302,7 +289,7 @@ class _Lloyd:
                 if self._update(centers[s], assign[s], dirty[s], stale[s]) and step < 200:
                     continue
                 bound = np.nan
-                if rows is not None and not stale[s].any():
+                if not stale[s].any():
                     bound = self._lower_bound(rows[s], assign[s], center_max[s])
                 yield slots[s], centers[s].copy(), assign[s].copy(), step, bound
                 live -= 1
@@ -407,9 +394,8 @@ def offline_kmeans(
     The argument holds for each ``a`` on its own, whatever product computed
     it. So a group keeps each restart's (K, N) values of ``a`` between
     steps, and each step recomputes, in one product for the whole group,
-    only those of the centers that changed in the last update. Where one
-    restart's values would not fit under the bound, none are kept, and each
-    step computes them per chunk of points.
+    only those of the centers that changed in the last update. A restart
+    whose values alone exceed the bound runs in a group of its own.
 
     Each Lloyd iteration updates only the dirty clusters, those a point
     moved into or out of; a restart's first iteration updates all of them.
@@ -432,8 +418,7 @@ def offline_kmeans(
     these terms from sum t_i, which also covers rounding the bound itself.
     A restart whose bound exceeds the least exact inertia so far cannot
     win, and is skipped. Ties with it, restarts past the overflow
-    headroom, those stopped at 200 iterations and those whose values are
-    not kept all take the exact form.
+    headroom and those stopped at 200 iterations all take the exact form.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:

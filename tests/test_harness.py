@@ -268,8 +268,7 @@ class TestKmeansAssignment:
         np.testing.assert_array_equal(assign, ref_assign)
         assert np.array_equal(inertia, ref_inertia, equal_nan=True)
 
-    @pytest.mark.parametrize("kept", [True, False], ids=["rows-kept", "rows-per-chunk"])
-    def test_planted_near_ties_are_rechecked_exactly(self, rechecked, kept):
+    def test_planted_near_ties_are_rechecked_exactly(self, rechecked):
         centers = np.array([[0.0, 0.0], [2.0, 0.0]])
         ys = np.linspace(-3.0, 3.0, 7)[:, None]
         ones = np.ones_like(ys)
@@ -282,7 +281,7 @@ class TestKmeansAssignment:
                 np.hstack([1.9 * ones, ys]),
             ]
         )
-        rows = np.zeros((1, 2, len(points))) if kept else None
+        rows = np.zeros((1, 2, len(points)))
         lloyd = harness_mod._Lloyd(points, 2)
         assign, _ = lloyd.nearest(centers[None], rows, np.ones((1, 2), dtype=bool))
         assign = assign[0]
@@ -397,7 +396,8 @@ def lockstep_cases(draw):
     and restarts that tie: two tight blobs far apart, so most restarts end on
     the same two clusters, with equal inertia, but not all in the same label
     order. The bound is the module's or a few hundred bytes, which spreads
-    the restarts over several groups and can leave a restart's rows unkept.
+    the restarts over several groups, down to groups of one restart whose
+    rows alone exceed it.
     """
     kind = draw(st.sampled_from(["kmeans", "blobs", "k=N", "ties"]))
     if kind == "ties":
@@ -450,17 +450,17 @@ class TestLockstepKmeans:
         run = harness_mod._Lloyd.run
 
         def recording(self, draws):
-            sizes.append((len(draws), self.keep_rows))
+            sizes.append(len(draws))
             yield from run(self, draws)
 
         monkeypatch.setattr(harness_mod._Lloyd, "run", recording)
         product = 4 * 50 * 3  # one restart's multiply-adds
         cases = [
-            (2 << 20, 2**18, [(50, True)]),
-            (8 * 6 * 50 * 3, 2**18, [(3, True)] * 16 + [(2, True)]),  # 3 restarts of K + 2 rows
-            (8 * 4 * 50 - 1, 2**18, [(1, False)] * 50),  # below one restart's K rows
-            (2 << 20, 7 * product + 1, [(7, True)] * 7 + [(1, True)]),
-            (2 << 20, product - 1, [(50, True)]),  # no restart's product is that small
+            (2 << 20, 2**18, [50]),
+            (8 * 6 * 50 * 3, 2**18, [3] * 16 + [2]),  # 3 restarts of K + 2 rows
+            (8 * 4 * 50 - 1, 2**18, [1] * 50),  # below one restart's K rows
+            (2 << 20, 7 * product + 1, [7] * 7 + [1]),
+            (2 << 20, product - 1, [50]),  # no restart's product is that small
         ]
         for bound, one_thread, expected in cases:
             sizes.clear()
