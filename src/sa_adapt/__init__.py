@@ -11,9 +11,7 @@ from .class_query_attention import (
     TokenSequence,
     cross_attend,
     init_class_queries,
-    load_tensors,
     run_encoder_side,
-    save_tensors,
     sine_positions,
     tokens_from_pyramid,
 )
@@ -22,7 +20,6 @@ from .contrastive_alignment import (
     ContrastiveBatch,
     LossReport,
     contrastive_loss,
-    contrastive_loss_value,
     total_loss,
 )
 from .errors import FormatError, StateError
@@ -32,8 +29,6 @@ from .object_gating import (
     GatingMaskSet,
     align_to_tokens,
     build_masks,
-    format_annotations,
-    from_interchange,
     parse_annotations,
 )
 from .style_memory_bank import StyleMemoryBank, StylePrototype, UpdateReport, load
@@ -64,19 +59,14 @@ __all__ = [
     "build_masks",
     "compute_stats",
     "contrastive_loss",
-    "contrastive_loss_value",
     "cross_attend",
-    "format_annotations",
-    "from_interchange",
     "init_class_queries",
     "load",
     "load_config",
-    "load_tensors",
     "parse_annotations",
     "project",
     "project_pyramid",
     "run_encoder_side",
-    "save_tensors",
     "sine_positions",
     "softmax",
     "style_distance",

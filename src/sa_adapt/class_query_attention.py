@@ -11,31 +11,21 @@ Keys and values are projected once per token sequence, and only for the
 tokens that some category attends; the logits of all categories and heads
 then go through one masked softmax, in which masked positions get weight
 exactly 0. A category with no attendable tokens passes through unchanged
-(bit for bit). Queries are
-plain (C, d) float arrays; projection parameters are four bias-free d x d
-matrices, loadable from a flat named-tensor container:
-
-    magic ``SATENS`` (6 bytes), version u32, entry count u32, then per
-    entry: name length u16 + UTF-8 name, ndim u8, extents u32 each, and
-    the values as little-endian f64, row-major.
+(bit for bit). Queries are plain (C, d) float arrays; projection
+parameters are four bias-free d x d matrices.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError
 from .object_gating import GatingMaskSet
 from .tensor_core import DTYPE, require_finite
-
-TENSOR_MAGIC = b"SATENS"
-TENSOR_VERSION = 1
 
 
 @dataclass
@@ -95,18 +85,6 @@ class AttentionParams:
         bound = 1.0 / math.sqrt(d)
         mats = [rng.uniform(-bound, bound, size=(d, d)) for _ in range(4)]
         return cls(*mats)
-
-    def to_named_tensors(self) -> dict[str, np.ndarray]:
-        return {"w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v, "w_o": self.w_o}
-
-    @classmethod
-    def from_named_tensors(cls, tensors: dict[str, np.ndarray]) -> "AttentionParams":
-        try:
-            return cls(tensors["w_q"], tensors["w_k"], tensors["w_v"], tensors["w_o"])
-        except KeyError as exc:
-            raise FormatError(f"missing parameter tensor {exc}") from exc
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
 
 
 def sine_positions(level_shapes: list[tuple[int, int]], d: int) -> np.ndarray:
@@ -301,34 +279,23 @@ def run_encoder_side(
     q0: np.ndarray,
     seqs: list[TokenSequence],
     masks: GatingMaskSet,
-    params,
+    params: AttentionParams,
     heads: int,
-    l_blocks: int | None = None,
 ) -> np.ndarray:
     """Apply cross_attend once per encoder block, carrying queries across.
 
-    ``params`` is either one AttentionParams shared by all blocks or a
-    sequence with one entry per block. Keys and values are projected once
-    and reused for as long as consecutive blocks see the same sequence and
-    parameter objects.
+    All blocks share ``params``. Keys and values are projected once and
+    reused for as long as consecutive blocks see the same sequence object.
     """
     if not seqs:
         raise ValueError("need at least one block token sequence")
-    if l_blocks is not None and l_blocks != len(seqs):
-        raise ValueError(f"l_blocks={l_blocks} but {len(seqs)} token sequences given")
-    if isinstance(params, AttentionParams):
-        per_block = [params] * len(seqs)
-    else:
-        per_block = list(params)
-        if len(per_block) != len(seqs):
-            raise ValueError(f"{len(per_block)} parameter sets for {len(seqs)} blocks")
     q = np.asarray(q0, dtype=DTYPE)
-    kv, last_seq, last_params = None, None, None
-    for seq, block_params in zip(seqs, per_block):
-        if seq is not last_seq or block_params is not last_params:
-            kv = project_keys_values(seq, masks, block_params)
-            last_seq, last_params = seq, block_params
-        q = cross_attend(q, seq, masks, block_params, heads, projections=kv)
+    kv, last_seq = None, None
+    for seq in seqs:
+        if seq is not last_seq:
+            kv = project_keys_values(seq, masks, params)
+            last_seq = seq
+        q = cross_attend(q, seq, masks, params, heads, projections=kv)
     return q
 
 
@@ -336,69 +303,3 @@ def init_class_queries(num_categories: int, d: int, rng: np.random.Generator) ->
     """Seeded uniform query init on (-1/sqrt(d), 1/sqrt(d))."""
     bound = 1.0 / math.sqrt(d)
     return rng.uniform(-bound, bound, size=(num_categories, d))
-
-
-# ---------------------------------------------------------------------------
-# named-tensor container
-
-
-def save_tensors(tensors: dict[str, np.ndarray]) -> bytes:
-    """Serialize a name -> array mapping (f64, row-major, little-endian)."""
-    out = bytearray(struct.pack("<6sII", TENSOR_MAGIC, TENSOR_VERSION, len(tensors)))
-    for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        encoded = name.encode("utf-8")
-        out += struct.pack("<H", len(encoded))
-        out += encoded
-        out += struct.pack("<B", arr.ndim)
-        for extent in arr.shape:
-            out += struct.pack("<I", extent)
-        out += arr.tobytes()
-    return bytes(out)
-
-
-def load_tensors(blob: bytes) -> dict[str, np.ndarray]:
-    """Inverse of :func:`save_tensors`; raises FormatError on malformed input."""
-    head = struct.Struct("<6sII")
-    if len(blob) < head.size:
-        raise FormatError("tensor blob shorter than header")
-    magic, version, count = head.unpack_from(blob, 0)
-    if magic != TENSOR_MAGIC:
-        raise FormatError(f"bad magic {magic!r}")
-    if version != TENSOR_VERSION:
-        raise FormatError(f"unsupported tensor container version {version}")
-    off = head.size
-    tensors: dict[str, np.ndarray] = {}
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            if len(blob) < off + name_len:
-                raise FormatError("truncated tensor name")
-            name = blob[off : off + name_len].decode("utf-8")
-            if name in tensors:
-                raise FormatError(f"duplicate tensor name {name!r}")
-            off += name_len
-            (ndim,) = struct.unpack_from("<B", blob, off)
-            off += 1
-            shape = []
-            for _ in range(ndim):
-                (extent,) = struct.unpack_from("<I", blob, off)
-                off += 4
-                shape.append(extent)
-            size = math.prod(shape)  # exact integer; int64 np.prod can wrap
-            end = off + 8 * size
-            if end > len(blob):
-                raise FormatError(f"truncated payload for tensor {name!r}")
-            arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off).reshape(shape)
-            if not np.all(np.isfinite(arr)):
-                raise FormatError(f"non-finite values in tensor {name!r}")
-            tensors[name] = arr.astype(DTYPE)
-            off = end
-    except FormatError:
-        raise
-    except (struct.error, ValueError) as exc:  # truncation, non-UTF-8 name, ndim > numpy's
-        raise FormatError(f"malformed tensor container: {exc}") from exc
-    if off != len(blob):
-        raise FormatError("trailing bytes after last tensor")
-    return tensors

@@ -8,8 +8,7 @@ for the set of present categories, the loss is
 
 i.e. a softmax cross-entropy per augmented query a_i whose logits are its
 dot products with every present source query. Similarities are raw dot
-products; no temperature and no normalization by default (an optional L2
-normalization is available for experimentation). Absent categories take
+products, with no temperature and no normalization. Absent categories take
 no part in numerator or denominator and receive exactly zero gradient.
 
 The loss is asymmetric in (S, A) as written: the softmax normalizes over
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,26 +56,6 @@ class LossReport:
     grad_q_augmented: np.ndarray  # (C, d)
 
 
-class _Forward(NamedTuple):
-    s_unit: np.ndarray  # (n, d) source queries, normalized if requested
-    a_unit: np.ndarray
-    s_norm: np.ndarray | None  # (n, 1) row norms when normalizing
-    a_norm: np.ndarray | None
-    exp: np.ndarray  # (n, n) column-shifted exponentials
-    z: np.ndarray  # (n,) column sums of exp
-    loss: np.ndarray  # () the loss
-
-
-def _unit_rows(x: np.ndarray, normalize: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """``x`` with its rows L2-normalized if requested, and the row norms."""
-    if not normalize:
-        return x, None
-    norm = np.linalg.norm(x, axis=-1, keepdims=True)
-    if np.any(norm == 0.0):
-        raise ValueError("cannot normalize a zero query vector")
-    return x / norm, norm
-
-
 def _tail(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column-shifted exponentials, their column sums and the loss of logits
     ``[j, i] = s_j . a_i``, (n, n) or (n, n, m) with m copies innermost. Each
@@ -90,31 +68,14 @@ def _tail(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return exp, z, -(log_prob_diag.sum(axis=-1) / logits.shape[0])
 
 
-def _forward(s: np.ndarray, a: np.ndarray, normalize: bool) -> _Forward:
-    """The loss of one (n, d) pair of present-row queries, and the
-    intermediates its gradients reuse."""
-    s, s_norm = _unit_rows(s, normalize)
-    a, a_norm = _unit_rows(a, normalize)
-    exp, z, loss = _tail(s @ a.T)
-    return _Forward(s, a, s_norm, a_norm, exp, z, loss)
-
-
-def _present_forward(batch: ContrastiveBatch, normalize: bool) -> tuple[np.ndarray, _Forward]:
-    """The present category indices and the forward pass over their rows."""
-    idx = np.flatnonzero(batch.present)
-    if idx.size == 0:
-        raise StateError("contrastive loss needs at least one present category")
-    return idx, _forward(batch.q_source[idx], batch.q_augmented[idx], normalize)
-
-
 # Bound on one stack of perturbed logits copies in _fd_gradient: with its
 # temporaries it stays in L2, whatever the number of present rows.
 _FD_CHUNK_BYTES = 1 << 20
 
 
 def _fd_gradient(s: np.ndarray, a: np.ndarray, source: bool, step: float) -> np.ndarray:
-    """Central differences of the (unnormalized) loss of (n, d) present-row
-    queries with respect to x = ``s`` if ``source``, else ``a``.
+    """Central differences of the loss of (n, d) present-row queries with
+    respect to x = ``s`` if ``source``, else ``a``.
 
     Entry (i, k) is ``(loss(up) - loss(down)) / (2 step)`` of the copies of x
     holding ``x[i, k] + step`` and ``x[i, k] - step``, each loss bit-identical
@@ -152,32 +113,22 @@ def _fd_gradient(s: np.ndarray, a: np.ndarray, source: bool, step: float) -> np.
     return (up - down) / (2.0 * step)
 
 
-def contrastive_loss_value(batch: ContrastiveBatch, normalize: bool = False) -> float:
-    """The loss alone, exactly as :func:`contrastive_loss` reports it."""
-    return float(_present_forward(batch, normalize)[1].loss)
-
-
-def contrastive_loss(batch: ContrastiveBatch, normalize: bool = False) -> LossReport:
-    """Loss and analytic gradients for one batch of paired query sets.
-
-    With ``normalize`` the queries are L2-normalized first and the
-    gradients are chained through the normalization.
-    """
-    idx, fw = _present_forward(batch, normalize)
+def contrastive_loss(batch: ContrastiveBatch) -> LossReport:
+    """Loss and analytic gradients for one batch of paired query sets."""
+    idx = np.flatnonzero(batch.present)
+    if idx.size == 0:
+        raise StateError("contrastive loss needs at least one present category")
+    s, a = batch.q_source[idx], batch.q_augmented[idx]
+    exp, z, loss = _tail(s @ a.T)
     n = idx.size
     # d loss / d logits[j, i] = (softmax_j - delta_ji) / n
-    g_logits = (fw.exp / fw.z - np.eye(n)) / n
-    g_s = g_logits @ fw.a_unit
-    g_a = g_logits.T @ fw.s_unit
-    if normalize:
-        g_s = (g_s - (g_s * fw.s_unit).sum(axis=1, keepdims=True) * fw.s_unit) / fw.s_norm
-        g_a = (g_a - (g_a * fw.a_unit).sum(axis=1, keepdims=True) * fw.a_unit) / fw.a_norm
+    g_logits = (exp / z - np.eye(n)) / n
 
     grad_source = np.zeros_like(batch.q_source)
     grad_augmented = np.zeros_like(batch.q_augmented)
-    grad_source[idx] = g_s
-    grad_augmented[idx] = g_a
-    return LossReport(float(fw.loss), grad_source, grad_augmented)
+    grad_source[idx] = g_logits @ a
+    grad_augmented[idx] = g_logits.T @ s
+    return LossReport(float(loss), grad_source, grad_augmented)
 
 
 def total_loss(l_det: float, l_contra: float, lambda_c: float) -> float:

@@ -18,9 +18,7 @@ Annotation text format: one image per line,
 
     <image_id> <height> <width> [<class> <xmin> <ymin> <xmax> <ymax>]...
 
-whitespace-separated, ``#`` starts a comment line. A converter from the
-common interchange layout (``images``/``annotations`` records with
-``bbox`` as [x, y, width, height]) is provided.
+whitespace-separated, ``#`` starts a comment line.
 """
 
 from __future__ import annotations
@@ -155,41 +153,3 @@ def parse_annotations(text: str) -> list[AnnotationRecord]:
         )
     return records
 
-
-def format_annotations(records: list[AnnotationRecord]) -> str:
-    """Inverse of :func:`parse_annotations` (floats use repr round-tripping)."""
-    lines = []
-    for rec in records:
-        fields = [rec.image_id, str(rec.image_size[0]), str(rec.image_size[1])]
-        for box, cat in zip(rec.annotation.boxes, rec.annotation.categories):
-            fields.append(str(cat))
-            fields.extend(repr(v) for v in box)
-        lines.append(" ".join(fields))
-    return "\n".join(lines) + "\n"
-
-
-def from_interchange(data: dict) -> list[AnnotationRecord]:
-    """Convert category/bbox records keyed by image id to AnnotationRecords.
-
-    Expects ``{"images": [{"id", "height", "width"}, ...],
-    "annotations": [{"image_id", "category_id", "bbox": [x, y, w, h]}, ...]}``.
-    Boxes are converted to corner form and clipped to the image bounds.
-    """
-    sizes = {img["id"]: (int(img["height"]), int(img["width"])) for img in data.get("images", [])}
-    grouped: dict = {img_id: ([], []) for img_id in sizes}
-    for entry in data.get("annotations", []):
-        img_id = entry["image_id"]
-        if img_id not in sizes:
-            raise ValueError(f"annotation references unknown image id {img_id!r}")
-        h, w = sizes[img_id]
-        x, y, bw, bh = entry["bbox"]
-        x0 = min(max(float(x), 0.0), w - 1.0)
-        y0 = min(max(float(y), 0.0), h - 1.0)
-        x1 = min(max(float(x) + float(bw), 0.0), w - 1.0)
-        y1 = min(max(float(y) + float(bh), 0.0), h - 1.0)
-        grouped[img_id][0].append((x0, y0, max(x1, x0), max(y1, y0)))
-        grouped[img_id][1].append(int(entry["category_id"]))
-    return [
-        AnnotationRecord(str(img_id), sizes[img_id], Annotation(boxes=bx, categories=ct))
-        for img_id, (bx, ct) in grouped.items()
-    ]

@@ -7,7 +7,6 @@ import sa_adapt.contrastive_alignment as ca_mod
 from sa_adapt.contrastive_alignment import (
     ContrastiveBatch,
     contrastive_loss,
-    contrastive_loss_value,
     total_loss,
 )
 from sa_adapt.errors import StateError
@@ -75,21 +74,6 @@ class TestContrastiveLoss:
             )
         assert worst < 1e-6
 
-    def test_normalized_variant_gradients(self):
-        rng = np.random.default_rng(2)
-        q_s = rng.normal(size=(4, 8))
-        q_a = rng.normal(size=(4, 8))
-        batch = batch_of(q_s, q_a)
-        rep = contrastive_loss(batch, normalize=True)
-        fd_s = oracles.central_difference(
-            lambda: contrastive_loss(batch, normalize=True).l_contra, batch.q_source
-        )
-        fd_a = oracles.central_difference(
-            lambda: contrastive_loss(batch, normalize=True).l_contra, batch.q_augmented
-        )
-        assert oracles.relative_gap(rep.grad_q_source, fd_s) < 1e-6
-        assert oracles.relative_gap(rep.grad_q_augmented, fd_a) < 1e-6
-
     def test_absent_rows_get_exactly_zero_gradient(self):
         rng = np.random.default_rng(3)
         present = np.array([True, False, True, False, True])
@@ -137,14 +121,6 @@ class TestContrastiveLoss:
         assert math.isfinite(rep.l_contra)
         assert np.all(np.isfinite(rep.grad_q_source))
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_loss_value_is_the_reported_loss(self, normalize):
-        rng = np.random.default_rng(6)
-        present = np.array([True, True, False, True])
-        batch = batch_of(rng.normal(size=(4, 8)), rng.normal(size=(4, 8)), present)
-        value = contrastive_loss_value(batch, normalize=normalize)
-        assert value == contrastive_loss(batch, normalize=normalize).l_contra
-
     def test_no_present_categories_is_state_error(self):
         with pytest.raises(StateError):
             contrastive_loss(batch_of(np.ones((2, 2)), np.ones((2, 2)), [False, False]))
@@ -158,36 +134,34 @@ class TestContrastiveLoss:
             ContrastiveBatch(np.ones((2, 3)), np.ones((2, 4)), np.ones(2, dtype=bool))
 
 
-def stacked_loss(q_source, q_augmented, normalize):
+def stacked_loss(q_source, q_augmented):
     """Losses of (m, n, d) stacks, from the loss tail of an (n, n, m) logits stack
     formed as the loss forms one pair's logits."""
-    s, a = (ca_mod._unit_rows(q, normalize)[0] for q in (q_source, q_augmented))
-    return ca_mod._tail(np.moveaxis(s @ np.swapaxes(a, -1, -2), 0, -1))[2]
+    logits = q_source @ np.swapaxes(q_augmented, -1, -2)
+    return ca_mod._tail(np.moveaxis(logits, 0, -1))[2]
 
 
 class TestStackedLoss:
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_each_stack_index_is_the_loss_of_that_slice(self, normalize):
+    def test_each_stack_index_is_the_loss_of_that_slice(self):
         rng = np.random.default_rng(8)
         present = np.array([True, False, True, True, False])
         idx = np.flatnonzero(present)
         q_s = rng.normal(size=(6, 5, 8))
         q_a = rng.normal(size=(6, 5, 8))
-        stacked = stacked_loss(q_s[:, idx], q_a[:, idx], normalize)
+        stacked = stacked_loss(q_s[:, idx], q_a[:, idx])
         assert stacked.shape == (6,)
         for k in range(6):
             batch = batch_of(q_s[k], q_a[k], present)
-            assert stacked[k] == contrastive_loss_value(batch, normalize=normalize)
+            assert stacked[k] == contrastive_loss(batch).l_contra
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_a_lone_side_broadcasts_against_a_stack(self, normalize):
+    def test_a_lone_side_broadcasts_against_a_stack(self):
         rng = np.random.default_rng(9)
         q_s, q_a = rng.normal(size=(4, 3, 6)), rng.normal(size=(3, 6))
-        by_source = stacked_loss(q_s, q_a, normalize)
-        by_augmented = stacked_loss(q_a, q_s, normalize)
+        by_source = stacked_loss(q_s, q_a)
+        by_augmented = stacked_loss(q_a, q_s)
         for k in range(4):
-            assert by_source[k] == contrastive_loss_value(batch_of(q_s[k], q_a), normalize)
-            assert by_augmented[k] == contrastive_loss_value(batch_of(q_a, q_s[k]), normalize)
+            assert by_source[k] == contrastive_loss(batch_of(q_s[k], q_a)).l_contra
+            assert by_augmented[k] == contrastive_loss(batch_of(q_a, q_s[k])).l_contra
 
 
 class TestTotalLoss:

@@ -9,11 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from sa_adapt.cli import main as cli_main
 from sa_adapt.config import TTA_ORDERS, RunConfig
-from sa_adapt.contrastive_alignment import (
-    ContrastiveBatch,
-    contrastive_loss,
-    contrastive_loss_value,
-)
+from sa_adapt.contrastive_alignment import ContrastiveBatch, contrastive_loss
 from sa_adapt.object_gating import Annotation
 import sa_adapt.contrastive_alignment as ca_mod
 import sa_adapt.harness as harness_mod
@@ -892,7 +888,7 @@ class TestFdGradient:
         idx = np.flatnonzero(batch.present)
         s, a = batch.q_source[idx], batch.q_augmented[idx]
         x = batch.q_source if source else batch.q_augmented
-        expected = oracles.central_difference(lambda: contrastive_loss_value(batch), x)
+        expected = oracles.central_difference(lambda: contrastive_loss(batch).l_contra, x)
         got = np.zeros_like(x)
         # stacks of ``copies`` logits copies, so most cases end in a partial stack
         with pytest.MonkeyPatch.context() as mp:

@@ -4,12 +4,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from sa_adapt.object_gating import (
     Annotation,
-    AnnotationRecord,
     GatingMaskSet,
     align_to_tokens,
     build_masks,
-    format_annotations,
-    from_interchange,
     parse_annotations,
 )
 
@@ -161,23 +158,18 @@ class TestAlignToTokens:
 
 
 class TestAnnotationIo:
-    def test_text_round_trip(self):
-        records = [
-            AnnotationRecord(
-                "img_001",
-                (480, 640),
-                Annotation(boxes=[(1.5, 2.0, 10.25, 20.5)], categories=[3]),
-            ),
-            AnnotationRecord("empty_img", (32, 32), Annotation(boxes=[], categories=[])),
-        ]
-        text = format_annotations(records)
+    def test_text_parses_to_records(self):
+        text = "img_001 480 640 3 1.5 0.1 10.25 20.5\nempty_img 32 32\n"
         parsed = parse_annotations(text)
         assert len(parsed) == 2
         assert parsed[0].image_id == "img_001"
         assert parsed[0].image_size == (480, 640)
-        assert parsed[0].annotation.boxes == records[0].annotation.boxes
+        assert parsed[0].annotation.boxes == [(1.5, 0.1, 10.25, 20.5)]
         assert parsed[0].annotation.categories == [3]
+        assert parsed[1].image_id == "empty_img"
+        assert parsed[1].image_size == (32, 32)
         assert parsed[1].annotation.boxes == []
+        assert parsed[1].annotation.categories == []
 
     def test_comments_and_blank_lines_skipped(self):
         text = "# header\n\nimg 4 4 0 0 0 1 1\n"
@@ -187,24 +179,3 @@ class TestAnnotationIo:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
             parse_annotations("img 4 4 0 0 0 1\n")  # five-tuple truncated
-
-    def test_interchange_conversion_clips_and_converts(self):
-        data = {
-            "images": [{"id": 7, "height": 10, "width": 12}],
-            "annotations": [
-                {"image_id": 7, "category_id": 2, "bbox": [3.0, 4.0, 5.0, 2.0]},
-                {"image_id": 7, "category_id": 0, "bbox": [-2.0, -2.0, 30.0, 30.0]},
-            ],
-        }
-        (rec,) = from_interchange(data)
-        assert rec.image_id == "7"
-        assert rec.image_size == (10, 12)
-        assert rec.annotation.boxes[0] == (3.0, 4.0, 8.0, 6.0)
-        assert rec.annotation.boxes[1] == (0.0, 0.0, 11.0, 9.0)  # clipped
-        assert rec.annotation.categories == [2, 0]
-
-    def test_interchange_unknown_image_rejected(self):
-        with pytest.raises(ValueError):
-            from_interchange(
-                {"images": [], "annotations": [{"image_id": 1, "category_id": 0, "bbox": [0, 0, 1, 1]}]}
-            )
