@@ -248,8 +248,27 @@ class _Lloyd:
             assign[s] = sq_distances(points, centers[s]).argmin(axis=1)
         for s in np.flatnonzero(unsure.any(axis=1)):
             where = np.flatnonzero(unsure[s])
-            assign[s, where] = sq_distances(points[where], centers[s]).argmin(axis=1)
+            assign[s, where] = self._distances(where, centers[s]).argmin(axis=1)
         return assign, center_max
+
+    def _distances(self, where, centers):
+        """``sq_distances(points, centers)[where]`` bit for bit, for the sorted
+        row indices ``where`` of a k-means with ``k >= 2``.
+
+        numpy sums each distance over D in an order set by the layout of the
+        (N, K, D) temporary, which follows that of ``points``: pairwise where
+        the rows are C-ordered, one term after the other where the columns
+        are (Fortran order). A row subset taken out by index is C-ordered, so
+        it sums as the full call does only for C-ordered points. Any other
+        layout takes the rows through a slice, which keeps the strides, of at
+        least two rows, as numpy drops an axis of length one from the choice.
+        """
+        points = self.points
+        if points.flags.c_contiguous:
+            return sq_distances(points[where], centers)
+        lo = min(where[0], len(points) - 2)
+        hi = max(where[-1] + 1, lo + 2)
+        return sq_distances(points[lo:hi], centers)[where - lo]
 
     @staticmethod
     def _choose(a, margin):

@@ -299,7 +299,7 @@ def sequential_kmeans(points, k, restarts=50, seed=0, iterations=None):
         assign = np.arange(len(centers)) @ near
         unsure = np.flatnonzero(near.sum(axis=0) != 1)
         if len(unsure):
-            assign[unsure] = sq_distances(points[unsure], centers).argmin(axis=1)
+            assign[unsure] = sq_distances(points, centers)[unsure].argmin(axis=1)
         return assign
 
     buf = np.empty(points.shape)

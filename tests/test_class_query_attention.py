@@ -13,6 +13,7 @@ from sa_adapt.class_query_attention import (
     tokens_from_pyramid,
 )
 from sa_adapt.object_gating import Annotation, GatingMaskSet, align_to_tokens, build_masks
+import sa_adapt.class_query_attention as cqa_mod
 
 import oracles
 
@@ -252,6 +253,25 @@ class TestEncoderSide:
         one = run_encoder_side(q, [seq], masks, params, heads=2)
         assert np.abs(two - one).max() > 1e-9  # second block does something
 
+    def test_each_run_of_one_sequence_is_projected_once(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        q, seq1, masks, params = random_setup(rng)
+        seq2 = TokenSequence(seq1.tokens.copy(), seq1.positions.copy(), [0, len(seq1.tokens)])
+        projected = []
+
+        def recording(seq, *args):
+            projected.append(seq)
+            return project_keys_values(seq, *args)
+
+        monkeypatch.setattr(cqa_mod, "project_keys_values", recording)
+        got = run_encoder_side(q, [seq1, seq1, seq2, seq2, seq1], masks, params, heads=2)
+        # an equal but distinct sequence object is projected anew
+        assert [id(seq) for seq in projected] == [id(seq1), id(seq2), id(seq1)]
+        chained = q
+        for _ in range(5):
+            chained = cross_attend(chained, seq1, masks, params, heads=2)
+        np.testing.assert_array_equal(got, chained)
+
     def test_empty_block_list_rejected(self):
         rng = np.random.default_rng(12)
         q, seq, masks, params = random_setup(rng)
@@ -311,3 +331,22 @@ class TestAttentionParams:
     def test_non_square_parameter_rejected(self, w_q):
         with pytest.raises(ValueError, match="w_q must be square"):
             AttentionParams(w_q, np.eye(2), np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("position", [1, 2, 3], ids=["w_k", "w_v", "w_o"])
+    def test_every_matrix_must_have_the_shape_of_w_q(self, position):
+        mats = [np.eye(2)] * 4
+        mats[position] = np.eye(3)
+        name = ("w_q", "w_k", "w_v", "w_o")[position]
+        with pytest.raises(ValueError, match=f"{name} must be square \\(2, 2\\), got \\(3, 3\\)"):
+            AttentionParams(*mats)
+
+    def test_non_finite_parameter_rejected(self):
+        with pytest.raises(ValueError, match="w_v contains non-finite values"):
+            AttentionParams(np.eye(2), np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]]), np.eye(2))
+
+    def test_nested_lists_become_float_arrays(self):
+        params = AttentionParams([[1, 0], [0, 1]], [[2, 0], [0, 2]], np.eye(2), np.eye(2))
+        assert params.dim == 2
+        for m in (params.w_q, params.w_k, params.w_v, params.w_o):
+            assert isinstance(m, np.ndarray) and m.dtype == np.float64
+        np.testing.assert_array_equal(params.w_k, 2.0 * np.eye(2))

@@ -383,6 +383,57 @@ class TestKmeansFastRegime:
         assert len(calls) >= 3
         assert all(np.bincount(a, minlength=8).min() == 0 for a in calls)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed", "strided", "reversed"])
+    def test_near_ties_of_duplicate_points_in_every_layout(self, layout):
+        # Two equal initial centers: one keeps the point's bits, the other
+        # becomes the mean of copies of it, an ulp off. Points of another
+        # value then lie within rounding of both and are rechecked; in
+        # Fortran order numpy sums their full-call distances term by term.
+        for seed, draw_seed in [(49, 5), (127, 4)]:
+            rng = np.random.default_rng(seed)
+            points = (10.0 * rng.normal(size=(3, 10)))[rng.integers(0, 3, size=20)]
+            points = {
+                "C": points,
+                "F": np.asfortranarray(points),
+                "transposed": np.ascontiguousarray(points.T).T,
+                "strided": np.repeat(points, 2, axis=1)[:, ::2],
+                "reversed": points[::-1],
+            }[layout]
+            centers, assign, inertia = offline_kmeans(points, 3, restarts=1, seed=draw_seed)
+            ref_centers, ref_assign, ref_inertia = oracles.broadcast_kmeans(points, 3, 1, draw_seed)
+            assert centers.tobytes() == ref_centers.tobytes()
+            assert assign.tobytes() == ref_assign.tobytes()
+            assert repr(inertia) == repr(ref_inertia)
+
+
+class TestKmeansRowRecheck:
+    @pytest.mark.parametrize(
+        "layout", ["C", "F", "strided", "row-strided", "reversed", "reversed-columns",
+                   "F-reversed", "F-row-strided"]
+    )
+    def test_rows_equal_the_full_call_bit_for_bit(self, layout):
+        rng = np.random.default_rng(sum(map(ord, layout)))
+        for _ in range(40):
+            n, k = int(rng.integers(2, 50)), int(rng.integers(2, 6))
+            d = int(rng.choice([1, 7, 8, 10, 17, 130, 257]))
+            base = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+            points = {
+                "C": base,
+                "F": np.asfortranarray(base),
+                "strided": np.repeat(base, 2, axis=1)[:, ::2],
+                "row-strided": np.repeat(base, 2, axis=0)[::2],
+                "reversed": base[::-1],
+                "reversed-columns": base[:, ::-1],
+                "F-reversed": np.asfortranarray(base)[::-1],
+                "F-row-strided": np.asfortranarray(np.repeat(base, 2, axis=0))[::2],
+            }[layout]
+            centers = rng.normal(size=(k, d))
+            lloyd = harness_mod._Lloyd(points, k)
+            full = sq_distances(points, centers)
+            where = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            for rows in (where, where[:1], where[-1:], np.array([0]), np.array([n - 1])):
+                assert lloyd._distances(rows, centers).tobytes() == full[rows].tobytes()
+
 
 @st.composite
 def lockstep_cases(draw):
