@@ -32,7 +32,7 @@ from .object_gating import (
     parse_annotations,
 )
 from .style_memory_bank import StyleMemoryBank, StylePrototype, UpdateReport, load
-from .style_projection import ProjectionResult, project, project_pyramid
+from .style_projection import ProjectionResult, project
 from .style_statistics import EPSILON, ChannelStats, compute_stats, style_distance
 from .tensor_core import softmax
 
@@ -65,7 +65,6 @@ __all__ = [
     "load_config",
     "parse_annotations",
     "project",
-    "project_pyramid",
     "run_encoder_side",
     "sine_positions",
     "softmax",

@@ -8,7 +8,9 @@ with gradient verification), ``bench`` (latency protocol) and
 
 Each run subcommand takes flags for only the RunConfig fields its run reads
 (``_RUN_FIELDS``), plus ``--config``, ``--seed`` and ``--out-dir``; any other
-field flag is a usage error. ``--config`` points at a ``key = value`` file
+field flag is a usage error. ``tta-run`` and ``bench`` weight the prototypes
+by ``softmax(-d / temperature)``, so ``--softmax-temperature`` is their only
+projection flag. ``--config`` points at a ``key = value`` file
 that may set every field and that flags override, and the ``SA_ADAPT_SEED``
 environment variable overrides the seed from both. User errors (missing
 file, malformed blob, bad value) print one ``sa-adapt: error: <msg>`` line
@@ -47,7 +49,6 @@ _FIELD_FLAGS = {
     "momentum": (("--momentum", "--lambda"), dict(type=float, help="EMA momentum")),
     "lambda_c": (("--lambda-c",), dict(type=float, help="contrastive weight")),
     "epsilon": (("--epsilon",), dict(type=float, help="statistics variance floor")),
-    "weighting": (("--weighting",), dict(choices=config_mod.WEIGHTINGS)),
     "softmax_temperature": (("--softmax-temperature",), dict(type=float)),
     "tta_order": (("--tta-order",), dict(choices=config_mod.TTA_ORDERS)),
     "heads": (("--heads",), dict(type=int, help="attention heads")),
@@ -57,9 +58,9 @@ _FIELD_FLAGS = {
 }
 _RUN_FIELDS = {
     "train-bank": ("k", "alpha", "momentum", "epsilon"),
-    "tta-run": ("epsilon", "weighting", "softmax_temperature", "tta_order"),
+    "tta-run": ("epsilon", "softmax_temperature", "tta_order"),
     "ocl-demo": ("lambda_c", "heads", "d"),
-    "bench": ("k", "alpha", "momentum", "epsilon", "weighting", "softmax_temperature"),
+    "bench": ("k", "alpha", "momentum", "epsilon", "softmax_temperature"),
 }
 
 

@@ -25,8 +25,6 @@ import numbers
 import os
 from dataclasses import dataclass, fields, replace
 
-from .style_projection import WEIGHTINGS
-
 SEED_ENV_VAR = "SA_ADAPT_SEED"
 
 DEFAULT_K = 4
@@ -45,7 +43,6 @@ class RunConfig:
     momentum: float = DEFAULT_MOMENTUM  # EMA momentum, the bank's lambda
     lambda_c: float = DEFAULT_LAMBDA_C
     epsilon: float = DEFAULT_EPSILON
-    weighting: str = WEIGHTINGS[0]
     softmax_temperature: float = 1.0
     tta_order: str = TTA_ORDERS[0]
     heads: int = 8
@@ -73,8 +70,6 @@ class RunConfig:
                 f"epsilon (--epsilon) must be positive and at most {EPSILON_LIMIT:g}, so that "
                 f"style distances stay finite in float64, got {self.epsilon!r}"
             )
-        if self.weighting not in WEIGHTINGS:
-            raise ValueError(f"unknown weighting {self.weighting!r}")
         if self.tta_order not in TTA_ORDERS:
             raise ValueError(f"unknown tta_order {self.tta_order!r}")
         if not self.softmax_temperature > 0:

@@ -52,7 +52,7 @@ class ContrastiveBatch:
 @dataclass
 class LossReport:
     l_contra: float
-    grad_q_source: np.ndarray  # (C, d), zero rows for absent categories
+    grad_q_source: np.ndarray  # (C, d), zero rows for categories not present
     grad_q_augmented: np.ndarray  # (C, d)
 
 
@@ -71,9 +71,11 @@ def _tail(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # Bound on one stack of perturbed logits copies in _fd_gradient: with its
 # temporaries it stays in L2, whatever the number of present rows.
 _FD_CHUNK_BYTES = 1 << 20
+# The central-difference ``step`` of _fd_gradient.
+_FD_STEP = 1e-5
 
 
-def _fd_gradient(s: np.ndarray, a: np.ndarray, source: bool, step: float) -> np.ndarray:
+def _fd_gradient(s: np.ndarray, a: np.ndarray, source: bool) -> np.ndarray:
     """Central differences of the loss of (n, d) present-row queries with
     respect to x = ``s`` if ``source``, else ``a``.
 
@@ -86,7 +88,7 @@ def _fd_gradient(s: np.ndarray, a: np.ndarray, source: bool, step: float) -> np.
     run in one reused stack of at most ``_FD_CHUNK_BYTES`` (or one copy),
     copies innermost. x is left untouched.
     """
-    x = s if source else a
+    x, step = (s if source else a), _FD_STEP
     n, d = x.shape
     base = s @ a.T
     copies = max(1, _FD_CHUNK_BYTES // max(base.nbytes, 1))

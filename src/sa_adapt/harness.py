@@ -40,7 +40,7 @@ from .contrastive_alignment import (
 )
 from .object_gating import Annotation, align_to_tokens, build_masks
 from .style_memory_bank import StyleMemoryBank, UpdateReport, load
-from .style_projection import project, project_pyramid
+from .style_projection import project
 from .style_statistics import ChannelStats, compute_stats, sq_distances
 from .tensor_core import require_finite
 
@@ -635,11 +635,7 @@ def run_train_phase(
         )
         prot = banks[li].vectors()
         matched, dists = match_to_centers(prot, centers)
-        spreads = []
-        for j in range(config.k):
-            members = level_points[assign == j]  # none when k-means drew equal points as centers
-            spread = sq_distances(members, centers[j : j + 1]).mean() if len(members) else 0.0
-            spreads.append(float(spread))
+        spreads = _cluster_spreads(level_points, centers, assign)
         center_distances.append(dists)
         taus = [rep.tau for rep in decisions[li] if rep.tau is not None]
         evictions = sum(rep.action == "replace" for rep in decisions[li])
@@ -665,6 +661,20 @@ def run_train_phase(
             (out_dir / BANK_FILE_PATTERN.format(level=li)).write_bytes(bank.save())
         write_report(out_dir, "train", report)
     return banks, report
+
+
+def _cluster_spreads(points: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> list[float]:
+    """Each cluster's ``sq_distances(members, center).mean()``, bit for bit, or
+    0.0 with no member (k-means drew equal points as centers). One stable
+    argsort of ``assign`` lays every cluster's members out in point order."""
+    order = np.argsort(assign, kind="stable")
+    rows = np.square(points[order] - centers[assign[order]]).sum(axis=1)
+    counts = np.bincount(assign, minlength=len(centers))
+    ends = np.cumsum(counts)
+    return [
+        float(np.add.reduce(rows[end - n : end]) / n) if n else 0.0
+        for n, end in zip(counts.tolist(), ends.tolist())
+    ]
 
 
 def load_banks(bank_dir: str | Path, levels: int) -> list[StyleMemoryBank]:
@@ -719,7 +729,7 @@ def run_tta_phase(
             if observe_first:
                 decision = bank.observe(s)
             (result,) = project(
-                bank, fmap, config.weighting, config.softmax_temperature, [s],
+                bank, fmap, config.softmax_temperature, [s],
                 epsilon=config.epsilon, build_map=False,
             )
             if not observe_first:
@@ -760,9 +770,8 @@ def synthetic_annotation(
     rng: np.random.Generator,
     image_size: tuple[int, int],
     num_categories: int,
-    absent: int = 1,
 ) -> Annotation:
-    """Random boxes for all but the last ``absent`` categories.
+    """Random boxes for all but the last category (for one, for that one).
 
     Raises ValueError for an image smaller than 2x2, which has no room for a box.
     """
@@ -770,7 +779,7 @@ def synthetic_annotation(
     if h < 2 or w < 2:
         raise ValueError(f"image size (--image-size) must be at least 2x2, got {h}x{w}")
     boxes, cats = [], []
-    for cat in range(max(num_categories - absent, 1)):
+    for cat in range(max(num_categories - 1, 1)):
         for _ in range(int(rng.integers(1, 4))):
             x0 = float(rng.uniform(0, w - 2))
             y0 = float(rng.uniform(0, h - 2))
@@ -781,12 +790,12 @@ def synthetic_annotation(
     return Annotation(boxes=boxes, categories=cats)
 
 
-def fd_gradient(s: np.ndarray, a: np.ndarray, source: bool, step: float = 1e-5) -> np.ndarray:
+def fd_gradient(s: np.ndarray, a: np.ndarray, source: bool) -> np.ndarray:
     """Central differences of the contrastive loss of (n, d) present-row
     queries with respect to ``s`` (``source``) or ``a``, each perturbed copy's
     loss bit-identical to that copy's alone; see
     :func:`contrastive_alignment._fd_gradient`."""
-    return _fd_gradient(np.asarray(s, dtype=float), np.asarray(a, dtype=float), source, step)
+    return _fd_gradient(np.asarray(s, dtype=float), np.asarray(a, dtype=float), source)
 
 
 def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -804,7 +813,6 @@ def run_ocl_demo(
     blocks: int = 2,
     l_det: float = 1.0,
     annotation: Annotation | None = None,
-    identical_domains: bool = False,
     out_dir: str | Path | None = None,
 ) -> Report:
     """Gate, attend and contrast one synthetic source/augmented pair.
@@ -841,16 +849,13 @@ def run_ocl_demo(
 
     d = config.d
     source = [rng.normal(size=(1, d, h, w)) for h, w in level_shapes]
-    if identical_domains:
-        augmented = [level.copy() for level in source]
-    else:
-        # augmented domain = per-channel affine style shift plus mild noise
-        scale = rng.uniform(0.7, 1.3, size=d)[None, :, None, None]
-        shift = rng.normal(0.0, 0.5, size=d)[None, :, None, None]
-        augmented = [
-            level * scale + shift + 0.05 * rng.normal(size=level.shape)
-            for level in source
-        ]
+    # augmented domain = per-channel affine style shift plus mild noise
+    scale = rng.uniform(0.7, 1.3, size=d)[None, :, None, None]
+    shift = rng.normal(0.0, 0.5, size=d)[None, :, None, None]
+    augmented = [
+        level * scale + shift + 0.05 * rng.normal(size=level.shape)
+        for level in source
+    ]
 
     params = AttentionParams.init_random(d, rng)
     q0 = init_class_queries(num_categories, d, rng)
@@ -864,17 +869,13 @@ def run_ocl_demo(
     loss_rep = contrastive_loss(batch)
     l_total = total_loss(l_det, loss_rep.l_contra, config.lambda_c)
 
-    # Only present rows are perturbed: the loss never reads an absent row,
-    # so its finite difference is exactly 0.0.
+    # Only present rows are compared: the loss never reads the row of a category
+    # that is not present, so its analytic and finite-difference gradients are both 0.0.
     idx = np.flatnonzero(batch.present)
     s, a = batch.q_source[idx], batch.q_augmented[idx]
-    fd_src = np.zeros_like(batch.q_source)
-    fd_aug = np.zeros_like(batch.q_augmented)
-    fd_src[idx] = fd_gradient(s, a, source=True)
-    fd_aug[idx] = fd_gradient(s, a, source=False)
     fd_err = max(
-        max_relative_error(loss_rep.grad_q_source, fd_src),
-        max_relative_error(loss_rep.grad_q_augmented, fd_aug),
+        max_relative_error(loss_rep.grad_q_source[idx], fd_gradient(s, a, source=True)),
+        max_relative_error(loss_rep.grad_q_augmented[idx], fd_gradient(s, a, source=False)),
     )
 
     report = Report()
@@ -960,9 +961,10 @@ def bench(
             out[i] = (time.perf_counter_ns() - start) / 1e6
         return out
 
-    proj_ms = timed(lambda: project_pyramid(
-        banks, pyramid, config.weighting, config.softmax_temperature, config.epsilon
-    ))
+    proj_ms = timed(lambda: [
+        project(bank, level, config.softmax_temperature, epsilon=config.epsilon)
+        for bank, level in zip(banks, pyramid)
+    ])
     obs_ms = timed(lambda: [bank.observe(s) for bank, s in zip(banks, stats)])
 
     report = Report()

@@ -33,7 +33,6 @@ import numpy as np
 from .errors import FormatError, StateError
 from .style_statistics import (
     ChannelStats,
-    check_vector,
     checked_vector,
     sq_distances,
     style_vector,
@@ -219,22 +218,21 @@ class StyleMemoryBank:
         use, last, n = self._use, self._last, len(self._use)
         if not n and self.mode != "train":
             raise StateError("observe() on an empty bank in tta mode")
+        v = checked_vector(s)  # every check runs before ``step`` or a row is written
         step = self.step + 1  # a Python int (see __setattr__), so only the file's limit is left
         if step >= _U64_LIMIT:
             _count("step", step, 0)  # raises the message of an assignment
-        self.__dict__["step"] = step
         if n < self.capacity and self.mode == "train":
-            v = checked_vector(s)
             if n == len(self._matrix):  # no free row: grow geometrically, at most to capacity
                 grown = np.empty((min(self.capacity, 2 * n + 1), len(v)))
                 grown[:n] = self._matrix.reshape(n, len(v))  # an empty bank's matrix is (0,)
                 self._matrix = grown
+            self.__dict__["step"] = step
             self._matrix[n] = v
             use.append(1)
             last.append(step)
             return UpdateReport("bootstrap", n)
 
-        v = style_vector(s)
         d = self._matrix[:n] - v  # the bits of ``sq_distances(v[None], vectors)[0]``
         np.square(d, out=d)
         d = d.sum(axis=1)
@@ -243,13 +241,14 @@ class StyleMemoryBank:
         d_min = float(d[nearest])
 
         if d_min > tau and self.mode == "train":
-            check_vector(v)
             victim = min(range(n), key=lambda i: (use[i], last[i]))
+            self.__dict__["step"] = step
             self._matrix[victim] = v
             use[victim], last[victim] = 1, step
             return UpdateReport("replace", victim, d_min=d_min, tau=tau)
 
-        count = _count("use_count", use[nearest] + 1, 1)  # before the row is written
+        count = _count("use_count", use[nearest] + 1, 1)  # before ``step`` is written
+        self.__dict__["step"] = step
         row, lam = self._matrix[nearest], self.momentum
         row *= lam  # the bits of ``lam * p.mean + (1 - lam) * s.mean``, and of std
         row += (1.0 - lam) * v

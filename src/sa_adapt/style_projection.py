@@ -9,14 +9,8 @@ remapped per channel by the affine instance renormalization (AdaIN)
 ``shift = mu' - mu * scale``. A caller that has measured (mu, sigma)
 passes them as ``stats``; one that needs only the statistics of the
 remapped map asks for them instead of the map, and they are taken inside
-the remap pass. All K prototypes participate; no KNN pruning.
-
-Weighting modes:
-  * ``neg-distance`` (default): weights = softmax(-d / temperature), so the
-    nearest prototypes dominate.
-  * ``raw-distance``: weights = softmax(d / temperature), kept selectable
-    for A/B comparison; it weights the farthest prototypes most and is
-    rarely what you want.
+the remap pass. All K prototypes participate; no KNN pruning. The weights
+are ``softmax(-d / temperature)``, so the nearest prototypes dominate.
 """
 
 from __future__ import annotations
@@ -38,8 +32,6 @@ from .tensor_core import (
     softmax,
 )
 
-WEIGHTINGS = ("neg-distance", "raw-distance")
-
 
 @dataclass
 class ProjectionResult:
@@ -56,11 +48,9 @@ class ProjectionResult:
 
 def projection_weights(
     distances: np.ndarray,
-    weighting: str = "neg-distance",
     temperature: float = 1.0,
 ) -> np.ndarray:
-    if weighting not in WEIGHTINGS:
-        raise ValueError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
+    """``softmax(-(distances / temperature))``: the nearest prototypes weigh most."""
     if not temperature > 0.0:
         raise ValueError("softmax temperature must be positive")
     distances = np.asarray(distances, dtype=float)
@@ -71,15 +61,12 @@ def projection_weights(
             f"softmax_temperature (--softmax-temperature) {temperature!r} is too small for "
             "these distances: distance / temperature overflows float64"
         )
-    if weighting == "neg-distance":
-        logits = -logits
-    return softmax(logits)
+    return softmax(-logits)
 
 
 def project(
     bank: StyleMemoryBank,
     f: np.ndarray,
-    weighting: str = "neg-distance",
     temperature: float = 1.0,
     stats: list[ChannelStats] | None = None,
     epsilon: float = EPSILON,
@@ -95,7 +82,7 @@ def project(
     the bits of ``compute_stats(rectified, epsilon)``, taken inside the remap.
 
     A non-finite map is the first fault reported, before a statistics count,
-    bank or weighting error; the remap pass proves a finite one finite.
+    bank or temperature error; the remap pass proves a finite one finite.
     """
     f = check_feature_map(f)
     if stats is None:
@@ -111,7 +98,7 @@ def project(
         targets = []  # (distances, weights, target mean, target std) per sample
         for s in stats:
             d = sq_distances(style_vector(s)[None], vectors)[0]
-            w = projection_weights(d, weighting, temperature)
+            w = projection_weights(d, temperature)
             targets.append((d, w, *np.split(w @ vectors, 2)))
     except (ValueError, StateError):
         require_finite(f, "feature map")
@@ -144,27 +131,6 @@ def _remap(sample: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarr
         block += shift[sl, None]
         _require_finite_block(block.sum(), src[sl])
     return out
-
-
-def project_pyramid(
-    banks: list[StyleMemoryBank],
-    pyramid: list[np.ndarray],
-    weighting: str = "neg-distance",
-    temperature: float = 1.0,
-    epsilon: float = EPSILON,
-) -> list[list[ProjectionResult]]:
-    """Independently project every pyramid level with its own bank.
-
-    Returns a list over levels (order preserved) of per-sample results.
-    """
-    if len(banks) != len(pyramid):
-        raise ValueError(f"{len(banks)} banks for {len(pyramid)} pyramid levels")
-    if not pyramid:
-        raise ValueError("empty pyramid")
-    return [
-        project(bank, level, weighting, temperature, epsilon=epsilon)
-        for bank, level in zip(banks, pyramid)
-    ]
 
 
 def rectified_stats(result: ProjectionResult) -> ChannelStats:

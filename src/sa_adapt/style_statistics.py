@@ -46,23 +46,6 @@ class ChannelStats:
         return self.mean.shape[0]
 
 
-def check_moment(name: str, values: np.ndarray) -> None:
-    """Raise ValueError unless ``values``, channel ``mean``s or ``std``s, are
-    finite, and stds strictly positive."""
-    require_finite(values, f"channel {name}s")
-    if name == "std" and np.any(values <= 0.0):
-        raise ValueError("channel stds must be strictly positive")
-
-
-def check_vector(v: np.ndarray) -> None:
-    """:func:`check_moment` of both halves of a ``[mean, std]`` vector, in one
-    pass over it when it is valid; a fault raises the error of its half."""
-    c = len(v) // 2
-    if not (np.isfinite(v).all() and (v[c:] > 0.0).all()):
-        check_moment("mean", v[:c])
-        check_moment("std", v[c:])
-
-
 def checked_vector(s: ChannelStats) -> np.ndarray:
     """``style_vector(s)`` in float64, raising the ValueError of the
     ``ChannelStats(s.mean, s.std)`` constructor for values assigned or changed
@@ -74,7 +57,10 @@ def checked_vector(s: ChannelStats) -> np.ndarray:
     if mean.shape != std.shape:
         raise ValueError(f"mean/std channel counts disagree: {mean.shape} vs {std.shape}")
     v = np.concatenate([mean, std])
-    check_vector(v)
+    if not (np.isfinite(v).all() and (std > 0.0).all()):  # one pass over a valid vector
+        require_finite(mean, "channel means")
+        require_finite(std, "channel stds")
+        raise ValueError("channel stds must be strictly positive")
     return v
 
 

@@ -73,6 +73,21 @@ class ReadRecorder:
         return getattr(self.config, name)
 
 
+CONFIG_FLAGS = {  # the configuration flags of each run subcommand, as the README lists them
+    "train-bank": {"--k", "--alpha", "--momentum", "--epsilon"},
+    "tta-run": {"--epsilon", "--softmax-temperature", "--tta-order"},
+    "ocl-demo": {"--lambda-c", "--heads", "--dim"},
+    "bench": {"--k", "--alpha", "--momentum", "--epsilon", "--softmax-temperature"},
+}
+
+
+@pytest.mark.parametrize("command", RUN_COMMANDS)
+def test_configuration_flags_are_the_readme_table(command):
+    groups = [g for g in subparsers()[command]._action_groups if g.title == "run configuration"]
+    given = {a.option_strings[0] for g in groups for a in g._group_actions}
+    assert given == CONFIG_FLAGS[command] | {"--config", "--seed", "--out-dir"}
+
+
 @pytest.mark.parametrize(
     "command, extra",
     [
@@ -109,6 +124,8 @@ def test_each_subcommand_takes_exactly_the_fields_its_run_reads(
         ["ocl-demo", "--annotations", "F", "--image-size", "1x1"],
         ["ocl-demo", "--epsilon", "1e-3"],
         ["train-bank", "--heads", "4"],
+        ["tta-run", "--weighting", "neg-distance"],
+        ["bench", "--weighting", "neg-distance"],
     ],
 )
 def test_flags_a_run_does_not_read_are_usage_errors(argv, tmp_path, capsys):
@@ -119,11 +136,21 @@ def test_flags_a_run_does_not_read_are_usage_errors(argv, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_a_weighting_key_in_a_config_file_is_one_error_line(bank_dir, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("weighting = neg-distance\n")
+    argv = ["tta-run", *BASE["tta-run"], "--config", str(cfg), "--bank-dir", str(bank_dir)]
+    code, out, err = run_cli([*argv, "--out-dir", str(tmp_path / "run")])
+    assert (code, out) == (2, "")
+    assert err == "sa-adapt: error: config line 1: unknown key 'weighting'\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_one_config_file_serves_train_and_tta(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "k = 3\nalpha = 0.5\nlambda = 0.8\nlambda_c = 0.2\nepsilon = 1e-5\n"
-        "weighting = raw-distance\nsoftmax_temperature = 2.0\ntta_order = project-first\n"
+        "softmax_temperature = 2.0\ntta_order = project-first\n"
         f"heads = 4\nd = 32\nseed = 9\nout_dir = {tmp_path / 'run'}\n"
     )
     stream = ["--channels", "4", "--samples-per-cluster", "3", "--levels", "2x2"]

@@ -17,9 +17,14 @@ class TestDefaults:
         assert cfg.lambda_c == 0.1
         assert cfg.epsilon == 1e-6
         assert cfg.momentum == 0.9
-        assert cfg.weighting == "neg-distance"
         assert cfg.tta_order == "observe-first"
         assert cfg.heads == 8 and cfg.d == 256
+
+    def test_fields(self):
+        assert [f.name for f in fields(RunConfig)] == [
+            "k", "alpha", "momentum", "lambda_c", "epsilon", "softmax_temperature",
+            "tta_order", "heads", "d", "seed", "out_dir",
+        ]
 
     def test_selftest_passes(self):
         selftest()
@@ -61,8 +66,6 @@ class TestConfigFile:
             load_config(None, overrides={"k": 0}, env={})
         with pytest.raises(ValueError):
             load_config(None, overrides={"heads": 3, "d": 256}, env={})
-        with pytest.raises(ValueError):
-            load_config(None, overrides={"weighting": "mystery"}, env={})
 
     def test_every_run_config_is_valid(self):
         with pytest.raises(ValueError, match="tta_order"):

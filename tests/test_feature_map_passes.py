@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sa_adapt import harness, tensor_core
 from sa_adapt.config import RunConfig
 from sa_adapt.style_memory_bank import StyleMemoryBank, load
-from sa_adapt.style_projection import _remap, project, project_pyramid
+from sa_adapt.style_projection import _remap, project
 from sa_adapt.style_statistics import ChannelStats, compute_stats
 
 import oracles
@@ -162,13 +162,6 @@ class TestNonFiniteMaps:
         with pytest.raises(ValueError, match=NON_FINITE):
             project(random_bank(np.random.default_rng(1), C), g, stats=stats)
 
-    def test_project_pyramid(self, bad, where, batch):
-        g, _ = faulty(batch, where, bad)
-        clean = np.zeros((batch, C, 4, 4))
-        banks = [random_bank(np.random.default_rng(i), C) for i in range(2)]
-        with pytest.raises(ValueError, match=NON_FINITE):
-            project_pyramid(banks, [clean, g])
-
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_run_tta_phase_rejects_a_non_finite_map(bad, where, monkeypatch):
@@ -194,16 +187,16 @@ class TestFaultOrder:
             dict(stats_count=2),
             dict(bank=random_bank(np.random.default_rng(5), C + 1)),
             dict(bank=StyleMemoryBank()),
-            dict(weighting="bogus"),
+            dict(temperature=0.0),
         ],
-        ids=["stats-count", "channel-mismatch", "empty-bank", "weighting"],
+        ids=["stats-count", "channel-mismatch", "empty-bank", "temperature"],
     )
     def test_a_non_finite_map_wins_over_a_second_fault(self, second_fault):
         g, stats = faulty(1, "last", np.nan)
         bank = second_fault.get("bank", random_bank(np.random.default_rng(5), C))
         stats = stats * second_fault.get("stats_count", 1)
         with pytest.raises(ValueError, match=NON_FINITE):
-            project(bank, g, second_fault.get("weighting", "neg-distance"), stats=stats)
+            project(bank, g, second_fault.get("temperature", 1.0), stats=stats)
 
     def test_a_non_finite_map_after_an_overflowing_block(self):
         g, stats = faulty(1, "last", np.nan)
@@ -269,7 +262,7 @@ class TestOverflowingRemapInTheTtaStep:
             (s,) = compute_stats(fmap, cfg.epsilon)
             if order == "observe-first":
                 oracle.observe(s)
-            (res,) = project(oracle, fmap, cfg.weighting, cfg.softmax_temperature, [s])
+            (res,) = project(oracle, fmap, cfg.softmax_temperature, [s])
             if order == "project-first":
                 before_the_update = oracle.save()
                 oracle.observe(s)

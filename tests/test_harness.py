@@ -533,6 +533,28 @@ class TestLockstepKmeans:
         assert min(exact) == result[2]
 
 
+@st.composite
+def spread_cases(draw):
+    """(points, centers, assign): k <= 20 centers over N <= 400 points in
+    D <= 300 dimensions, some clusters empty, the points in any layout."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d, k = draw(st.integers(1, 400)), draw(st.integers(1, 300)), draw(st.integers(1, 20))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e100]))
+    points = scale * rng.normal(size=(n, d))
+    points = draw(st.sampled_from([points, np.asfortranarray(points), points[::-1]]))
+    centers = scale * rng.normal(size=(k, d))
+    assign = rng.integers(0, draw(st.integers(1, k)), size=n)
+    return points, centers, assign
+
+
+class TestClusterSpreads:
+    @settings(deadline=None, max_examples=150)
+    @given(spread_cases())
+    def test_bit_identical_to_the_per_cluster_loop(self, case):
+        got = harness_mod._cluster_spreads(*case)
+        assert np.array(got).tobytes() == np.array(oracles.cluster_spreads(*case)).tobytes()
+
+
 class TestTrainPhase:
     def test_prototypes_match_kmeans_centers(self, tmp_path):
         # 50 fusions per cluster give the EMA time to wash out the
@@ -793,7 +815,7 @@ class TestTtaPhase:
                 if order == "observe-first":
                     dmin[li].append(bank.observe(s).d_min)
                 pre[li].append(float(bank.distances(s).min()))
-                (result,) = project(bank, fmap, cfg.weighting, cfg.softmax_temperature, [s])
+                (result,) = project(bank, fmap, cfg.softmax_temperature, [s])
                 if order == "project-first":
                     dmin[li].append(bank.observe(s).d_min)
                 rectified = compute_stats(result.rectified, cfg.epsilon)[0]
@@ -823,22 +845,31 @@ class TestTtaPhase:
 
 
 class TestOclDemo:
-    def test_identical_domains_give_identical_query_sets(self, tmp_path):
-        # shared parameters + identical pyramids: the two domains' query
-        # sets coincide row-wise and the loss reduces to the softmax
-        # cross-entropy of the queries' own Gram matrix
-        cfg = small_config(d=16, heads=2)
-        report = run_ocl_demo(cfg, identical_domains=True, out_dir=tmp_path)
-        q_s = np.array(report.extra["q_source"])
-        q_a = np.array(report.extra["q_augmented"])
-        np.testing.assert_array_equal(q_s, q_a)
-        assert report.value("ocl.query_gap") == 0.0
-        from sa_adapt.contrastive_alignment import ContrastiveBatch, contrastive_loss
-
-        recomputed = contrastive_loss(
-            ContrastiveBatch(q_s, q_a, np.array(report.extra["present"]))
+    def test_identical_domains_give_identical_query_sets(self):
+        # shared parameters + equal pyramids: the two domains' query sets
+        # coincide row-wise and the loss reduces to the softmax cross-entropy
+        # of the queries' own Gram matrix
+        from sa_adapt.class_query_attention import (
+            AttentionParams, init_class_queries, run_encoder_side, tokens_from_pyramid,
         )
-        assert report.value("ocl.contrastive_loss") == recomputed.l_contra
+        from sa_adapt.object_gating import align_to_tokens, build_masks
+
+        rng = np.random.default_rng(3)
+        d, heads, shapes = 16, 2, [(8, 8), (4, 4)]
+        annotation = harness_mod.synthetic_annotation(rng, (64, 64), 5)
+        masks = align_to_tokens(build_masks(annotation, (64, 64), 5), shapes)
+        levels = [rng.normal(size=(1, d, h, w)) for h, w in shapes]
+        params = AttentionParams.init_random(d, rng)
+        q0 = init_class_queries(5, d, rng)
+        seq_src = tokens_from_pyramid(levels)
+        seq_aug = tokens_from_pyramid([level.copy() for level in levels])
+        q_s = run_encoder_side(q0, [seq_src] * 2, masks, params, heads)
+        q_a = run_encoder_side(q0, [seq_aug] * 2, masks, params, heads)
+        assert q_s.tobytes() == q_a.tobytes()
+        rep = contrastive_loss(ContrastiveBatch(q_s, q_a, masks.present))
+        gram = q_s[masks.present] @ q_s[masks.present].T
+        expected = -np.mean(np.diag(gram) - np.log(np.exp(gram).sum(axis=0)))
+        assert rep.l_contra == pytest.approx(expected, rel=1e-12)
 
     def test_uniform_rows_recover_log_c(self):
         # the degenerate identical-rows case where the loss has the ln C

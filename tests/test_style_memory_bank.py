@@ -311,6 +311,23 @@ class TestBankGrowth:
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             bank.observe(s)
         assert len(bank) == 1 and bank.vectors().tobytes() == load(before).vectors().tobytes()
+        assert bank.save() == before  # ``step`` included
+
+    @pytest.mark.parametrize("mode", ["train", "tta"])
+    @pytest.mark.parametrize("mutate", HOSTILE_STATS.values(), ids=HOSTILE_STATS)
+    def test_a_hostile_fuse_raises_the_constructor_error(self, mutate, mode):
+        bank = full_bank(np.random.default_rng(5), channels=2, k=2)
+        bank.mode = mode
+        near = bank.prototypes[1]
+        s = stats(near.mean + 0.01, near.std)
+        assert copy.deepcopy(bank).observe(s).action == "fuse"
+        mutate(s)
+        with pytest.raises(ValueError) as expected:
+            ChannelStats(s.mean, s.std)
+        before = bank.save()
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            bank.observe(s)
+        assert bank.save() == before
 
     @pytest.mark.parametrize("std", [0.0, -1.0])
     def test_a_hostile_replacement_raises_the_constructor_error(self, std):
@@ -318,13 +335,14 @@ class TestBankGrowth:
         far = stats([1e3, -1e3], [1.0, 1.0])
         assert copy.deepcopy(bank).observe(far).action == "replace"
         far.std[0] = std
-        held, before = bank.prototypes, bank.vectors()
+        held, before, saved = bank.prototypes, bank.vectors(), bank.save()
         with pytest.raises(ValueError, match="channel stds must be strictly positive"):
             bank.observe(far)
         assert [(p.use_count, p.last_update) for p in held] == [
             (p.use_count, p.last_update) for p in bank.prototypes
         ]
         assert bank.vectors().tobytes() == before.tobytes()
+        assert bank.save() == saved  # ``step`` included
 
 
 class TestTtaMode:
@@ -616,10 +634,11 @@ class TestValidation:
     def test_a_fuse_past_the_largest_use_count_changes_nothing(self):
         p = StylePrototype(np.zeros(2), np.ones(2), use_count=2**64 - 1)
         bank = StyleMemoryBank(capacity=1, mode="tta", prototypes=[p])
-        before = bank.vectors()
+        before, saved = bank.vectors(), bank.save()
         with pytest.raises(ValueError, match=re.escape("use_count must be an integer in [1, 2**64)")):
             bank.observe(stats([1.0, 1.0], [1.0, 1.0]))
         assert bank.vectors().tobytes() == before.tobytes()
+        assert bank.save() == saved  # ``step`` included
         assert load(bank.save()).prototypes[0].use_count == 2**64 - 1
 
     def test_a_numpy_step_does_not_wrap(self):

@@ -5,7 +5,6 @@ from sa_adapt.errors import StateError
 from sa_adapt.style_memory_bank import StyleMemoryBank
 from sa_adapt.style_projection import (
     project,
-    project_pyramid,
     projection_weights,
     rectified_stats,
 )
@@ -211,11 +210,6 @@ class TestWeighting:
         w2 = projection_weights(d2)
         assert w2[2] > w[2]
 
-    def test_literal_mode_weights_farthest(self):
-        d = np.array([1.0, 2.0, 3.0])
-        w = projection_weights(d, weighting="raw-distance")
-        assert np.all(np.diff(w) > 0)
-
     def test_temperature_flattens(self):
         d = np.array([1.0, 5.0])
         sharp = projection_weights(d, temperature=0.5)
@@ -235,39 +229,24 @@ class TestWeighting:
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            projection_weights(np.ones(3), weighting="nearest-only")
-        with pytest.raises(ValueError):
             projection_weights(np.ones(3), temperature=0.0)
+
+    def test_temperature_is_the_third_positional_argument(self):
+        rng = np.random.default_rng(10)
+        f = rng.normal(size=(2, 6, 8, 8))
+        bank = random_bank(rng, 6)
+        for positional, keyword in zip(project(bank, f, 0.5), project(bank, f, temperature=0.5)):
+            assert positional.weights.tobytes() == keyword.weights.tobytes()
+            assert positional.rectified.tobytes() == keyword.rectified.tobytes()
+        (default,), (sharp,) = project(bank, f[:1]), project(bank, f[:1], 0.5)
+        assert default.weights.tobytes() != sharp.weights.tobytes()
 
 
 class TestPyramid:
-    def test_single_level_reduces_to_project(self):
-        rng = np.random.default_rng(8)
-        f = rng.normal(size=(1, 4, 5, 5))
-        bank = random_bank(rng, 4)
-        per_level = project_pyramid([bank], [f])
-        (direct,) = project(bank, f)
-        assert len(per_level) == 1
-        np.testing.assert_array_equal(per_level[0][0].rectified, direct.rectified)
-
     def test_identity_banks_leave_pyramid_unchanged(self):
         rng = np.random.default_rng(9)
         pyramid = [rng.normal(size=(1, 4, 2 ** (4 - i), 2 ** (4 - i))) for i in range(4)]
         banks = [bank_with(compute_stats(level)) for level in pyramid]
-        results = project_pyramid(banks, pyramid)
-        for level, (res,) in zip(pyramid, results):
+        for bank, level in zip(banks, pyramid):
+            (res,) = project(bank, level)
             assert np.abs(res.rectified - level).max() < 1e-9
-
-    def test_levels_projected_independently(self):
-        rng = np.random.default_rng(10)
-        pyramid = [rng.normal(size=(1, 6, 8, 8)) for _ in range(4)]
-        banks = [random_bank(rng, 6) for _ in range(4)]
-        results = project_pyramid(banks, pyramid)
-        for bank, level, (res,) in zip(banks, pyramid, results):
-            (direct,) = project(bank, level)
-            np.testing.assert_array_equal(res.rectified, direct.rectified)
-
-    def test_length_mismatch_rejected(self):
-        rng = np.random.default_rng(11)
-        with pytest.raises(ValueError):
-            project_pyramid([random_bank(rng, 2)], [np.zeros((1, 2, 2, 2))] * 2)
