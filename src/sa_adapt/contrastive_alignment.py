@@ -71,7 +71,8 @@ def _tail(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # Bound on one stack of perturbed logits copies in _fd_gradient: with its
 # temporaries it stays in L2, whatever the number of present rows.
 _FD_CHUNK_BYTES = 1 << 20
-# The central-difference ``step`` of _fd_gradient.
+# About the cube root of float64's epsilon, where a central difference's
+# truncation error and rounding error are of one size.
 _FD_STEP = 1e-5
 
 
@@ -79,8 +80,8 @@ def _fd_gradient(s: np.ndarray, a: np.ndarray, source: bool) -> np.ndarray:
     """Central differences of the loss of (n, d) present-row queries with
     respect to x = ``s`` if ``source``, else ``a``.
 
-    Entry (i, k) is ``(loss(up) - loss(down)) / (2 step)`` of the copies of x
-    holding ``x[i, k] + step`` and ``x[i, k] - step``, each loss bit-identical
+    Entry (i, k) is ``(loss(up) - loss(down)) / (2 _FD_STEP)`` of the copies of x
+    holding ``x[i, k] + _FD_STEP`` and ``x[i, k] - _FD_STEP``, each loss bit-identical
     to that copy's alone. A copy changes only row i (source) or column i
     (augmented) of the logits ``s_j . a_i``, so each column k and sign takes
     one product of x with column k of every row perturbed, and a copy's logits
@@ -88,7 +89,7 @@ def _fd_gradient(s: np.ndarray, a: np.ndarray, source: bool) -> np.ndarray:
     run in one reused stack of at most ``_FD_CHUNK_BYTES`` (or one copy),
     copies innermost. x is left untouched.
     """
-    x, step = (s if source else a), _FD_STEP
+    x = s if source else a
     n, d = x.shape
     base = s @ a.T
     copies = max(1, _FD_CHUNK_BYTES // max(base.nbytes, 1))
@@ -102,7 +103,9 @@ def _fd_gradient(s: np.ndarray, a: np.ndarray, source: bool) -> np.ndarray:
     for g0 in range(0, 2 * d, groups):
         group = np.arange(g0, min(g0 + groups, 2 * d))
         xp, k = np.repeat(x[None], group.size, axis=0), group // 2
-        xp[np.arange(group.size), :, k] = np.where(group % 2, x[:, k] - step, x[:, k] + step).T
+        xp[np.arange(group.size), :, k] = np.where(
+            group % 2, x[:, k] - _FD_STEP, x[:, k] + _FD_STEP
+        ).T
         product_lines = xp @ a.T if source else (s @ xp.swapaxes(1, 2)).swapaxes(1, 2)
         for r0 in range(0, n, rows):
             block = np.arange(r0, min(r0 + rows, n))
@@ -112,7 +115,7 @@ def _fd_gradient(s: np.ndarray, a: np.ndarray, source: bool) -> np.ndarray:
             values[group[j], i] = _tail(stack[:, :, : copy.size])[2]
             lines[i, :, copy] = base_lines[i]
     up, down = values.reshape(d, 2, n).transpose(1, 2, 0)
-    return (up - down) / (2.0 * step)
+    return (up - down) / (2.0 * _FD_STEP)
 
 
 def contrastive_loss(batch: ContrastiveBatch) -> LossReport:

@@ -635,7 +635,11 @@ def run_train_phase(
         )
         prot = banks[li].vectors()
         matched, dists = match_to_centers(prot, centers)
-        spreads = _cluster_spreads(level_points, centers, assign)
+        spreads = []
+        for j in range(config.k):
+            members = level_points[assign == j]  # none when k-means drew equal points as centers
+            spread = sq_distances(members, centers[j : j + 1]).mean() if len(members) else 0.0
+            spreads.append(float(spread))
         center_distances.append(dists)
         taus = [rep.tau for rep in decisions[li] if rep.tau is not None]
         evictions = sum(rep.action == "replace" for rep in decisions[li])
@@ -661,20 +665,6 @@ def run_train_phase(
             (out_dir / BANK_FILE_PATTERN.format(level=li)).write_bytes(bank.save())
         write_report(out_dir, "train", report)
     return banks, report
-
-
-def _cluster_spreads(points: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> list[float]:
-    """Each cluster's ``sq_distances(members, center).mean()``, bit for bit, or
-    0.0 with no member (k-means drew equal points as centers). One stable
-    argsort of ``assign`` lays every cluster's members out in point order."""
-    order = np.argsort(assign, kind="stable")
-    rows = np.square(points[order] - centers[assign[order]]).sum(axis=1)
-    counts = np.bincount(assign, minlength=len(centers))
-    ends = np.cumsum(counts)
-    return [
-        float(np.add.reduce(rows[end - n : end]) / n) if n else 0.0
-        for n, end in zip(counts.tolist(), ends.tolist())
-    ]
 
 
 def load_banks(bank_dir: str | Path, levels: int) -> list[StyleMemoryBank]:

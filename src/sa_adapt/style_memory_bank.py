@@ -25,6 +25,7 @@ Binary persistence format (version 1, little-endian throughout):
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -218,11 +219,12 @@ class StyleMemoryBank:
         use, last, n = self._use, self._last, len(self._use)
         if not n and self.mode != "train":
             raise StateError("observe() on an empty bank in tta mode")
-        v = checked_vector(s)  # every check runs before ``step`` or a row is written
         step = self.step + 1  # a Python int (see __setattr__), so only the file's limit is left
         if step >= _U64_LIMIT:
             _count("step", step, 0)  # raises the message of an assignment
+        # Every check runs before ``step`` or a row is written.
         if n < self.capacity and self.mode == "train":
+            v = checked_vector(s)
             if n == len(self._matrix):  # no free row: grow geometrically, at most to capacity
                 grown = np.empty((min(self.capacity, 2 * n + 1), len(v)))
                 grown[:n] = self._matrix.reshape(n, len(v))  # an empty bank's matrix is (0,)
@@ -233,10 +235,17 @@ class StyleMemoryBank:
             last.append(step)
             return UpdateReport("bootstrap", n)
 
+        if s.mean.ndim != 1 or np.shape(s.std) != s.mean.shape:
+            checked_vector(s)  # raises the constructor's error before style_vector misreads s
+        v = style_vector(s)
         d = self._matrix[:n] - v  # the bits of ``sq_distances(v[None], vectors)[0]``
         np.square(d, out=d)
         d = d.sum(axis=1)
         tau = float(self.alpha / self.capacity * d.sum())
+        # A finite tau makes every distance, so every entry of v, finite; the stds'
+        # sign is left.
+        if not (math.isfinite(tau) and v[len(v) // 2 :].min() > 0.0):
+            checked_vector(s)  # raises the constructor's error, unless tau overflowed
         nearest = int(d.argmin())
         d_min = float(d[nearest])
 

@@ -404,20 +404,6 @@ class ReferenceBank:
         return blob
 
 
-def cluster_spreads(points, centers, assign):
-    """Each cluster's mean squared member distance to its center, one pass
-    over all N points per cluster; 0.0 for a cluster with no member. The
-    reference for ``harness._cluster_spreads``."""
-    from sa_adapt.style_statistics import sq_distances
-
-    spreads = []
-    for j in range(len(centers)):
-        members = points[assign == j]
-        spread = sq_distances(members, centers[j : j + 1]).mean() if len(members) else 0.0
-        spreads.append(float(spread))
-    return spreads
-
-
 def per_sample_train(config, spec):
     """The train phase one sample and level at a time, as it ran before the
     stream was taken in chunks: one ``compute_stats`` call per map and one
@@ -426,7 +412,7 @@ def per_sample_train(config, spec):
     from sa_adapt.harness import (
         Report, StyleMemoryBank, compute_stats, generate_stream, match_to_centers,
     )
-    from sa_adapt.style_statistics import style_vector
+    from sa_adapt.style_statistics import sq_distances, style_vector
 
     stream_size = len(spec.style_clusters) * spec.samples_per_cluster
     levels = len(spec.pyramid_shapes)
@@ -452,7 +438,11 @@ def per_sample_train(config, spec):
             points, config.k, restarts=50, seed=config.seed
         )
         matched, dists = match_to_centers(banks[li].vectors(), centers)
-        spreads = cluster_spreads(points, centers, assign)
+        spreads = []
+        for j in range(config.k):
+            members = points[assign == j]
+            spread = sq_distances(members, centers[j : j + 1]).mean() if len(members) else 0.0
+            spreads.append(float(spread))
         center_distances.append(dists)
         taus = [rep.tau for rep in decisions if rep.tau is not None]
         evictions = sum(rep.action == "replace" for rep in decisions)

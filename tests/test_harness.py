@@ -533,28 +533,6 @@ class TestLockstepKmeans:
         assert min(exact) == result[2]
 
 
-@st.composite
-def spread_cases(draw):
-    """(points, centers, assign): k <= 20 centers over N <= 400 points in
-    D <= 300 dimensions, some clusters empty, the points in any layout."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, d, k = draw(st.integers(1, 400)), draw(st.integers(1, 300)), draw(st.integers(1, 20))
-    scale = draw(st.sampled_from([1e-3, 1.0, 1e100]))
-    points = scale * rng.normal(size=(n, d))
-    points = draw(st.sampled_from([points, np.asfortranarray(points), points[::-1]]))
-    centers = scale * rng.normal(size=(k, d))
-    assign = rng.integers(0, draw(st.integers(1, k)), size=n)
-    return points, centers, assign
-
-
-class TestClusterSpreads:
-    @settings(deadline=None, max_examples=150)
-    @given(spread_cases())
-    def test_bit_identical_to_the_per_cluster_loop(self, case):
-        got = harness_mod._cluster_spreads(*case)
-        assert np.array(got).tobytes() == np.array(oracles.cluster_spreads(*case)).tobytes()
-
-
 class TestTrainPhase:
     def test_prototypes_match_kmeans_centers(self, tmp_path):
         # 50 fusions per cluster give the EMA time to wash out the

@@ -329,6 +329,17 @@ class TestBankGrowth:
             bank.observe(s)
         assert bank.save() == before
 
+    @pytest.mark.parametrize("mode", ["train", "tta"])
+    def test_a_valid_observation_whose_tau_overflows_is_fused(self, mode):
+        # tau is inf, so the check falls back to the constructor's, which passes
+        bank = full_bank(np.random.default_rng(5), channels=2, k=2)
+        bank.mode = mode
+        s = stats([1e300, -1e300], [1.0, 1.0])
+        with np.errstate(over="ignore"):
+            rep = bank.observe(s)
+        assert (rep.action, rep.tau, bank.step) == ("fuse", np.inf, 3)
+        assert load(bank.save()).vectors().tobytes() == bank.vectors().tobytes()
+
     @pytest.mark.parametrize("std", [0.0, -1.0])
     def test_a_hostile_replacement_raises_the_constructor_error(self, std):
         bank = full_bank(np.random.default_rng(5), channels=2, k=2, alpha=0.05)
