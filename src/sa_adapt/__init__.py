@@ -15,7 +15,7 @@ from .class_query_attention import (
     sine_positions,
     tokens_from_pyramid,
 )
-from .config import RunConfig, load_config
+from .config import RunConfig
 from .contrastive_alignment import (
     ContrastiveBatch,
     LossReport,
@@ -62,7 +62,6 @@ __all__ = [
     "cross_attend",
     "init_class_queries",
     "load",
-    "load_config",
     "parse_annotations",
     "project",
     "run_encoder_side",

@@ -7,15 +7,13 @@ with gradient verification), ``bench`` (latency protocol) and
 ``inspect-bank`` (dump a serialized bank).
 
 Each run subcommand takes flags for only the RunConfig fields its run reads
-(``_RUN_FIELDS``), plus ``--config``, ``--seed`` and ``--out-dir``; any other
-field flag is a usage error. ``tta-run`` and ``bench`` weight the prototypes
-by ``softmax(-d / temperature)``, so ``--softmax-temperature`` is their only
-projection flag. ``--config`` points at a ``key = value`` file
-that may set every field and that flags override, and the ``SA_ADAPT_SEED``
-environment variable overrides the seed from both. User errors (missing
-file, malformed blob, bad value) print one ``sa-adapt: error: <msg>`` line
-and return 2; so does a size too large to allocate, as
-``sa-adapt: error: out of memory: <msg>``.
+(``_RUN_FIELDS``), plus ``--seed`` and ``--out-dir``; any other field flag is
+a usage error. The flags are the one input path of a run's RunConfig: a
+field no flag sets keeps its default. ``tta-run`` and ``bench`` weight the
+prototypes by ``softmax(-d / temperature)``, so ``--softmax-temperature`` is
+their only projection flag. User errors (missing file, malformed blob, bad
+value) print one ``sa-adapt: error: <msg>`` line and return 2; so does a
+size too large to allocate, as ``sa-adapt: error: out of memory: <msg>``.
 """
 
 from __future__ import annotations
@@ -42,19 +40,19 @@ def _parse_hw_list(text: str, flag: str) -> list[tuple[int, int]]:
     return shapes
 
 
-# The flags of each RunConfig field, and the fields that each run subcommand reads.
+# The flag of each RunConfig field, and the fields that each run subcommand reads.
 _FIELD_FLAGS = {
-    "k": (("--k", "--capacity"), dict(type=int, help="bank capacity K")),
-    "alpha": (("--alpha",), dict(type=float, help="adaptive threshold coefficient")),
-    "momentum": (("--momentum", "--lambda"), dict(type=float, help="EMA momentum")),
-    "lambda_c": (("--lambda-c",), dict(type=float, help="contrastive weight")),
-    "epsilon": (("--epsilon",), dict(type=float, help="statistics variance floor")),
-    "softmax_temperature": (("--softmax-temperature",), dict(type=float)),
-    "tta_order": (("--tta-order",), dict(choices=config_mod.TTA_ORDERS)),
-    "heads": (("--heads",), dict(type=int, help="attention heads")),
-    "d": (("--dim",), dict(type=int, help="query/token dimension d")),
-    "seed": (("--seed",), dict(type=int, help="master RNG seed")),
-    "out_dir": (("--out-dir",), dict(help="where reports and banks go")),
+    "k": ("--k", dict(type=int, help="bank capacity K")),
+    "alpha": ("--alpha", dict(type=float, help="adaptive threshold coefficient")),
+    "momentum": ("--momentum", dict(type=float, help="EMA momentum")),
+    "lambda_c": ("--lambda-c", dict(type=float, help="contrastive weight")),
+    "epsilon": ("--epsilon", dict(type=float, help="statistics variance floor")),
+    "softmax_temperature": ("--softmax-temperature", dict(type=float)),
+    "tta_order": ("--tta-order", dict(choices=config_mod.TTA_ORDERS)),
+    "heads": ("--heads", dict(type=int, help="attention heads")),
+    "d": ("--dim", dict(type=int, help="query/token dimension d")),
+    "seed": ("--seed", dict(type=int, help="master RNG seed")),
+    "out_dir": ("--out-dir", dict(help="where reports and banks go")),
 }
 _RUN_FIELDS = {
     "train-bank": ("k", "alpha", "momentum", "epsilon"),
@@ -67,10 +65,9 @@ _RUN_FIELDS = {
 def _run_parser(sub, name: str, **kwargs) -> argparse.ArgumentParser:
     p = sub.add_parser(name, **kwargs)
     g = p.add_argument_group("run configuration")
-    g.add_argument("--config", help="key = value file that may set any field; flags override it")
     for field in (*_RUN_FIELDS[name], "seed", "out_dir"):
-        flags, options = _FIELD_FLAGS[field]
-        g.add_argument(*flags, dest=field, **options)
+        flag, options = _FIELD_FLAGS[field]
+        g.add_argument(flag, dest=field, **options)
     return p
 
 
@@ -90,10 +87,11 @@ def _stream_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_config(args: argparse.Namespace) -> config_mod.RunConfig:
-    overrides = {
+    """The RunConfig of the flags given; a field no flag set keeps its default."""
+    given = {
         f.name: getattr(args, f.name, None) for f in dataclasses.fields(config_mod.RunConfig)
     }
-    return config_mod.load_config(args.config, overrides)
+    return config_mod.RunConfig(**{name: v for name, v in given.items() if v is not None})
 
 
 def build_domain_spec(cfg: config_mod.RunConfig, args: argparse.Namespace) -> harness.SyntheticDomainSpec:

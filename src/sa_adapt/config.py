@@ -6,26 +6,20 @@ statistics floor epsilon=1e-6; the EMA momentum (0.9) and the attention
 geometry (heads=8, d=256) are artifact choices. ``selftest`` asserts that
 the pinned defaults have not drifted.
 
-Config files are plain ``key = value`` text, one pair per line, ``#``
-comments allowed; keys match the field names below (``lambda`` is accepted
-as an alias for ``momentum``). Precedence: explicit CLI flags override the
-file, and the ``SA_ADAPT_SEED`` environment variable overrides the seed
-from both, so CI runs stay reproducible.
+The flags of the CLI are the one input path of a run: ``cli.build_config``
+builds a RunConfig from them, and a field no flag sets keeps its default.
 
 Every rule on the values lives in ``RunConfig.__post_init__``, so each
-RunConfig, including a ``dataclasses.replace`` copy, is valid; the parser
-and :func:`load_config` only read text and merge sources. A RunConfig is
-frozen, so no later assignment can bypass those rules: derive a changed
+RunConfig, including a ``dataclasses.replace`` copy, is valid. A RunConfig
+is frozen, so no later assignment can bypass those rules: derive a changed
 copy with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
-import os
-from dataclasses import dataclass, fields, replace
-
-SEED_ENV_VAR = "SA_ADAPT_SEED"
+from dataclasses import dataclass
 
 DEFAULT_K = 4
 DEFAULT_ALPHA = 0.7
@@ -63,8 +57,10 @@ class RunConfig:
             raise ValueError("alpha must be positive")
         if not 0 < self.momentum < 1:
             raise ValueError("momentum must lie in (0, 1)")
-        if self.lambda_c < 0:
-            raise ValueError("lambda_c must be >= 0")
+        if not 0 <= self.lambda_c < math.inf:
+            raise ValueError(
+                f"lambda_c (--lambda-c) must be finite and >= 0, got {self.lambda_c!r}"
+            )
         if not 0 < self.epsilon <= EPSILON_LIMIT:
             raise ValueError(
                 f"epsilon (--epsilon) must be positive and at most {EPSILON_LIMIT:g}, so that "
@@ -76,44 +72,6 @@ class RunConfig:
             raise ValueError("softmax_temperature must be positive")
         if self.heads < 1 or self.d < 1 or self.d % self.heads != 0:
             raise ValueError("heads must divide d")
-
-
-_ALIASES = {"lambda": "momentum", "capacity": "k"}
-_FIELD_PARSERS = {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(RunConfig)}
-
-
-def parse_config_text(text: str) -> dict:
-    """Parse ``key = value`` lines into a {field: typed value} dict."""
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = _ALIASES.get(key.strip(), key.strip())
-        value = value.strip()
-        if key not in _FIELD_PARSERS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        out[key] = _FIELD_PARSERS[key](value)
-    return out
-
-
-def load_config(
-    path: str | None = None, overrides: dict | None = None, env: dict | None = None
-) -> RunConfig:
-    """Merge file, overrides and environment into a RunConfig, which validates itself."""
-    values: dict = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            values.update(parse_config_text(fh.read()))
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
-    env = os.environ if env is None else env
-    if SEED_ENV_VAR in env:
-        values["seed"] = int(env[SEED_ENV_VAR])
-    return replace(RunConfig(), **values)
 
 
 def selftest() -> None:

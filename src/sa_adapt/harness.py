@@ -818,6 +818,8 @@ def run_ocl_demo(
         )
     if num_categories > MAX_CATEGORIES:
         raise ValueError(f"--categories must be at most {MAX_CATEGORIES}, got {num_categories}")
+    if not np.isfinite(l_det):
+        raise ValueError(f"l_det (--l-det) must be finite, got {l_det}")
     _require_allocatable(
         num_categories * image_size[0] * image_size[1], "the masks (--categories x --image-size)"
     )

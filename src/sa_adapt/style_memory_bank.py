@@ -144,7 +144,7 @@ class StyleMemoryBank:
             value = int(_count(name, value, 0))  # a numpy step would wrap at 2**64
             if value < vars(self).get("step", 0):  # only a falling step can pass one
                 _check_updates(self._last, value)
-        if name == "capacity" and len(self) > _count(name, value, 1, _U32_LIMIT):
+        if name == "capacity" and len(self) > _count("capacity (--k)", value, 1, _U32_LIMIT):
             raise ValueError(f"{len(self)} prototypes exceed capacity {value}")
         if name == "alpha" and not 0.0 < value < np.inf:
             raise ValueError("alpha must be positive and finite")

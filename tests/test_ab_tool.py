@@ -90,10 +90,19 @@ def test_rounds_that_do_not_split_into_two_equal_halves_are_rejected(rounds):
 
 
 STUB_RUN = """
-import json
+import json, sys
+from pathlib import Path
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+side = Path.cwd().name
+wide = 1.0 + seed % 2  # the parent's runs alternate 2, 1, 2, 1: spread (2 - 1) / 1.5
+values = {
+    "items_per_s": 100.0,  # no spread: resolved, though neither side wins
+    "call_s.mean": wide if side == "parent" else 1.5,  # spread past the bound: unresolved
+    "setup_s": wide if side == "parent" else 0.5,  # as wide, but every change run is better
+    "peak_rss_mb": 50.0,
+}
 print("host " + json.dumps({"git_commit": "unknown"}))
-metrics = {m: {"value": 1.0, "unit": "x"}
-           for m in ("items_per_s", "call_s.mean", "setup_s", "peak_rss_mb")}
+metrics = {m: {"value": v, "unit": "x"} for m, v in values.items()}
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}))
 """
 
@@ -105,7 +114,7 @@ def test_bench_pairs_records_each_sides_resolved_checkout(tmp_path):
         (tmp_path / side / "src").mkdir()
     out = tmp_path / "pairs.json"
     args = ["--parent-dir", str(tmp_path / "change" / ".." / "parent"),
-            "--change-dir", "change", "--pairs", "train-churn=2", "--first-seed", "1",
+            "--change-dir", "change", "--pairs", "train-churn=4", "--first-seed", "1",
             "--seconds", "0.1", "--out", str(out)]
     result = subprocess.run([sys.executable, str(ROOT / "tools" / "bench_pairs.py"), *args],
                             cwd=tmp_path, capture_output=True, text=True, timeout=60)
@@ -113,5 +122,17 @@ def test_bench_pairs_records_each_sides_resolved_checkout(tmp_path):
     document = json.loads(out.read_text())
     paths = {side: str((tmp_path / side).resolve()) for side in ("parent", "change")}
     assert document["checkouts"] == paths
-    assert len(document["runs"]) == 4
+    assert len(document["runs"]) == 8
     assert all(run["checkout"] == paths[run["side"]] for run in document["runs"])
+    summary = document["summary"]["train-churn"]
+    bounds = {m["name"]: m["bound"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert {m: summary[m]["bound"] for m in bounds} == bounds
+    got = {m: (summary[m]["parent_spread"], summary[m]["resolved"], summary[m]["change_wins"])
+           for m in bounds}
+    assert got == {
+        "items_per_s": (0.0, True, "0/4"),
+        "call_s.mean": (pytest.approx(1 / 1.5), False, "2/4"),
+        "setup_s": (pytest.approx(1 / 1.5), True, "4/4"),
+        "peak_rss_mb": (0.0, True, "0/4"),
+    }

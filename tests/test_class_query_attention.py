@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +64,16 @@ class TestSinePositions:
     def test_odd_dim_rejected(self):
         with pytest.raises(ValueError):
             sine_positions([(4, 4)], 63)
+
+    @pytest.mark.parametrize(
+        "shapes, message",
+        [([], "level_shapes must be non-empty"),
+         ([(2, 2), (0, 3)], r"invalid level shape \(0, 3\)")],
+        ids=["no-level", "zero-side"],
+    )
+    def test_missing_or_empty_level_rejected(self, shapes, message):
+        with pytest.raises(ValueError, match=message):
+            sine_positions(shapes, 4)
 
     def test_token_count(self):
         enc = sine_positions([(4, 6), (2, 3)], 8)
@@ -200,6 +212,24 @@ class TestCrossAttend:
         out = cross_attend(q, seq, masks, params, heads=2)
         np.testing.assert_array_equal(out, q)
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("unaligned", "mask set has no token alignment"),
+            ("1-D", r"queries must be \(C, d\), got \(8,\)"),
+            ("query-dim", "query dim 4 does not match parameter dim 8"),
+            ("categories", r"token masks \(3, 20\) do not match 2 categories"),
+        ],
+        ids=["unaligned", "1-D", "query-dim", "categories"],
+    )
+    def test_queries_and_masks_of_another_layout_rejected(self, case, message):
+        q, seq, masks, params = random_setup(np.random.default_rng(8))
+        if case == "unaligned":
+            masks = replace(masks, token_masks=None)
+        q = {"1-D": q[0], "query-dim": q[:, :4], "categories": q[:2]}.get(case, q)
+        with pytest.raises(ValueError, match=message):
+            cross_attend(q, seq, masks, params, heads=2)
+
     def test_dimension_errors(self):
         rng = np.random.default_rng(7)
         q, seq, masks, params = random_setup(rng)
@@ -297,6 +327,15 @@ class TestTokensFromPyramid:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError):
             tokens_from_pyramid([np.zeros((1, 8, 2, 2)), np.zeros((1, 4, 2, 2))])
+
+    @pytest.mark.parametrize("shape", [(2, 8, 2, 2), (8, 2, 2)], ids=["batch-of-two", "3-D"])
+    def test_level_that_is_not_one_sample_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"expected \(1, C, H, W\) level"):
+            tokens_from_pyramid([np.zeros((1, 8, 2, 2)), np.zeros(shape)])
+
+    def test_tokens_and_positions_of_different_shapes_rejected(self):
+        with pytest.raises(ValueError, match=r"must share an \(N, d\) shape"):
+            TokenSequence(np.zeros((4, 2)), np.zeros((4, 3)), level_boundaries=[0, 4])
 
     def test_empty_level_boundaries_rejected(self):
         with pytest.raises(ValueError, match="level boundaries"):

@@ -41,7 +41,7 @@ def subparsers() -> dict[str, argparse.ArgumentParser]:
 
 def config_fields(parser: argparse.ArgumentParser) -> set[str]:
     groups = [g for g in parser._action_groups if g.title == "run configuration"]
-    return {a.dest for g in groups for a in g._group_actions} - {"config"}
+    return {a.dest for g in groups for a in g._group_actions}
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,7 @@ CONFIG_FLAGS = {  # the configuration flags of each run subcommand, as the READM
 def test_configuration_flags_are_the_readme_table(command):
     groups = [g for g in subparsers()[command]._action_groups if g.title == "run configuration"]
     given = {a.option_strings[0] for g in groups for a in g._group_actions}
-    assert given == CONFIG_FLAGS[command] | {"--config", "--seed", "--out-dir"}
+    assert given == CONFIG_FLAGS[command] | {"--seed", "--out-dir"}
 
 
 @pytest.mark.parametrize(
@@ -126,6 +126,9 @@ def test_each_subcommand_takes_exactly_the_fields_its_run_reads(
         ["train-bank", "--heads", "4"],
         ["tta-run", "--weighting", "neg-distance"],
         ["bench", "--weighting", "neg-distance"],
+        ["train-bank", "--config", "run.cfg"],
+        ["train-bank", "--capacity", "3"],
+        ["bench", "--lambda", "0.5"],
     ],
 )
 def test_flags_a_run_does_not_read_are_usage_errors(argv, tmp_path, capsys):
@@ -136,29 +139,16 @@ def test_flags_a_run_does_not_read_are_usage_errors(argv, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
-def test_a_weighting_key_in_a_config_file_is_one_error_line(bank_dir, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("weighting = neg-distance\n")
-    argv = ["tta-run", *BASE["tta-run"], "--config", str(cfg), "--bank-dir", str(bank_dir)]
-    code, out, err = run_cli([*argv, "--out-dir", str(tmp_path / "run")])
-    assert (code, out) == (2, "")
-    assert err == "sa-adapt: error: config line 1: unknown key 'weighting'\n"
-    assert not (tmp_path / "run").exists()
-
-
-def test_one_config_file_serves_train_and_tta(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "k = 3\nalpha = 0.5\nlambda = 0.8\nlambda_c = 0.2\nepsilon = 1e-5\n"
-        "softmax_temperature = 2.0\ntta_order = project-first\n"
-        f"heads = 4\nd = 32\nseed = 9\nout_dir = {tmp_path / 'run'}\n"
-    )
+def test_one_set_of_flags_serves_train_and_tta(tmp_path, capsys):
+    run = ["--seed", "9", "--out-dir", str(tmp_path / "run")]
     stream = ["--channels", "4", "--samples-per-cluster", "3", "--levels", "2x2"]
-    assert cli.main(["train-bank", "--config", str(cfg), *stream]) == 0
-    assert cli.main(["tta-run", "--config", str(cfg), *stream]) == 0
+    train = ["--k", "3", "--alpha", "0.5", "--momentum", "0.8", "--epsilon", "1e-5"]
+    tta = ["--epsilon", "1e-5", "--softmax-temperature", "2.0", "--tta-order", "project-first"]
+    assert cli.main(["train-bank", *train, *run, *stream]) == 0
+    assert cli.main(["tta-run", *tta, *run, *stream]) == 0
     capsys.readouterr()
     assert cli.main(["inspect-bank", str(tmp_path / "run" / "bank_level0.sabank")]) == 0
-    assert "capacity 3\n" in capsys.readouterr().out
+    assert {"capacity 3", "alpha 0.5", "momentum 0.8"} <= set(capsys.readouterr().out.splitlines())
     summary = json.loads((tmp_path / "run" / "tta.summary.json").read_text())
     assert summary["extra"]["tta_order"] == "project-first"
 
@@ -188,7 +178,7 @@ def hostile_pool(action: argparse.Action) -> list[str] | None:
         return LOOPS if action.option_strings[0] in LOOP_FLAGS else SIZES
     if isinstance(action.default, str) and re.fullmatch(r"\d+x\d+(,\d+x\d+)*", action.default):
         return SHAPES
-    return None  # --config, --out-dir, --bank-dir, --annotations
+    return None  # --out-dir, --bank-dir, --annotations
 
 
 def drawable_flags(parser: argparse.ArgumentParser) -> list[tuple[str, list[str]]]:
@@ -260,6 +250,7 @@ OUT_OF_MEMORY = "sa-adapt: error: out of memory: "
 @example(["bench", "--bench-channels=-1"])
 @example(["ocl-demo", "--categories=1000000000000000", "--image-size=2x2"])
 @example(["bench", "--k=100000000"])
+@example(["train-bank", f"--k={2**50}", "--seed=0", f"--samples-per-cluster={2**50}"])
 def test_any_flag_value_ends_in_a_finite_report_or_one_error_line(bank_dir, argv):
     command, hostile = argv[0], argv[1:]
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():

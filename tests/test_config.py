@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sa_adapt.cli import build_parser
-from sa_adapt.config import RunConfig, load_config, parse_config_text, selftest
+from sa_adapt.config import RunConfig, selftest
 
 
 class TestDefaults:
@@ -30,42 +30,12 @@ class TestDefaults:
         selftest()
 
 
-class TestConfigFile:
-    def test_parse_key_value(self):
-        values = parse_config_text("k = 6\nalpha=0.5\n# comment\n\nseed = 42\n")
-        assert values == {"k": 6, "alpha": 0.5, "seed": 42}
-
-    def test_lambda_alias(self):
-        assert parse_config_text("lambda = 0.8\n") == {"momentum": 0.8}
-        assert parse_config_text("capacity = 2\n") == {"k": 2}
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            parse_config_text("banana = 1\n")
-
-    def test_missing_equals_rejected(self):
-        with pytest.raises(ValueError):
-            parse_config_text("k 6\n")
-
-    def test_file_plus_overrides(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("k = 6\nalpha = 0.5\n")
-        cfg = load_config(str(path), overrides={"alpha": 0.9, "seed": None}, env={})
-        assert cfg.k == 6
-        assert cfg.alpha == 0.9  # explicit override wins
-        assert cfg.seed == 0  # None overrides are ignored
-
-    def test_env_var_overrides_seed(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("seed = 5\n")
-        cfg = load_config(str(path), overrides={"seed": 7}, env={"SA_ADAPT_SEED": "99"})
-        assert cfg.seed == 99
-
+class TestValidation:
     def test_validation_runs(self):
         with pytest.raises(ValueError):
-            load_config(None, overrides={"k": 0}, env={})
+            RunConfig(k=0)
         with pytest.raises(ValueError):
-            load_config(None, overrides={"heads": 3, "d": 256}, env={})
+            RunConfig(heads=3, d=256)
 
     def test_every_run_config_is_valid(self):
         with pytest.raises(ValueError, match="tta_order"):
@@ -87,9 +57,14 @@ class TestConfigFile:
     def test_negative_seed_is_rejected(self):
         with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
             RunConfig(seed=-1)
-        with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -7")):
-            load_config(None, env={"SA_ADAPT_SEED": "-7"})
         assert RunConfig(seed=0).seed == 0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1])
+    def test_lambda_c_must_be_finite_and_non_negative(self, value):
+        message = f"lambda_c (--lambda-c) must be finite and >= 0, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(lambda_c=value)
+        assert RunConfig(lambda_c=0.0).lambda_c == 0.0
 
     def test_fields_cannot_be_assigned_after_construction(self):
         cfg = RunConfig()
@@ -99,8 +74,8 @@ class TestConfigFile:
 
 
 def test_every_run_config_field_has_a_flag():
-    # cli.build_config reads the fields from the flags; a field that no
-    # subcommand takes could be set only in a config file.
+    # cli.build_config reads the fields from the flags, the one input path of
+    # a run; a field that no subcommand takes could not be set in any run.
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     dests = {action.dest for parser in sub.choices.values() for action in parser._actions}
     missing = {f.name for f in fields(RunConfig)} - dests

@@ -129,6 +129,10 @@ class TestContrastiveLoss:
         with pytest.raises(ValueError):
             batch_of([[np.nan, 0.0]], [[0.0, 0.0]])
 
+    def test_present_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match="present must be a length-C boolean vector"):
+            ContrastiveBatch(np.ones((2, 3)), np.ones((2, 3)), np.ones(3, dtype=bool))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ContrastiveBatch(np.ones((2, 3)), np.ones((2, 4)), np.ones(2, dtype=bool))

@@ -198,6 +198,10 @@ class TestKmeansHelpers:
             d2 = ((vectors - centers[matched]) ** 2).sum(axis=1)
             np.testing.assert_array_equal(dists, d2)
 
+    def test_unequal_counts_rejected(self):
+        with pytest.raises(ValueError, match="need equally many vectors and centers"):
+            match_to_centers(np.zeros((2, 3)), np.zeros((3, 3)))
+
     def test_large_k_is_a_bijection(self):
         rng = np.random.default_rng(22)
         vectors = rng.normal(size=(64, 5))
@@ -1027,6 +1031,20 @@ class TestReports:
         with pytest.raises(ValueError):
             parse_report("name value\n")
 
+    def test_value_of_a_missing_name_is_a_key_error(self):
+        report = Report()
+        report.add("x", 1, "count")
+        assert report.value("x") == 1
+        with pytest.raises(KeyError):
+            report.value("y")
+
+    def test_numpy_scalars_are_stored_as_python_values(self):
+        report = Report()
+        report.add("a", np.int64(3), "count")
+        report.add("b", np.float64(0.5), "ratio")
+        assert [type(value) for _, value, _ in report.records] == [int, float]
+        assert format_report(report.records) == "a 3 count\nb 0.5 ratio\n"
+
     def test_space_in_name_rejected(self):
         with pytest.raises(ValueError):
             format_report([("bad name", 1, "count")])
@@ -1157,12 +1175,30 @@ class TestCli:
         assert f"--image-size expects one HxW shape such as 64x64, got {value!r}" in err
         assert not any(tmp_path.iterdir())
 
-    def test_negative_seed_is_a_user_error(self, tmp_path, capsys, monkeypatch):
+    def test_negative_seed_is_a_user_error(self, tmp_path, capsys):
         argv = ["train-bank", "--seed", "-1", "--out-dir", str(tmp_path)]
         assert "seed must be >= 0, got -1" in self.user_error(capsys, argv)
-        monkeypatch.setenv("SA_ADAPT_SEED", "-1")
-        argv = ["train-bank", "--out-dir", str(tmp_path)]
-        assert "seed must be >= 0, got -1" in self.user_error(capsys, argv)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--lambda-c", "nan", "lambda_c (--lambda-c) must be finite and >= 0, got nan"),
+            ("--lambda-c", "inf", "lambda_c (--lambda-c) must be finite and >= 0, got inf"),
+            ("--l-det", "nan", "l_det (--l-det) must be finite, got nan"),
+            ("--l-det", "inf", "l_det (--l-det) must be finite, got inf"),
+        ],
+        ids=["lambda-c-nan", "lambda-c-inf", "l-det-nan", "l-det-inf"],
+    )
+    def test_non_finite_ocl_weight_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, flag, value, message
+    ):
+        def no_masks(*args):
+            raise AssertionError("build_masks ran")
+
+        monkeypatch.setattr(harness_mod, "build_masks", no_masks)
+        argv = ["ocl-demo", f"{flag}={value}", "--out-dir", str(tmp_path)]
+        assert self.user_error(capsys, argv) == f"sa-adapt: error: {message}\n"
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.1"])
@@ -1281,45 +1317,6 @@ class TestCli:
         a = (tmp_path / "x" / "bank_level0.sabank").read_bytes()
         b = (tmp_path / "y" / "bank_level0.sabank").read_bytes()
         assert a == b
-
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SA_ADAPT_SEED", "77")
-        out = tmp_path / "env"
-        cli_main(
-            [
-                "train-bank",
-                "--seed",
-                "3",
-                "--out-dir",
-                str(out),
-                "--channels",
-                "8",
-                "--samples-per-cluster",
-                "6",
-                "--levels",
-                "4x4",
-            ]
-        )
-        monkeypatch.delenv("SA_ADAPT_SEED")
-        out2 = tmp_path / "direct"
-        cli_main(
-            [
-                "train-bank",
-                "--seed",
-                "77",
-                "--out-dir",
-                str(out2),
-                "--channels",
-                "8",
-                "--samples-per-cluster",
-                "6",
-                "--levels",
-                "4x4",
-            ]
-        )
-        assert (out / "bank_level0.sabank").read_bytes() == (
-            out2 / "bank_level0.sabank"
-        ).read_bytes()
 
     def test_ocl_demo_command(self, tmp_path, capsys):
         rc = cli_main(

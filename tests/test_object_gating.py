@@ -80,6 +80,26 @@ class TestBuildMasks:
         with pytest.raises(ValueError):
             build_masks(ann, (4, 4), 3)
 
+    @pytest.mark.parametrize(
+        "image_size, num_categories, message",
+        [((0, 4), 1, r"image size must be positive, got \(0, 4\)"),
+         ((4, 4), 0, "num_categories must be >= 1")],
+        ids=["zero-side", "no-categories"],
+    )
+    def test_empty_image_or_category_set_rejected(self, image_size, num_categories, message):
+        with pytest.raises(ValueError, match=message):
+            build_masks(Annotation(boxes=[], categories=[]), image_size, num_categories)
+
+    @pytest.mark.parametrize(
+        "boxes, categories, message",
+        [([(0, 0, 1, 1), (0, 0, 2, 2)], [0], "2 boxes but 1 category ids"),
+         ([(0, 0, 1)], [0], r"malformed box \(0.0, 0.0, 1.0\)")],
+        ids=["more-boxes-than-categories", "three-value-box"],
+    )
+    def test_malformed_annotation_rejected(self, boxes, categories, message):
+        with pytest.raises(ValueError, match=message):
+            Annotation(boxes=boxes, categories=categories)
+
     def test_degenerate_box_order_rejected(self):
         with pytest.raises(ValueError):
             Annotation(boxes=[(3, 0, 1, 1)], categories=[0])
@@ -179,3 +199,21 @@ class TestAnnotationIo:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
             parse_annotations("img 4 4 0 0 0 1\n")  # five-tuple truncated
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("img 4e1 48 0 2 3 20 25", "invalid literal for int() with base 10: '4e1'"),
+            ("img 40 48 0 zz 3 20 25", "could not convert string to float: 'zz'"),
+            ("img 40 48 0 2 3 20 nan", "malformed box (2.0, 3.0, 20.0, nan)"),
+            ("img 40 48 0 30 3 20 25",
+             "box has x_min > x_max or y_min > y_max: (30.0, 3.0, 20.0, 25.0)"),
+            ("img 40 48 0 2 3 20", "expected 'id H W [cls x0 y0 x1 y1]...'"),
+        ],
+        ids=["float-height", "word-coordinate", "nan-coordinate", "x-min-above-x-max",
+             "field-count"],
+    )
+    def test_every_error_names_its_line(self, line, message):
+        with pytest.raises(ValueError) as exc:
+            parse_annotations(f"# header\nok 4 4 0 0 0 1 1\n{line}\n")
+        assert str(exc.value) == f"line 3: {message}"

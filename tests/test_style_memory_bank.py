@@ -533,6 +533,12 @@ class TestPersistence:
         with pytest.raises(FormatError):
             load(bytes(blob))
 
+    def test_unknown_mode_code_rejected(self):
+        blob = bytearray(StyleMemoryBank().save())
+        blob[22] = 2  # mode field, offset 6+4+4+4+4
+        with pytest.raises(FormatError, match="unknown mode code 2"):
+            load(bytes(blob))
+
     def test_trailing_bytes_rejected(self):
         blob = StyleMemoryBank().save() + b"\x00"
         with pytest.raises(FormatError):
@@ -721,14 +727,15 @@ class TestAssignment:
         assert bank.capacity == 3
 
     @pytest.mark.parametrize(
-        "name, value",
-        [("capacity", 2.5), ("step", -1), ("step", 2**64), ("step", 3.0)],
+        "name, value, label",
+        [("capacity", 2.5, "capacity (--k)"), ("step", -1, "step"), ("step", 2**64, "step"),
+         ("step", 3.0, "step")],
         ids=["float-capacity", "negative-step", "u64-step", "float-step"],
     )
-    def test_counters_are_checked_at_the_assignment(self, name, value):
+    def test_counters_are_checked_at_the_assignment(self, name, value, label):
         bank = full_bank(np.random.default_rng(2))
         before = bank.save()
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        with pytest.raises(ValueError, match=re.escape(f"{label} must be an integer")):
             setattr(bank, name, value)
         assert bank.save() == before
 

@@ -60,3 +60,8 @@ class TestDenseHelpers:
             check_feature_map(np.zeros((2, 3, 4)))
         with pytest.raises(ValueError):
             check_feature_map(np.zeros((1, 2, 0, 4)))
+
+    @pytest.mark.parametrize("shape", [(0, 2, 3, 4), (1, 0, 3, 4)], ids=["B=0", "C=0"])
+    def test_check_feature_map_needs_a_sample_and_a_channel(self, shape):
+        with pytest.raises(ValueError, match=r"B >= 1 and C >= 1"):
+            check_feature_map(np.zeros(shape))

@@ -21,9 +21,14 @@ its checkout), every run (side, checkout, workload, seed, trace flag, return
 code, the ``host`` line and the final JSON line of ``run.py``) and, per workload,
 a summary of the untraced runs: for each end-to-end metric both sides' runs
 with median and quartiles (``statistics.quantiles``, inclusive method, which
-is numpy's linear percentile), the change/parent ratio of the medians, and
+is numpy's linear percentile), the change/parent ratio of the medians,
 ``change_wins``, the pairs in which the change read better (ties count for
-neither side).
+neither side), the metric's ``bound`` from the ``end_to_end`` list of the
+``BENCHMARK.json`` beside this tool, ``parent_spread``, the parent's
+(q3 - q1) / median, and ``resolved``. A metric is unresolved (``false``) when
+the parent's spread exceeds the bound, unless every change run reads better
+than every parent run: its runs then vary too widely for the bound to tell a
+regression or a gain from noise.
 """
 
 from __future__ import annotations
@@ -37,10 +42,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-# end-to-end metrics of run.py and the direction in which each is better
-HIGHER_IS_BETTER = {"items_per_s": True, "call_s.mean": False, "setup_s": False,
-                    "peak_rss_mb": False}
 SIDES = ("parent", "change")
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def end_to_end_metrics() -> dict[str, tuple[bool, float]]:
+    """{name: (higher is better, bound)} of each end-to-end metric of the benchmark."""
+    spec = json.loads(BENCHMARK.read_text())
+    return {m["name"]: (m["better"] == "higher", m["bound"]) for m in spec["end_to_end"]}
 
 
 def git_tree_hash(path: Path) -> str:
@@ -93,8 +102,8 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values), "runs": values}
 
 
-def summarize(runs: list[dict]) -> dict:
-    """Per workload: both sides' end-to-end metrics over the untraced runs."""
+def summarize(runs: list[dict], metrics: dict[str, tuple[bool, float]]) -> dict:
+    """Per workload: both sides' ``metrics`` over the untraced runs."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         plain = [r for r in runs if r["workload"] == workload and not r["trace"]]
@@ -108,16 +117,24 @@ def summarize(runs: list[dict]) -> dict:
         if ok:
             for key, name in (("attempted", "attempted_items"), ("failed", "failed_items")):
                 summary[name] = {side: sum(by[side, s][key] for s in seeds) for side in SIDES}
-            for metric, higher in HIGHER_IS_BETTER.items():
+            for metric, (higher, bound) in metrics.items():
+                sign = 1.0 if higher else -1.0  # the better value has the larger sign * value
                 values = {side: [by[side, s]["metrics"][metric]["value"] for s in seeds]
                           for side in SIDES}
-                wins = sum((c > p) if higher else (c < p)
-                           for p, c in zip(values["parent"], values["change"]))
+                scored = {side: [sign * v for v in values[side]] for side in SIDES}
+                wins = sum(c > p for p, c in zip(scored["parent"], scored["change"]))
+                sides = {side: spread(values[side]) for side in SIDES}
+                parent = sides["parent"]
+                parent_spread = (parent["q3"] - parent["q1"]) / parent["median"]
                 summary[metric] = {
-                    **{side: spread(values[side]) for side in SIDES},
+                    **sides,
                     "change_over_parent": (statistics.median(values["change"])
                                            / statistics.median(values["parent"])),
                     "change_wins": f"{wins}/{len(seeds)}",
+                    "bound": bound,
+                    "parent_spread": parent_spread,
+                    "resolved": (parent_spread <= bound
+                                 or min(scored["change"]) > max(scored["parent"])),
                 }
         out[workload] = summary
     return out
@@ -173,7 +190,7 @@ def main(argv=None) -> int:
         "checkouts": {side: str(path) for side, path in dirs.items()},
         "change_src_tree": git_tree_hash(dirs["change"] / "src"),
         "runs": runs,
-        "summary": summarize(runs),
+        "summary": summarize(runs, end_to_end_metrics()),
     }
     args.out.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
     failed = [r for r in runs if r["returncode"] != 0 or not (r["result"] or {}).get("correct")]
