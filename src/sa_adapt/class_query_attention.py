@@ -186,21 +186,19 @@ def project_keys_values(
 def _token_masks(masks: GatingMaskSet, seq: TokenSequence) -> np.ndarray:
     """The masks' (C, N) token masks, checked against the sequence's layout.
 
-    Masks from :func:`align_to_tokens` carry their level shapes; their
-    cumulative level offsets must equal ``seq.level_boundaries``. Masks
-    without ``level_shapes`` are checked by token count only. Layouts with
-    equal offsets stay indistinguishable (one 4x16 level against one 8x8
-    level), because a TokenSequence keeps offsets, not shapes.
+    The masks must come from :func:`align_to_tokens`, and the cumulative
+    offsets of their level shapes must equal ``seq.level_boundaries``.
+    Layouts with equal offsets stay indistinguishable (one 4x16 level against
+    one 8x8 level), because a TokenSequence keeps offsets, not shapes.
     """
-    if masks.token_masks is None:
+    if masks.token_masks is None or masks.level_shapes is None:
         raise ValueError("mask set has no token alignment; call align_to_tokens first")
-    if masks.level_shapes is not None:
-        offsets = list(accumulate((h * w for h, w in masks.level_shapes), initial=0))
-        if offsets != list(seq.level_boundaries):
-            raise ValueError(
-                f"masks aligned to levels {masks.level_shapes} (offsets {offsets}) "
-                f"do not match token level offsets {list(seq.level_boundaries)}"
-            )
+    offsets = list(accumulate((h * w for h, w in masks.level_shapes), initial=0))
+    if offsets != list(seq.level_boundaries):
+        raise ValueError(
+            f"masks aligned to levels {masks.level_shapes} (offsets {offsets}) "
+            f"do not match token level offsets {list(seq.level_boundaries)}"
+        )
     n_tokens = len(seq.tokens)
     if masks.token_masks.shape[1:] != (n_tokens,):
         raise ValueError(
@@ -215,9 +213,8 @@ def cross_attend(
     masks: GatingMaskSet,
     params: AttentionParams,
     heads: int,
-    return_weights: bool = False,
     projections: KeyValues | None = None,
-):
+) -> np.ndarray:
     """One residual masked cross-attention update of the (C, d) query matrix.
 
     Category c attends only over tokens with ``masks.token_masks[c]`` True;
@@ -226,9 +223,7 @@ def cross_attend(
     ``projections``, the :func:`project_keys_values` result for the same
     sequence, masks and parameters); then the logits of all categories and
     heads go through one masked softmax, which shifts and exponentiates
-    only the attendable logits, into a zeroed array. With
-    ``return_weights`` the per-head attention weights are also returned as
-    a (C, heads, N) array (zeros at ignored positions).
+    only the attendable logits, into a zeroed array.
     """
     q = np.asarray(queries, dtype=DTYPE)
     if q.ndim != 2:
@@ -250,9 +245,8 @@ def cross_attend(
     rows = np.flatnonzero(live.any(axis=1))
     live = live[rows]  # (R, M), every row has an attendable token
     out = q.copy()
-    attn = np.zeros((c_count, heads, len(seq.tokens)), dtype=DTYPE) if return_weights else None
     if rows.size == 0:
-        return (out, attn) if return_weights else out
+        return out
     d_head = d // heads
     m = len(index)
 
@@ -269,32 +263,26 @@ def cross_attend(
 
     ctx = weights @ values.reshape(m, heads, d_head).transpose(1, 0, 2)  # (H, R, d_head)
     out[rows] += ctx.transpose(1, 0, 2).reshape(len(rows), d) @ params.w_o
-    if not return_weights:
-        return out
-    attn[np.ix_(rows, np.arange(heads), index)] = weights.transpose(1, 0, 2)
-    return out, attn
+    return out
 
 
 def run_encoder_side(
     q0: np.ndarray,
-    seqs: list[TokenSequence],
+    seq: TokenSequence,
     masks: GatingMaskSet,
     params: AttentionParams,
     heads: int,
+    blocks: int,
 ) -> np.ndarray:
-    """Apply cross_attend once per encoder block, carrying queries across.
+    """Apply cross_attend ``blocks`` times over ``seq``, carrying queries across.
 
-    All blocks share ``params``. Keys and values are projected once and
-    reused for as long as consecutive blocks see the same sequence object.
+    All blocks share ``params``, so keys and values are projected once.
     """
-    if not seqs:
-        raise ValueError("need at least one block token sequence")
+    if blocks < 1:
+        raise ValueError(f"need at least one encoder block, got {blocks}")
+    kv = project_keys_values(seq, masks, params)
     q = np.asarray(q0, dtype=DTYPE)
-    kv, last_seq = None, None
-    for seq in seqs:
-        if seq is not last_seq:
-            kv = project_keys_values(seq, masks, params)
-            last_seq = seq
+    for _ in range(blocks):
         q = cross_attend(q, seq, masks, params, heads, projections=kv)
     return q
 

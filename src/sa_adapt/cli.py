@@ -8,10 +8,11 @@ with gradient verification), ``bench`` (latency protocol) and
 
 Each run subcommand takes flags for only the RunConfig fields its run reads
 (``_RUN_FIELDS``), plus ``--seed`` and ``--out-dir``; any other field flag is
-a usage error. The flags are the one input path of a run's RunConfig: a
-field no flag sets keeps its default. ``tta-run`` and ``bench`` weight the
-prototypes by ``softmax(-d / temperature)``, so ``--softmax-temperature`` is
-their only projection flag. User errors (missing file, malformed blob, bad
+a usage error, and so is an abbreviated flag: each flag has one spelling.
+The flags are the one input path of a run's RunConfig: a field no flag sets
+keeps its default. ``tta-run`` and ``bench`` weight the prototypes by
+``softmax(-d / temperature)``, so ``--softmax-temperature`` is their only
+projection flag. User errors (missing file, malformed blob, bad
 value) print one ``sa-adapt: error: <msg>`` line and return 2; so does a
 size too large to allocate, as ``sa-adapt: error: out of memory: <msg>``.
 """
@@ -63,7 +64,7 @@ _RUN_FIELDS = {
 
 
 def _run_parser(sub, name: str, **kwargs) -> argparse.ArgumentParser:
-    p = sub.add_parser(name, **kwargs)
+    p = sub.add_parser(name, allow_abbrev=False, **kwargs)
     g = p.add_argument_group("run configuration")
     for field in (*_RUN_FIELDS[name], "seed", "out_dir"):
         flag, options = _FIELD_FLAGS[field]
@@ -117,6 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sa-adapt",
         description="Online style-bank adaptation and object-gated contrastive tooling",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -145,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--bench-channels", type=int, default=256)
     p_bench.add_argument("--bench-levels", default="64x64,32x32,16x16,8x8")
 
-    p_inspect = sub.add_parser("inspect-bank", help="print a serialized bank")
+    p_inspect = sub.add_parser("inspect-bank", help="print a serialized bank", allow_abbrev=False)
     p_inspect.add_argument("path")
     return parser
 

@@ -243,32 +243,11 @@ class _Lloyd:
             rows[s, j] = block
         stale[:] = ~fast[:, None]
         assign, unsure = self._choose(rows, margin)
-        unsure &= fast[:, None]
-        for s in np.flatnonzero(~fast):
-            assign[s] = sq_distances(points, centers[s]).argmin(axis=1)
+        unsure |= ~fast[:, None]  # a restart past the headroom rechecks every row
         for s in np.flatnonzero(unsure.any(axis=1)):
             where = np.flatnonzero(unsure[s])
-            assign[s, where] = self._distances(where, centers[s]).argmin(axis=1)
+            assign[s, where] = sq_distances(points[where], centers[s]).argmin(axis=1)
         return assign, center_max
-
-    def _distances(self, where, centers):
-        """``sq_distances(points, centers)[where]`` bit for bit, for the sorted
-        row indices ``where`` of a k-means with ``k >= 2``.
-
-        numpy sums each distance over D in an order set by the layout of the
-        (N, K, D) temporary, which follows that of ``points``: pairwise where
-        the rows are C-ordered, one term after the other where the columns
-        are (Fortran order). A row subset taken out by index is C-ordered, so
-        it sums as the full call does only for C-ordered points. Any other
-        layout takes the rows through a slice, which keeps the strides, of at
-        least two rows, as numpy drops an axis of length one from the choice.
-        """
-        points = self.points
-        if points.flags.c_contiguous:
-            return sq_distances(points[where], centers)
-        lo = min(where[0], len(points) - 2)
-        hi = max(where[-1] + 1, lo + 2)
-        return sq_distances(points[lo:hi], centers)[where - lo]
 
     @staticmethod
     def _choose(a, margin):
@@ -372,7 +351,8 @@ def offline_kmeans(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Best-of-``restarts`` k-means; returns (centers, assignment, inertia).
 
-    ``points`` must be a finite (N, D) array, ``1 <= k <= N`` and
+    ``points`` must be a finite (N, D) array, taken in C order (other
+    layouts give the result of their C-ordered copy), ``1 <= k <= N`` and
     ``restarts >= 1``. Each restart draws ``k`` distinct points as centers
     and runs at most 200 Lloyd iterations; the least inertia wins, the
     earliest restart on ties. The restarts run in groups of consecutive
@@ -406,9 +386,9 @@ def offline_kmeans(
     ``a`` has that center as its argmin under ``sq_distances``, strictly.
     Every other row (near-ties, exact ties) is recomputed with
     ``sq_distances`` on that row subset, whose values equal the full call's
-    bit for bit. No value can overflow while max_x |x|^2 + max_j |c_j|^2 is
-    below an eighth of the largest float; where it is not, the restart's
-    every row is recomputed.
+    bit for bit, as both sum C-ordered rows alike. No value can overflow
+    while max_x |x|^2 + max_j |c_j|^2 is below an eighth of the largest
+    float; where it is not, the restart's every row is recomputed.
 
     The argument holds for each ``a`` on its own, whatever product computed
     it. So a group keeps each restart's (K, N) values of ``a`` between
@@ -442,6 +422,7 @@ def offline_kmeans(
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"k-means points must be a 2-D (N, D) array, got shape {points.shape}")
+    points = np.ascontiguousarray(points)
     require_finite(points, "k-means points")
     if not 1 <= k <= len(points):
         raise ValueError(f"{len(points)} points cannot form {k} clusters")
@@ -854,8 +835,8 @@ def run_ocl_demo(
     seq_src = tokens_from_pyramid(source)
     # the augmented levels have the source's shapes, so the pair shares one positions array
     seq_aug = replace(seq_src, tokens=_flat_tokens(augmented)[0])
-    q_source = run_encoder_side(q0, [seq_src] * blocks, mask_set, params, config.heads)
-    q_augmented = run_encoder_side(q0, [seq_aug] * blocks, mask_set, params, config.heads)
+    q_source = run_encoder_side(q0, seq_src, mask_set, params, config.heads, blocks)
+    q_augmented = run_encoder_side(q0, seq_aug, mask_set, params, config.heads, blocks)
 
     batch = ContrastiveBatch(q_source, q_augmented, mask_set.present)
     loss_rep = contrastive_loss(batch)

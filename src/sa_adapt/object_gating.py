@@ -145,12 +145,14 @@ def parse_annotations(text: str) -> list[AnnotationRecord]:
             if len(fields) < 3 or (len(fields) - 3) % 5 != 0:
                 raise ValueError("expected 'id H W [cls x0 y0 x1 y1]...'")
             image_id, h, w = fields[0], int(fields[1]), int(fields[2])
+            if h < 1 or w < 1:
+                raise ValueError(f"image size must be positive, got ({h}, {w})")
             boxes, cats = [], []
             for i in range(3, len(fields), 5):
                 cats.append(int(fields[i]))
                 boxes.append(tuple(float(v) for v in fields[i + 1 : i + 5]))
             annotation = Annotation(boxes=boxes, categories=cats)
-        except ValueError as exc:  # a bad integer, float or box: name its line
+        except ValueError as exc:  # a bad integer, size, float or box: name its line
             raise ValueError(f"line {lineno}: {exc}") from None
         records.append(AnnotationRecord(image_id, (h, w), annotation))
     return records

@@ -121,10 +121,10 @@ def naive_masked_attention(queries, tokens, positions, token_masks, params, head
 
 def dense_masked_attention(queries, tokens, positions, token_masks, params, heads):
     """Masked cross-attention with one dense softmax over all categories and
-    heads, masked logits set to -inf first; returns (output, (C, heads, N)
-    weights). The earlier whole-array form of ``cross_attend``."""
+    heads, masked logits set to -inf first; returns the output. The earlier
+    whole-array form of ``cross_attend``."""
     q = np.asarray(queries, dtype=float)
-    c_count, d = q.shape
+    d = q.shape[1]
     index = np.flatnonzero(token_masks.any(axis=0))
     keys = (tokens[index] + positions[index]) @ params.w_k
     values = tokens[index] @ params.w_v
@@ -132,9 +132,8 @@ def dense_masked_attention(queries, tokens, positions, token_masks, params, head
     rows = np.flatnonzero(live.any(axis=1))
     live = live[rows]
     out = q.copy()
-    attn = np.zeros((c_count, heads, len(tokens)))
     if rows.size == 0:
-        return out, attn
+        return out
     d_head, m = d // heads, len(index)
     qh = (q[rows] @ params.w_q).reshape(len(rows), heads, d_head).transpose(1, 0, 2)
     logits = qh @ keys.reshape(m, heads, d_head).transpose(1, 2, 0)
@@ -145,8 +144,7 @@ def dense_masked_attention(queries, tokens, positions, token_masks, params, head
     weights /= weights.sum(axis=2, keepdims=True)
     ctx = weights @ values.reshape(m, heads, d_head).transpose(1, 0, 2)
     out[rows] += ctx.transpose(1, 0, 2).reshape(len(rows), d) @ params.w_o
-    attn[np.ix_(rows, np.arange(heads), index)] = weights.transpose(1, 0, 2)
-    return out, attn
+    return out
 
 
 def central_difference(func, x, step=1e-5):

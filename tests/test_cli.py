@@ -129,6 +129,8 @@ def test_each_subcommand_takes_exactly_the_fields_its_run_reads(
         ["train-bank", "--config", "run.cfg"],
         ["train-bank", "--capacity", "3"],
         ["bench", "--lambda", "0.5"],
+        ["train-bank", "--mom", "0.5"],  # abbreviations of --momentum and --lambda-c
+        ["ocl-demo", "--lambda", "0.5"],
     ],
 )
 def test_flags_a_run_does_not_read_are_usage_errors(argv, tmp_path, capsys):

@@ -209,9 +209,11 @@ class TestAnnotationIo:
             ("img 40 48 0 30 3 20 25",
              "box has x_min > x_max or y_min > y_max: (30.0, 3.0, 20.0, 25.0)"),
             ("img 40 48 0 2 3 20", "expected 'id H W [cls x0 y0 x1 y1]...'"),
+            ("img 0 0", "image size must be positive, got (0, 0)"),
+            ("img -3 4 0 0 0 1 1", "image size must be positive, got (-3, 4)"),
         ],
         ids=["float-height", "word-coordinate", "nan-coordinate", "x-min-above-x-max",
-             "field-count"],
+             "field-count", "zero-size", "negative-height"],
     )
     def test_every_error_names_its_line(self, line, message):
         with pytest.raises(ValueError) as exc:
