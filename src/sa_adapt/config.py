@@ -72,6 +72,11 @@ class RunConfig:
             raise ValueError("softmax_temperature must be positive")
         if self.heads < 1 or self.d < 1 or self.d % self.heads != 0:
             raise ValueError("heads must divide d")
+        if self.d % 2:
+            raise ValueError(
+                f"d (--dim) must be even, since the position encodings split it into row "
+                f"and column halves, got {self.d}"
+            )
 
 
 def selftest() -> None:

@@ -60,11 +60,6 @@ def _count(name: str, value, low: int, limit: int = _U64_LIMIT):
     return value
 
 
-def _check_updates(last_updates, step) -> None:
-    if any(t > step for t in last_updates):
-        raise ValueError(f"a prototype's last_update is past step {step}")
-
-
 def _record_dtype(channels: int) -> np.dtype:
     """The file layout of one prototype record (see the module docstring)."""
     vector = ("<f8", (channels,))
@@ -79,8 +74,8 @@ class StylePrototype(ChannelStats):
 
     The constructor copies ``mean`` and ``std`` and checks the counters:
     integers in the file's range, ``use_count`` at least 1. A bank checks a
-    prototype again when it is handed one and stores copies of its values, so
-    changing a prototype never changes a bank.
+    prototype again when it is built with one and stores copies of its values,
+    so changing a prototype never changes a bank.
     """
 
     use_count: int = 1
@@ -114,17 +109,39 @@ class StyleMemoryBank:
     The bank's state is its fields and three stores: the style matrix, whose
     first ``len(bank)`` rows are the prototypes' ``[mean, std]`` vectors (the
     rest are free), and one use count and one last update per prototype.
-    Reading ``prototypes`` builds fresh copies from them; assigning it checks
-    every entry as the StylePrototype constructor does and stacks copies.
-    Bootstrap writes the next free row (the matrix grows geometrically, at
-    most to ``capacity``); replace and fuse write one row in place.
+    Reading ``prototypes`` builds fresh copies from them. The constructor (or
+    ``load``) checks the state once; then it changes only through ``observe``,
+    and ``mode`` is the one field a caller may assign. Bootstrap writes the
+    next free row (the matrix grows geometrically, at most to ``capacity``);
+    replace and fuse write one row in place.
     """
 
     def __init__(self, capacity=4, alpha=0.7, momentum=0.9, mode="train", step=0, prototypes=()):
-        self._use, self._last = [], []
-        self.capacity, self.alpha, self.momentum, self.mode = capacity, alpha, momentum, mode
-        self.step = step
-        self.prototypes = prototypes
+        _count("capacity (--k)", capacity, 1, _U32_LIMIT)
+        if not 0.0 < alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
+        if alpha > ALPHA_LIMIT:
+            raise ValueError(
+                f"alpha (--alpha) must be at most {ALPHA_LIMIT:g}, got {alpha!r}: above 1 a "
+                "full bank never replaces, and larger values only push tau toward overflow"
+            )
+        if not 0.0 < momentum < 1.0:
+            raise ValueError("momentum must lie in (0, 1)")
+        self.mode = mode
+        step = int(_count("step", step, 0))  # a numpy step would wrap at 2**64
+        prototypes = [StylePrototype(p.mean, p.std, p.use_count, p.last_update) for p in prototypes]
+        if len(prototypes) > capacity:
+            raise ValueError(f"{len(prototypes)} prototypes exceed capacity {capacity}")
+        if any(p.last_update > step for p in prototypes):
+            raise ValueError(f"a prototype's last_update is past step {step}")
+        if len({p.channels for p in prototypes}) > 1:
+            raise ValueError("prototypes disagree on the channel count")
+        vars(self).update(
+            capacity=capacity, alpha=alpha, momentum=momentum, step=step,
+            _matrix=np.array([style_vector(p) for p in prototypes]),
+            _use=[int(p.use_count) for p in prototypes],
+            _last=[int(p.last_update) for p in prototypes],
+        )
 
     def __repr__(self) -> str:
         return (
@@ -134,28 +151,9 @@ class StyleMemoryBank:
         )
 
     def __setattr__(self, name: str, value) -> None:
-        """Check every field on every assignment, the constructor's included,
-        before the value is stored: ``capacity`` and ``step`` are integers in
-        the file's ranges, ``alpha`` is at most ``ALPHA_LIMIT``, and the
-        prototypes, at most ``capacity``, are not updated past ``step``,
-        whether ``prototypes`` or ``step`` is assigned.
-        """
-        if name == "step":
-            value = int(_count(name, value, 0))  # a numpy step would wrap at 2**64
-            if value < vars(self).get("step", 0):  # only a falling step can pass one
-                _check_updates(self._last, value)
-        if name == "capacity" and len(self) > _count("capacity (--k)", value, 1, _U32_LIMIT):
-            raise ValueError(f"{len(self)} prototypes exceed capacity {value}")
-        if name == "alpha" and not 0.0 < value < np.inf:
-            raise ValueError("alpha must be positive and finite")
-        if name == "alpha" and value > ALPHA_LIMIT:
-            raise ValueError(
-                f"alpha (--alpha) must be at most {ALPHA_LIMIT:g}, got {value!r}: above 1 a "
-                "full bank never replaces, and larger values only push tau toward overflow"
-            )
-        if name == "momentum" and not 0.0 < value < 1.0:
-            raise ValueError("momentum must lie in (0, 1)")
-        if name == "mode" and value not in _MODES:
+        if name != "mode":
+            raise AttributeError(f"{name!r} of a StyleMemoryBank is set when the bank is built")
+        if value not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {value!r}")
         object.__setattr__(self, name, value)
 
@@ -167,18 +165,6 @@ class StyleMemoryBank:
             StylePrototype(row[:c], row[c:], use, last)
             for row, use, last in zip(self._matrix, self._use, self._last)
         )
-
-    @prototypes.setter
-    def prototypes(self, value) -> None:
-        value = [StylePrototype(p.mean, p.std, p.use_count, p.last_update) for p in value]
-        if len(value) > self.capacity:
-            raise ValueError(f"{len(value)} prototypes exceed capacity {self.capacity}")
-        _check_updates((p.last_update for p in value), self.step)
-        if len({p.channels for p in value}) > 1:
-            raise ValueError("prototypes disagree on the channel count")
-        self._matrix = np.array([style_vector(p) for p in value])
-        self._use = [int(p.use_count) for p in value]
-        self._last = [int(p.last_update) for p in value]
 
     def __reduce__(self):  # copy, deepcopy and pickle go through the file format
         return load, (self.save(),)
@@ -219,16 +205,16 @@ class StyleMemoryBank:
         use, last, n = self._use, self._last, len(self._use)
         if not n and self.mode != "train":
             raise StateError("observe() on an empty bank in tta mode")
-        step = self.step + 1  # a Python int (see __setattr__), so only the file's limit is left
+        step = self.step + 1  # a Python int (see __init__), so only the file's limit is left
         if step >= _U64_LIMIT:
-            _count("step", step, 0)  # raises the message of an assignment
+            _count("step", step, 0)  # raises the constructor's message
         # Every check runs before ``step`` or a row is written.
         if n < self.capacity and self.mode == "train":
             v = checked_vector(s)
             if n == len(self._matrix):  # no free row: grow geometrically, at most to capacity
                 grown = np.empty((min(self.capacity, 2 * n + 1), len(v)))
                 grown[:n] = self._matrix.reshape(n, len(v))  # an empty bank's matrix is (0,)
-                self._matrix = grown
+                self.__dict__["_matrix"] = grown
             self.__dict__["step"] = step
             self._matrix[n] = v
             use.append(1)

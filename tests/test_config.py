@@ -66,6 +66,16 @@ class TestValidation:
             RunConfig(lambda_c=value)
         assert RunConfig(lambda_c=0.0).lambda_c == 0.0
 
+    @pytest.mark.parametrize("d, heads", [(3, 1), (1, 1), (255, 5)])
+    def test_d_must_be_even(self, d, heads):
+        message = (
+            f"d (--dim) must be even, since the position encodings split it into row and "
+            f"column halves, got {d}"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(d=d, heads=heads)
+        assert RunConfig(d=d + 1, heads=1).d == d + 1
+
     def test_fields_cannot_be_assigned_after_construction(self):
         cfg = RunConfig()
         with pytest.raises(FrozenInstanceError):

@@ -1202,6 +1202,18 @@ class TestCli:
         assert self.user_error(capsys, argv) == f"sa-adapt: error: {message}\n"
         assert not any(tmp_path.iterdir())
 
+    def test_an_odd_dim_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_masks(*args):
+            raise AssertionError("build_masks ran")
+
+        monkeypatch.setattr(harness_mod, "build_masks", no_masks)
+        argv = ["ocl-demo", "--dim=3", "--heads=1", "--out-dir", str(tmp_path)]
+        assert self.user_error(capsys, argv) == (
+            "sa-adapt: error: d (--dim) must be even, since the position encodings split it "
+            "into row and column halves, got 3\n"
+        )
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.1"])
     def test_bad_spread_is_a_user_error(self, tmp_path, capsys, value):
         argv = ["train-bank", f"--spread={value}", "--out-dir", str(tmp_path)]
