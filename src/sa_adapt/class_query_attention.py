@@ -98,25 +98,21 @@ def sine_positions(level_shapes: list[tuple[int, int]], d: int) -> np.ndarray:
         raise ValueError(f"encoding dim must be even, got {d}")
     if not level_shapes:
         raise ValueError("level_shapes must be non-empty")
-    half = d // 2
-    dim_t = 10000.0 ** (2.0 * (np.arange(half) // 2) / half)
-    out = []
     for h, w in level_shapes:
         if h < 1 or w < 1:
             raise ValueError(f"invalid level shape ({h}, {w})")
+    half = d // 2
+    dim_t = 10000.0 ** (2.0 * (np.arange(half) // 2) / half)
+    out = np.empty((sum(h * w for h, w in level_shapes), d), dtype=DTYPE)
+    start = 0
+    for h, w in level_shapes:
         ys = (np.arange(h, dtype=DTYPE) + 0.5) / h * (2.0 * math.pi)
         xs = (np.arange(w, dtype=DTYPE) + 0.5) / w * (2.0 * math.pi)
-        enc_y = _interleaved(ys[:, None] / dim_t[None, :])  # (h, half)
-        enc_x = _interleaved(xs[:, None] / dim_t[None, :])  # (w, half)
-        grid = np.concatenate(
-            [
-                np.repeat(enc_y, w, axis=0),  # row-major: h varies slowly
-                np.tile(enc_x, (h, 1)),
-            ],
-            axis=1,
-        )
-        out.append(grid)
-    return np.concatenate(out, axis=0)
+        grid = out[start : start + h * w].reshape(h, w, d)  # row-major: h varies slowly
+        grid[:, :, :half] = _interleaved(ys[:, None] / dim_t[None, :])[:, None, :]
+        grid[:, :, half:] = _interleaved(xs[:, None] / dim_t[None, :])[None, :, :]
+        start += h * w
+    return out
 
 
 def _interleaved(angles: np.ndarray) -> np.ndarray:
@@ -178,9 +174,10 @@ def project_keys_values(
     Only tokens attended by at least one category are read.
     """
     index = np.flatnonzero(_token_masks(masks, seq).any(axis=0))
-    keys = (seq.tokens[index] + seq.positions[index]) @ params.w_k
-    values = seq.tokens[index] @ params.w_v
-    return KeyValues(index, keys, values)
+    attended = seq.tokens[index]
+    values = attended @ params.w_v
+    attended += seq.positions[index]
+    return KeyValues(index, attended @ params.w_k, values)
 
 
 def _token_masks(masks: GatingMaskSet, seq: TokenSequence) -> np.ndarray:
@@ -223,7 +220,7 @@ def cross_attend(
     ``projections``, the :func:`project_keys_values` result for the same
     sequence, masks and parameters); then the logits of all categories and
     heads go through one masked softmax, which shifts and exponentiates
-    only the attendable logits, into a zeroed array.
+    only the attendable logits, in place, and then zeroes the masked ones.
     """
     q = np.asarray(queries, dtype=DTYPE)
     if q.ndim != 2:
@@ -257,11 +254,11 @@ def cross_attend(
     require_finite(logits[:, live], "attention logits")
     row_max = logits.max(axis=2, keepdims=True, where=live, initial=-np.inf)
     np.subtract(logits, row_max, out=logits, where=live)
-    weights = np.zeros_like(logits)
-    np.exp(logits, out=weights, where=live)
-    weights /= weights.sum(axis=2, keepdims=True)
+    np.exp(logits, out=logits, where=live)
+    np.copyto(logits, 0.0, where=~live)
+    logits /= logits.sum(axis=2, keepdims=True)  # now the attention weights
 
-    ctx = weights @ values.reshape(m, heads, d_head).transpose(1, 0, 2)  # (H, R, d_head)
+    ctx = logits @ values.reshape(m, heads, d_head).transpose(1, 0, 2)  # (H, R, d_head)
     out[rows] += ctx.transpose(1, 0, 2).reshape(len(rows), d) @ params.w_o
     return out
 

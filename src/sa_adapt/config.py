@@ -70,8 +70,13 @@ class RunConfig:
             raise ValueError(f"unknown tta_order {self.tta_order!r}")
         if not self.softmax_temperature > 0:
             raise ValueError("softmax_temperature must be positive")
-        if self.heads < 1 or self.d < 1 or self.d % self.heads != 0:
-            raise ValueError("heads must divide d")
+        if self.d < 1:
+            raise ValueError(f"d (--dim) must be at least 1, got {self.d}")
+        if self.heads < 1 or self.d % self.heads != 0:
+            raise ValueError(
+                f"heads (--heads) must be at least 1 and divide d (--dim), "
+                f"got {self.heads} and {self.d}"
+            )
         if self.d % 2:
             raise ValueError(
                 f"d (--dim) must be even, since the position encodings split it into row "

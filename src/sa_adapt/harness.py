@@ -26,6 +26,7 @@ import numpy as np
 
 from .class_query_attention import (
     AttentionParams,
+    TokenSequence,
     _flat_tokens,
     init_class_queries,
     run_encoder_side,
@@ -761,6 +762,31 @@ def synthetic_annotation(
     return Annotation(boxes=boxes, categories=cats)
 
 
+def synthetic_pair(
+    rng: np.random.Generator, d: int, level_shapes: tuple[tuple[int, int], ...]
+) -> tuple[TokenSequence, TokenSequence]:
+    """The token sequences of a random (1, d, h, w) source pyramid and of its
+    augmented view: a per-channel affine style shift plus mild noise.
+
+    Draws the source levels, the style scale and shift, and then each level's
+    noise. The pyramids die on return; the pair shares one positions array,
+    since its levels share their shapes.
+    """
+    source = [rng.normal(size=(1, d, h, w)) for h, w in level_shapes]
+    scale = rng.uniform(0.7, 1.3, size=d)[None, :, None, None]
+    shift = rng.normal(0.0, 0.5, size=d)[None, :, None, None]
+    augmented = []
+    for level in source:  # the steps of level * scale + shift + 0.05 * noise, so its bits
+        aug = level * scale
+        aug += shift
+        noise = rng.normal(size=level.shape)
+        noise *= 0.05
+        aug += noise
+        augmented.append(aug)
+    seq_src = tokens_from_pyramid(source)
+    return seq_src, replace(seq_src, tokens=_flat_tokens(augmented)[0])
+
+
 def fd_gradient(s: np.ndarray, a: np.ndarray, source: bool) -> np.ndarray:
     """Central differences of the contrastive loss of (n, d) present-row
     queries with respect to ``s`` (``source``) or ``a``, each perturbed copy's
@@ -820,21 +846,9 @@ def run_ocl_demo(
     if not mask_set.present.any():
         raise ValueError("annotation has no present category; the contrastive loss needs one")
 
-    d = config.d
-    source = [rng.normal(size=(1, d, h, w)) for h, w in level_shapes]
-    # augmented domain = per-channel affine style shift plus mild noise
-    scale = rng.uniform(0.7, 1.3, size=d)[None, :, None, None]
-    shift = rng.normal(0.0, 0.5, size=d)[None, :, None, None]
-    augmented = [
-        level * scale + shift + 0.05 * rng.normal(size=level.shape)
-        for level in source
-    ]
-
-    params = AttentionParams.init_random(d, rng)
-    q0 = init_class_queries(num_categories, d, rng)
-    seq_src = tokens_from_pyramid(source)
-    # the augmented levels have the source's shapes, so the pair shares one positions array
-    seq_aug = replace(seq_src, tokens=_flat_tokens(augmented)[0])
+    seq_src, seq_aug = synthetic_pair(rng, config.d, level_shapes)
+    params = AttentionParams.init_random(config.d, rng)
+    q0 = init_class_queries(num_categories, config.d, rng)
     q_source = run_encoder_side(q0, seq_src, mask_set, params, config.heads, blocks)
     q_augmented = run_encoder_side(q0, seq_aug, mask_set, params, config.heads, blocks)
 

@@ -157,6 +157,9 @@ class StyleMemoryBank:
             raise ValueError(f"mode must be one of {_MODES}, got {value!r}")
         object.__setattr__(self, name, value)
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{name!r} of a StyleMemoryBank is set when the bank is built")
+
     @property
     def prototypes(self) -> tuple[StylePrototype, ...]:
         """Fresh copies of the stored prototypes, in storage order."""

@@ -147,6 +147,40 @@ def dense_masked_attention(queries, tokens, positions, token_masks, params, head
     return out
 
 
+def concatenated_sine_positions(level_shapes, d):
+    """The sine encodings of every level built as whole blocks: each level's
+    row half by ``repeat`` and column half by ``tile``, joined by two
+    ``concatenate`` calls. The earlier form of ``sine_positions``."""
+    half = d // 2
+    dim_t = 10000.0 ** (2.0 * (np.arange(half) // 2) / half)
+
+    def interleaved(angles):
+        enc = np.empty_like(angles)
+        enc[:, 0::2] = np.sin(angles[:, 0::2])
+        enc[:, 1::2] = np.cos(angles[:, 1::2])
+        return enc
+
+    out = []
+    for h, w in level_shapes:
+        ys = (np.arange(h, dtype=float) + 0.5) / h * (2.0 * math.pi)
+        xs = (np.arange(w, dtype=float) + 0.5) / w * (2.0 * math.pi)
+        enc_y = interleaved(ys[:, None] / dim_t[None, :])
+        enc_x = interleaved(xs[:, None] / dim_t[None, :])
+        out.append(np.concatenate([np.repeat(enc_y, w, axis=0), np.tile(enc_x, (h, 1))], axis=1))
+    return np.concatenate(out, axis=0)
+
+
+def list_pair_pyramids(rng, d, level_shapes):
+    """The source and augmented (1, d, h, w) pyramids of an ocl pair, drawn as
+    lists with whole-expression arithmetic. The earlier form of the draws of
+    ``harness.synthetic_pair``."""
+    source = [rng.normal(size=(1, d, h, w)) for h, w in level_shapes]
+    scale = rng.uniform(0.7, 1.3, size=d)[None, :, None, None]
+    shift = rng.normal(0.0, 0.5, size=d)[None, :, None, None]
+    augmented = [level * scale + shift + 0.05 * rng.normal(size=level.shape) for level in source]
+    return source, augmented
+
+
 def central_difference(func, x, step=1e-5):
     """Central finite-difference gradient of scalar func() w.r.t. array x."""
     grad = np.zeros_like(x, dtype=float)

@@ -79,6 +79,15 @@ class TestSinePositions:
         enc = sine_positions([(4, 6), (2, 3)], 8)
         assert enc.shape == (24 + 6, 8)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=4),
+        st.integers(1, 24).map(lambda half: 2 * half),
+    )
+    def test_equals_the_concatenated_blocks(self, shapes, d):
+        expected = oracles.concatenated_sine_positions(shapes, d)
+        assert sine_positions(shapes, d).tobytes() == expected.tobytes()
+
 
 @st.composite
 def attention_cases(draw):

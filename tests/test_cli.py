@@ -248,6 +248,8 @@ OUT_OF_MEMORY = "sa-adapt: error: out of memory: "
 @example(["tta-run", "--epsilon=1e308"])
 @example(["ocl-demo", "--demo-levels=8x8"])
 @example(["ocl-demo", "--dim=3", "--heads=1"])
+@example(["ocl-demo", "--dim=0", "--heads=1"])
+@example(["ocl-demo", "--heads=3"])
 @example(["ocl-demo", "--l-det=inf"])
 @example(["ocl-demo", "--categories=8", "--image-size=8x8", "--lambda-c=1e308", "--l-det=1e308"])
 @example(["bench", "--bench-channels=-1"])

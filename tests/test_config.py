@@ -66,6 +66,19 @@ class TestValidation:
             RunConfig(lambda_c=value)
         assert RunConfig(lambda_c=0.0).lambda_c == 0.0
 
+    @pytest.mark.parametrize(
+        "d, heads, message",
+        [
+            (256, 3, "heads (--heads) must be at least 1 and divide d (--dim), got 3 and 256"),
+            (256, 0, "heads (--heads) must be at least 1 and divide d (--dim), got 0 and 256"),
+            (0, 1, "d (--dim) must be at least 1, got 0"),
+            (-2, 1, "d (--dim) must be at least 1, got -2"),
+        ],
+    )
+    def test_heads_and_d_errors_name_their_flags_and_values(self, d, heads, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(d=d, heads=heads)
+
     @pytest.mark.parametrize("d, heads", [(3, 1), (1, 1), (255, 5)])
     def test_d_must_be_even(self, d, heads):
         message = (

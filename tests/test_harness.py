@@ -30,6 +30,7 @@ from sa_adapt.harness import (
     run_ocl_demo,
     run_tta_phase,
     run_train_phase,
+    synthetic_pair,
     write_report,
 )
 from sa_adapt.style_memory_bank import StyleMemoryBank, load
@@ -892,6 +893,43 @@ class TestOclDemo:
         assert len(made) == 1
         assert seq_src.positions is seq_aug.positions is made[0]
         assert seq_src.tokens.tobytes() != seq_aug.tokens.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 8).map(lambda half: 2 * half),
+        st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=3),
+    )
+    def test_the_pair_equals_the_list_draws_tokenized(self, seed, d, shapes):
+        from sa_adapt.class_query_attention import tokens_from_pyramid
+
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        pair = synthetic_pair(rng, d, shapes)
+        expected = [tokens_from_pyramid(p) for p in oracles.list_pair_pyramids(reference, d, shapes)]
+        for seq, want in zip(pair, expected):
+            assert seq.tokens.tobytes() == want.tokens.tobytes()
+            assert seq.positions.tobytes() == want.positions.tobytes()
+            assert seq.level_boundaries == want.level_boundaries
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_a_benchmark_size_pair_holds_at_most_seven_token_matrices(self):
+        # the ocl-gated shape: N = 5,440 tokens of d = 256. This run peaks at
+        # ~6.4 (N, d) float64 matrices; keeping both pyramids alive, a second
+        # attention array and two token gathers per projection read ~8.5
+        import tracemalloc
+
+        cfg = RunConfig(seed=11)
+        levels = ((64, 64), (32, 32), (16, 16), (8, 8))
+        token_matrix = sum(h * w for h, w in levels) * cfg.d * 8
+        tracemalloc.start()
+        try:
+            run_ocl_demo(
+                cfg, num_categories=20, image_size=(512, 512), level_shapes=levels, blocks=6
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * token_matrix, peak / token_matrix
 
     def test_fd_agreement_below_tolerance(self):
         cfg = small_config(d=16, heads=2)

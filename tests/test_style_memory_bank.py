@@ -691,6 +691,15 @@ class TestAssignment:
         bank.mode = "tta"
         assert bank.mode == "tta"
 
+    @pytest.mark.parametrize("name", ["step", "mode"])
+    def test_no_field_can_be_deleted(self, name):
+        bank = full_bank(np.random.default_rng(2))
+        before = bank.save()
+        message = f"'{name}' of a StyleMemoryBank is set when the bank is built"
+        with pytest.raises(AttributeError, match=re.escape(message)):
+            delattr(bank, name)
+        assert bank.save() == before
+
     def test_a_capacity_below_the_prototype_count_is_rejected(self):
         bank = full_bank(np.random.default_rng(1), k=3)
         with pytest.raises(ValueError, match="3 prototypes exceed capacity 2"):
