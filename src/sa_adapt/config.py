@@ -50,13 +50,13 @@ class RunConfig:
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise ValueError(f"k (--k) must be at least 1, got {self.k!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+            raise ValueError(f"alpha (--alpha) must be positive, got {self.alpha!r}")
         if not 0 < self.momentum < 1:
-            raise ValueError("momentum must lie in (0, 1)")
+            raise ValueError(f"momentum (--momentum) must lie in (0, 1), got {self.momentum!r}")
         if not 0 <= self.lambda_c < math.inf:
             raise ValueError(
                 f"lambda_c (--lambda-c) must be finite and >= 0, got {self.lambda_c!r}"
@@ -69,7 +69,10 @@ class RunConfig:
         if self.tta_order not in TTA_ORDERS:
             raise ValueError(f"unknown tta_order {self.tta_order!r}")
         if not self.softmax_temperature > 0:
-            raise ValueError("softmax_temperature must be positive")
+            raise ValueError(
+                "softmax_temperature (--softmax-temperature) must be positive, "
+                f"got {self.softmax_temperature!r}"
+            )
         if self.d < 1:
             raise ValueError(f"d (--dim) must be at least 1, got {self.d}")
         if self.heads < 1 or self.d % self.heads != 0:

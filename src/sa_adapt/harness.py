@@ -43,7 +43,7 @@ from .object_gating import Annotation, align_to_tokens, build_masks
 from .style_memory_bank import StyleMemoryBank, UpdateReport, load
 from .style_projection import project
 from .style_statistics import ChannelStats, compute_stats, sq_distances
-from .tensor_core import require_finite
+from .tensor_core import _row_buffer, require_finite
 
 BANK_FILE_PATTERN = "bank_level{level}.sabank"
 
@@ -107,7 +107,10 @@ class SyntheticDomainSpec:
         if not self.style_clusters:
             raise ValueError("need at least one style cluster (--clusters)")
         if self.samples_per_cluster < 1:
-            raise ValueError("samples_per_cluster must be >= 1")
+            raise ValueError(
+                "samples_per_cluster (--samples-per-cluster) must be at least 1, "
+                f"got {self.samples_per_cluster!r}"
+            )
         _require_allocatable(
             len(self.style_clusters) * self.samples_per_cluster,
             "the stream (--clusters x --samples-per-cluster)",
@@ -155,9 +158,12 @@ def generate_stream(spec: SyntheticDomainSpec):
             mu = mu_center + spread * rng.normal(size=c)
             sd = np.maximum(sd_center + spread * rng.normal(size=c), 1e-3)
             z = rng.normal(size=(c, h, w))
-            z = z - z.mean(axis=(1, 2), keepdims=True)
-            z = z / z.std(axis=(1, 2), keepdims=True)
-            pyramid.append((mu[:, None, None] + sd[:, None, None] * z)[None])
+            with _row_buffer(h * w):  # each step in place: mu + sd * (z - mean) / std
+                z -= z.mean(axis=(1, 2), keepdims=True)
+                z /= z.std(axis=(1, 2), keepdims=True)
+                z *= sd[:, None, None]
+                z += mu[:, None, None]
+            pyramid.append(z[None])
         yield pyramid, int(label)
 
 
@@ -910,8 +916,10 @@ def bench(
     Raises ValueError unless ``runs >= 1``, ``warmup >= 0`` and ``config.k <=
     BENCH_MAX_K``.
     """
-    if runs < 1 or warmup < 0:
-        raise ValueError(f"bench needs runs >= 1 and warmup >= 0, got {runs} and {warmup}")
+    if runs < 1:
+        raise ValueError(f"runs (--runs) must be at least 1, got {runs!r}")
+    if warmup < 0:
+        raise ValueError(f"warmup (--warmup) must be at least 0, got {warmup!r}")
     if channels < 1 or min(level_hw, default=0) < 1:
         raise ValueError(
             f"bench needs --bench-channels and --bench-levels >= 1, got {channels} and {level_hw}"

@@ -27,6 +27,7 @@ from .style_statistics import (
 from .tensor_core import (
     _channel_blocks,
     _require_finite_block,
+    _row_buffer,
     check_feature_map,
     require_finite,
     softmax,
@@ -125,11 +126,12 @@ def _remap(sample: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarr
     out = np.empty((1, c, h, w))
     src = sample.reshape(c, h * w)
     dst = out.reshape(c, h * w)
-    for sl in _channel_blocks(c, h * w):
-        block = dst[sl]
-        np.multiply(src[sl], scale[sl, None], out=block)
-        block += shift[sl, None]
-        _require_finite_block(block.sum(), src[sl])
+    with _row_buffer(h * w):
+        for sl in _channel_blocks(c, h * w):
+            block = dst[sl]
+            np.multiply(src[sl], scale[sl, None], out=block)
+            block += shift[sl, None]
+            _require_finite_block(block.sum(), src[sl])
     return out
 
 

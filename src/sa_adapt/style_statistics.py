@@ -19,6 +19,7 @@ from .tensor_core import (
     DTYPE,
     _channel_blocks,
     _require_finite_block,
+    _row_buffer,
     check_feature_map,
     require_finite,
 )
@@ -94,18 +95,19 @@ def _moments(f, epsilon, scale=None, shift=None, out=None) -> list[ChannelStats]
     mean = np.empty(b * c)
     var = np.empty(b * c)
     buf = np.empty_like(rows[blocks[0]])
-    for sl in blocks:
-        block = rows[sl]
-        dev = buf[: block.shape[0]]
-        if scale is not None:
-            block = np.multiply(block, scale[sl, None], out=dev)
-            block += shift[sl, None]
-        total = block.sum(axis=1)
-        _require_finite_block(total, block)
-        np.divide(total, h * w, out=mean[sl])
-        np.subtract(block, mean[sl, None], out=dev)
-        np.multiply(dev, dev, out=dev)
-        np.divide(dev.sum(axis=1), h * w, out=var[sl])
+    with _row_buffer(h * w):
+        for sl in blocks:
+            block = rows[sl]
+            dev = buf[: block.shape[0]]
+            if scale is not None:
+                block = np.multiply(block, scale[sl, None], out=dev)
+                block += shift[sl, None]
+            total = block.sum(axis=1)
+            _require_finite_block(total, block)
+            np.divide(total, h * w, out=mean[sl])
+            np.subtract(block, mean[sl, None], out=dev)
+            np.multiply(dev, dev, out=dev)
+            np.divide(dev.sum(axis=1), h * w, out=var[sl])
     out = np.empty((b, 2 * c)) if out is None else out
     out[:, :c] = mean.reshape(b, c)
     var += epsilon

@@ -8,10 +8,21 @@ the public helpers are finite whenever the inputs are finite.
 Passes over a whole feature map (statistics, remap) walk it in blocks of
 whole channel rows from :func:`_channel_blocks`, so each block and its
 scratch stay in L2 between the reads of one pass, and prove the map finite
-from their own results rather than from a separate scan.
+from their own results rather than from a separate scan. Over rows of at
+least ``_ROW_BUFFER`` values a pass runs under :func:`_row_buffer`, which
+holds numpy's ufunc buffer at ``_ROW_BUFFER`` values, no longer than a row:
+numpy then feeds the stride-0 operand of each per-channel ``(rows, 1)``
+broadcast nearly at the speed of a scalar (``compute_stats`` and the remap
+of one C=256 level, in-process medians of four runs: 25-38% less time at
+64x64, 18-33% at 32x32, -25% to +4% at 16x16). The bits are the same: each
+value still gets one IEEE multiply, add or subtract, and a row sum is the
+same under any buffer size (checked at 1,722 cases of shape, scale and
+buffer size, rows of 240 to 20,000 values).
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -20,6 +31,14 @@ DTYPE = np.float64
 # Bytes of one block of channel rows in a blocked pass over a feature map:
 # a block and a scratch buffer of the same size fit in L2 together.
 _BLOCK_BYTES = 512 << 10
+# Rows of at least this many values are passed under a ufunc buffer of this
+# many values (see _row_buffer). Under numpy's default buffer of 8192 values,
+# ``block * scale[:, None]`` over a (16, 4096) block cost 1.32 ns a value
+# against 0.37 with a scalar operand, and 0.42 under this buffer; over a
+# (256, 256) block, 1.19 against 0.28 and 0.58 (numpy 2.4.6, 2 vCPUs, best of
+# 9). Over a (256, 64) block it rose 1.30 -> 1.63 ns under this buffer, so
+# shorter rows keep the caller's.
+_ROW_BUFFER = 256
 
 
 def require_finite(arr: np.ndarray, what: str = "array") -> None:
@@ -49,6 +68,23 @@ def _channel_blocks(rows: int, row_len: int) -> list[slice]:
     each at most ``_BLOCK_BYTES`` or one row; the first is the largest."""
     step = max(1, _BLOCK_BYTES // (row_len * np.dtype(DTYPE).itemsize))
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _row_buffer(row_len: int):
+    """A context that holds numpy's ufunc buffer at ``_ROW_BUFFER`` values while
+    it runs, if rows of ``row_len`` values are at least that long; the caller's
+    buffer size is restored however it ends. Shorter rows get a bare
+    ``nullcontext``, which costs them well under a microsecond a pass."""
+    return _short_buffer() if row_len >= _ROW_BUFFER else nullcontext()
+
+
+@contextmanager
+def _short_buffer():
+    old = np.setbufsize(_ROW_BUFFER)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 def _require_finite_block(total: np.ndarray, block: np.ndarray) -> None:

@@ -181,6 +181,29 @@ def list_pair_pyramids(rng, d, level_shapes):
     return source, augmented
 
 
+def expression_stream(spec):
+    """The (pyramid, label) pairs of ``harness.generate_stream``, each level
+    built by whole-array expressions: the earlier form of the generator."""
+    from sa_adapt.harness import cluster_centers
+
+    rng = np.random.default_rng(spec.rng_seed)
+    centers = cluster_centers(spec)
+    order = np.repeat(np.arange(len(spec.style_clusters)), spec.samples_per_cluster)
+    rng.shuffle(order)
+    for label in order:
+        spread = spec.style_clusters[label].spread
+        pyramid = []
+        for li, (c, h, w) in enumerate(spec.pyramid_shapes):
+            mu_center, sd_center = centers[label][li]
+            mu = mu_center + spread * rng.normal(size=c)
+            sd = np.maximum(sd_center + spread * rng.normal(size=c), 1e-3)
+            z = rng.normal(size=(c, h, w))
+            z = z - z.mean(axis=(1, 2), keepdims=True)
+            z = z / z.std(axis=(1, 2), keepdims=True)
+            pyramid.append((mu[:, None, None] + sd[:, None, None] * z)[None])
+        yield pyramid, int(label)
+
+
 def central_difference(func, x, step=1e-5):
     """Central finite-difference gradient of scalar func() w.r.t. array x."""
     grad = np.zeros_like(x, dtype=float)

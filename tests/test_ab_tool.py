@@ -90,7 +90,7 @@ def test_rounds_that_do_not_split_into_two_equal_halves_are_rejected(rounds):
 
 
 STUB_RUN = """
-import json, sys
+import json, os, sys
 from pathlib import Path
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 side = Path.cwd().name
@@ -101,7 +101,9 @@ values = {
     "setup_s": wide if side == "parent" else 0.5,  # as wide, but every change run is better
     "peak_rss_mb": 50.0,
 }
-print("host " + json.dumps({"git_commit": "unknown"}))
+print("host " + json.dumps({"git_commit": "unknown",
+                            "mmap_threshold": os.environ.get("MALLOC_MMAP_THRESHOLD_")}))
+print(f"harness.generate_stream.s {seed / 10!r} s")
 metrics = {m: {"value": v, "unit": "x"} for m, v in values.items()}
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}))
 """
@@ -124,6 +126,11 @@ def test_bench_pairs_records_each_sides_resolved_checkout(tmp_path):
     assert document["checkouts"] == paths
     assert len(document["runs"]) == 8
     assert all(run["checkout"] == paths[run["side"]] for run in document["runs"])
+    assert document["child_env"] == {"MALLOC_MMAP_THRESHOLD_": "131072"}
+    assert all(run["host"]["mmap_threshold"] == "131072" for run in document["runs"])
+    assert [run["printed"] for run in document["runs"][:2]] == [
+        {"harness.generate_stream.s": 0.1}
+    ] * 2
     summary = document["summary"]["train-churn"]
     bounds = {m["name"]: m["bound"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}

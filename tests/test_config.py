@@ -1,4 +1,5 @@
 import argparse
+import math
 import re
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -40,7 +41,7 @@ class TestValidation:
     def test_every_run_config_is_valid(self):
         with pytest.raises(ValueError, match="tta_order"):
             RunConfig(tta_order="bogus")
-        with pytest.raises(ValueError, match="k must be >= 1"):
+        with pytest.raises(ValueError, match=re.escape("k (--k) must be at least 1, got 0")):
             replace(RunConfig(), k=0)
 
     @pytest.mark.parametrize(
@@ -78,6 +79,25 @@ class TestValidation:
     def test_heads_and_d_errors_name_their_flags_and_values(self, d, heads, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             RunConfig(d=d, heads=heads)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("k", -3, "k (--k) must be at least 1, got -3"),
+            ("alpha", -1.0, "alpha (--alpha) must be positive, got -1.0"),
+            ("alpha", math.nan, "alpha (--alpha) must be positive, got nan"),
+            ("momentum", 1.5, "momentum (--momentum) must lie in (0, 1), got 1.5"),
+            ("momentum", 0.0, "momentum (--momentum) must lie in (0, 1), got 0.0"),
+            (
+                "softmax_temperature",
+                0.0,
+                "softmax_temperature (--softmax-temperature) must be positive, got 0.0",
+            ),
+        ],
+    )
+    def test_errors_name_their_flags_and_values(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(**{field: value})
 
     @pytest.mark.parametrize("d, heads", [(3, 1), (1, 1), (255, 5)])
     def test_d_must_be_even(self, d, heads):

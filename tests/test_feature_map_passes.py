@@ -128,6 +128,70 @@ class TestSameBitsAsTheWholeMap:
         assert all(np.size(arr) < SIDE * SIDE for arr in scanned)
 
 
+# rows either side of the buffered-row threshold (256) and of numpy's default
+# ufunc buffer (8192 values), as (H, W)
+ROW_SHAPES = [(15, 17), (16, 16), (1, 257), (64, 64), (1, 8191), (64, 128), (3, 2731)]
+
+
+class TestRowBuffer:
+    """Over rows of at least ``_ROW_BUFFER`` values the passes run under a short
+    ufunc buffer; the bits stay the whole-map formulas', and the caller's
+    buffer size is back when a call returns or raises."""
+
+    @staticmethod
+    def passes(f, bank, epsilon=1e-6):
+        """Check every pass over ``f`` against the oracles, and the buffer size
+        against the caller's after each call."""
+        caller_buffer = np.getbufsize()
+        mean, std = oracles.stats_whole_map(f, epsilon)
+        stats = compute_stats(f, epsilon)
+        assert np.getbufsize() == caller_buffer
+        assert np.stack([s.mean for s in stats]).tobytes() == mean.tobytes()
+        assert np.stack([s.std for s in stats]).tobytes() == std.tobytes()
+        built = project(bank, f, stats=stats, epsilon=epsilon)
+        assert np.getbufsize() == caller_buffer
+        fused = project(bank, f, epsilon=epsilon, build_map=False)
+        assert np.getbufsize() == caller_buffer
+        for b, (s, res, without_map) in enumerate(zip(stats, built, fused)):
+            scale = res.target_std / s.std
+            remapped = oracles.affine_remap(f[b : b + 1], scale, res.target_mean - s.mean * scale)
+            assert res.rectified.tobytes() == remapped.tobytes()
+            r_mean, r_std = oracles.stats_whole_map(remapped, epsilon)
+            assert without_map.rectified_stats.mean.tobytes() == r_mean[0].tobytes()
+            assert without_map.rectified_stats.std.tobytes() == r_std[0].tobytes()
+
+    @pytest.mark.parametrize("shape", ROW_SHAPES, ids=lambda hw: str(hw[0] * hw[1]))
+    def test_same_bits_and_buffer_at_every_row_length(self, shape):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        f = rng.normal(size=(2, 20, *shape)) * 3 + 1e6  # several rows a block
+        self.passes(f, random_bank(rng, 20))
+
+    def test_a_caller_set_buffer_is_kept(self):
+        rng = np.random.default_rng(16)
+        f = rng.normal(size=(1, 8, 64, 64))
+        with np.errstate():  # restores the default buffer however the test ends
+            np.setbufsize(16)
+            self.passes(f, random_bank(rng, 8))
+            assert np.getbufsize() == 16
+
+    @pytest.mark.parametrize("shape", [(64, 64), (8, 8)], ids=["buffered", "short-rows"])
+    def test_the_buffer_is_restored_after_a_non_finite_map(self, shape):
+        rng = np.random.default_rng(5)
+        f = rng.normal(size=(1, 8, *shape))
+        bank = random_bank(rng, 8)
+        stats = compute_stats(f)
+        f[0, 3, 1, 1] = np.nan
+        caller_buffer = np.getbufsize()
+        for call in (
+            lambda: compute_stats(f),
+            lambda: project(bank, f, stats=stats),
+            lambda: project(bank, f, stats=stats, build_map=False),
+        ):
+            with pytest.raises(ValueError, match=NON_FINITE):
+                call()
+            assert np.getbufsize() == caller_buffer
+
+
 @pytest.fixture(params=[np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 def bad(request):
     return request.param

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,34 @@ class TestGenerateStream:
             for la, lb in zip(pyr_a, pyr_b):
                 np.testing.assert_array_equal(la, lb)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        clusters=st.integers(1, 3),
+        samples=st.integers(1, 3),
+        channels=st.integers(1, 4),
+        levels=st.lists(
+            st.tuples(st.integers(1, 70), st.integers(1, 70)).filter(lambda hw: hw[0] * hw[1] >= 2),
+            min_size=1,
+            max_size=3,
+        ),
+        spread=st.sampled_from([0.0, 0.05, 3.0, 1e100]),
+    )
+    def test_equals_the_expression_form_bit_for_bit(
+        self, seed, clusters, samples, channels, levels, spread
+    ):
+        """Rows above and below the buffered-row threshold alike, and the
+        buffer size is the caller's again whenever the stream yields."""
+        spec = stream_spec(seed, clusters, samples, channels, levels, spread)
+        caller_buffer = np.getbufsize()
+        got = generate_stream(spec)
+        for pyramid, label in oracles.expression_stream(spec):
+            got_pyramid, got_label = next(got)
+            assert np.getbufsize() == caller_buffer
+            assert got_label == label
+            assert [a.tobytes() for a in got_pyramid] == [a.tobytes() for a in pyramid]
+        assert next(got, None) is None
+
     def test_zero_spread_reproduces_cluster_center(self):
         spec = small_spec(clusters=2, samples=5)
         for c in spec.style_clusters:
@@ -153,6 +182,9 @@ class TestGenerateStream:
             small_spec(levels=((1, 1),))  # too small to carry exact stats
         with pytest.raises(ValueError):
             SyntheticDomainSpec([], [(4, 4, 4)], 5, 0)
+        message = "samples_per_cluster (--samples-per-cluster) must be at least 1, got 0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SyntheticDomainSpec([StyleCluster(0, 0)], [(4, 4, 4)], 0, 0)
         with pytest.raises(ValueError):
             StyleCluster(0, 0, spread=-0.1)
         for spread in (np.nan, np.inf, -np.inf):
@@ -1308,7 +1340,7 @@ class TestCli:
 
     def test_invalid_config_value_is_a_user_error(self, tmp_path, capsys):
         err = self.user_error(capsys, ["train-bank", "--k", "0", "--out-dir", str(tmp_path)])
-        assert "k must be >= 1" in err
+        assert "k (--k) must be at least 1, got 0" in err
 
     @pytest.mark.parametrize("value", ["inf", "nan", "1e308"])
     def test_infinite_or_huge_epsilon_is_a_user_error(self, tmp_path, capsys, value):
@@ -1344,8 +1376,10 @@ class TestCli:
 
     def test_bench_without_runs_is_a_user_error(self, tmp_path, capsys):
         out = ["--out-dir", str(tmp_path)]
-        assert "runs >= 1" in self.user_error(capsys, ["bench", "--runs", "0", *out])
-        assert "warmup >= 0" in self.user_error(capsys, ["bench", "--warmup", "-1", *out])
+        err = self.user_error(capsys, ["bench", "--runs", "0", *out])
+        assert err == "sa-adapt: error: runs (--runs) must be at least 1, got 0\n"
+        err = self.user_error(capsys, ["bench", "--warmup", "-1", *out])
+        assert err == "sa-adapt: error: warmup (--warmup) must be at least 0, got -1\n"
 
     def test_non_square_bench_level_is_a_user_error(self, tmp_path, capsys):
         argv = ["bench", "--bench-levels", "8x8,64x32", "--out-dir", str(tmp_path)]

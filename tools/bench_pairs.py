@@ -15,20 +15,24 @@ given), and the side that runs first alternates from pair to pair, starting
 with the parent. ``--trace-seed`` adds one ``--trace 1`` pair per workload,
 kept in ``runs`` for its per-layer counts and left out of ``summary``.
 
-The output holds each side's resolved checkout path (``checkouts``; a
-process's ``peak_rss_mb`` has been seen to depend on the directory that holds
-its checkout), every run (side, checkout, workload, seed, trace flag, return
-code, the ``host`` line and the final JSON line of ``run.py``) and, per workload,
-a summary of the untraced runs: for each end-to-end metric both sides' runs
-with median and quartiles (``statistics.quantiles``, inclusive method, which
-is numpy's linear percentile), the change/parent ratio of the medians,
-``change_wins``, the pairs in which the change read better (ties count for
-neither side), the metric's ``bound`` from the ``end_to_end`` list of the
-``BENCHMARK.json`` beside this tool, ``parent_spread``, the parent's
-(q3 - q1) / median, and ``resolved``. A metric is unresolved (``false``) when
-the parent's spread exceeds the bound, unless every change run reads better
-than every parent run: its runs then vary too widely for the bound to tell a
-regression or a gain from noise.
+Every child runs with ``CHILD_ENV`` (``MALLOC_MMAP_THRESHOLD_=131072``) added
+to the environment, so that its ``peak_rss_mb`` does not follow glibc's moving
+mmap threshold. The output holds that setting (``child_env``), each side's
+resolved checkout path (``checkouts``; a process's ``peak_rss_mb`` has been
+seen to depend on the directory that holds its checkout), every run (side,
+checkout, workload, seed, trace flag, return code, the ``host`` line, the
+final JSON line of ``run.py`` and, under ``printed``, the value of each ``name
+value unit`` line it printed) and, per workload, a summary of the untraced
+runs: for each end-to-end metric both sides' runs with median, quartiles and
+95th percentile (``statistics.quantiles``, inclusive method, which is numpy's
+linear percentile), the change/parent ratio of the medians, ``change_wins``,
+the pairs in which the change read better (ties count for neither side), the
+metric's ``bound`` from the ``end_to_end`` list of the ``BENCHMARK.json``
+beside this tool, ``parent_spread``, the parent's (q3 - q1) / median, and
+``resolved``. A metric is unresolved (``false``) when the parent's spread
+exceeds the bound, unless every change run reads better than every parent run:
+its runs then vary too widely for the bound to tell a regression or a gain
+from noise.
 """
 
 from __future__ import annotations
@@ -44,6 +48,12 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+# Set in every child's environment. glibc raises its mmap threshold to the size
+# of each mmapped block that is freed, so later blocks of that size come from
+# the heap and a process's peak RSS follows the order of its large allocations:
+# tta-reference read ~80 or ~88 MB as its source bytes changed. A fixed
+# threshold turns that off and keeps every block of 128 KiB or more on mmap.
+CHILD_ENV = {"MALLOC_MMAP_THRESHOLD_": "131072"}
 
 
 def end_to_end_metrics() -> dict[str, tuple[bool, float]]:
@@ -80,7 +90,8 @@ def run_once(checkout: Path, side: str, workload: str, seed: int, seconds: float
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     print(f"{side:6} {workload} seed {seed} trace {trace}", file=sys.stderr, flush=True)
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False,
+                          env={**os.environ, **CHILD_ENV})
     lines = proc.stdout.splitlines()
     host = next((json.loads(l[5:]) for l in lines if l.startswith("host ")), {})
     try:
@@ -89,17 +100,20 @@ def run_once(checkout: Path, side: str, workload: str, seed: int, seconds: float
         result = None
         sys.stderr.write(proc.stderr)
     commit = host.get("git_commit", "unknown")
+    records = [line.split() for line in lines[:-1] if not line.startswith("host ")]
     return {
         "side": side, "checkout": str(checkout), "workload": workload, "seed": seed,
         "seconds": seconds, "trace": trace,
         "commit": side if commit == "unknown" else commit, "host": host,
         "returncode": proc.returncode, "result": result,
+        "printed": {r[0]: float(r[1]) for r in records if len(r) == 3},
     }
 
 
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "n": len(values), "runs": values}
+    p95 = statistics.quantiles(values, n=20, method="inclusive")[18]
+    return {"median": median, "q1": q1, "q3": q3, "p95": p95, "n": len(values), "runs": values}
 
 
 def summarize(runs: list[dict], metrics: dict[str, tuple[bool, float]]) -> dict:
@@ -188,6 +202,7 @@ def main(argv=None) -> int:
                    "--trace <0|1>",
         "parent": parent_commits.pop() if len(parent_commits) == 1 else "unknown",
         "checkouts": {side: str(path) for side, path in dirs.items()},
+        "child_env": CHILD_ENV,
         "change_src_tree": git_tree_hash(dirs["change"] / "src"),
         "runs": runs,
         "summary": summarize(runs, end_to_end_metrics()),
