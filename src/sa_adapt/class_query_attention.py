@@ -219,8 +219,9 @@ def cross_attend(
     are projected once for the tokens any category attends (or taken from
     ``projections``, the :func:`project_keys_values` result for the same
     sequence, masks and parameters); then the logits of all categories and
-    heads go through one masked softmax, which shifts and exponentiates
-    only the attendable logits, in place, and then zeroes the masked ones.
+    heads go through one masked softmax. It gathers the attendable logits,
+    scales, shifts and exponentiates them alone, and scatters them into a
+    zeroed array, so a masked logit is never read.
     """
     q = np.asarray(queries, dtype=DTYPE)
     if q.ndim != 2:
@@ -250,12 +251,17 @@ def cross_attend(
     # (H, R, d_head) @ (H, d_head, M) -> logits (H, R, M)
     qh = (q[rows] @ params.w_q).reshape(len(rows), heads, d_head).transpose(1, 0, 2)
     logits = qh @ keys.reshape(m, heads, d_head).transpose(1, 2, 0)
-    logits *= 1.0 / math.sqrt(d_head)
-    require_finite(logits[:, live], "attention logits")
-    row_max = logits.max(axis=2, keepdims=True, where=live, initial=-np.inf)
-    np.subtract(logits, row_max, out=logits, where=live)
-    np.exp(logits, out=logits, where=live)
-    np.copyto(logits, 0.0, where=~live)
+    # the softmax over the attendable logits alone, gathered row by row
+    by_head = logits.reshape(heads, -1)  # (H, R * M) view
+    attendable = np.flatnonzero(live)
+    lv = by_head.take(attendable, axis=1)  # (H, L)
+    lv *= 1.0 / math.sqrt(d_head)
+    require_finite(lv, "attention logits")
+    counts = live.sum(axis=1)
+    lv -= np.repeat(np.maximum.reduceat(lv, np.cumsum(counts) - counts, axis=1), counts, axis=1)
+    np.exp(lv, out=lv)
+    logits.fill(0.0)
+    by_head[:, attendable] = lv
     logits /= logits.sum(axis=2, keepdims=True)  # now the attention weights
 
     ctx = logits @ values.reshape(m, heads, d_head).transpose(1, 0, 2)  # (H, R, d_head)

@@ -43,7 +43,7 @@ from .object_gating import Annotation, align_to_tokens, build_masks
 from .style_memory_bank import StyleMemoryBank, UpdateReport, load
 from .style_projection import project
 from .style_statistics import ChannelStats, compute_stats, sq_distances
-from .tensor_core import _row_buffer, require_finite
+from .tensor_core import _channel_blocks, _row_buffer, require_finite
 
 BANK_FILE_PATTERN = "bank_level{level}.sabank"
 
@@ -140,6 +140,24 @@ def cluster_centers(spec: SyntheticDomainSpec) -> list[list[tuple[np.ndarray, np
     return centers
 
 
+def _channel_std(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``z.std(axis=(1, 2), keepdims=True)`` of a (C, H, W) map, bit for bit: numpy's
+    steps (sum and divide for the mean, subtract, square, sum, divide, sqrt), with
+    the squared deviations of each block of channel rows from :func:`_channel_blocks`
+    in the flat ``scratch``, which holds the first block, not in a temporary of z's
+    size."""
+    c, h, w = z.shape
+    mean = z.mean(axis=(1, 2), keepdims=True)
+    var = np.empty_like(mean)
+    for rows in _channel_blocks(c, h * w):
+        dev = scratch[: (rows.stop - rows.start) * h * w].reshape(-1, h, w)
+        np.subtract(z[rows], mean[rows], out=dev)
+        np.square(dev, out=dev)
+        dev.sum(axis=(1, 2), keepdims=True, out=var[rows])
+    var /= h * w
+    return np.sqrt(var, out=var)
+
+
 def generate_stream(spec: SyntheticDomainSpec):
     """Yield (pyramid, cluster label) pairs, deterministic under the seed.
 
@@ -150,6 +168,9 @@ def generate_stream(spec: SyntheticDomainSpec):
     centers = cluster_centers(spec)
     order = np.repeat(np.arange(len(spec.style_clusters)), spec.samples_per_cluster)
     rng.shuffle(order)
+    scratch = np.empty(
+        max(_channel_blocks(c, h * w)[0].stop * h * w for c, h, w in spec.pyramid_shapes)
+    )
     for label in order:
         spread = spec.style_clusters[label].spread
         pyramid = []
@@ -160,7 +181,7 @@ def generate_stream(spec: SyntheticDomainSpec):
             z = rng.normal(size=(c, h, w))
             with _row_buffer(h * w):  # each step in place: mu + sd * (z - mean) / std
                 z -= z.mean(axis=(1, 2), keepdims=True)
-                z /= z.std(axis=(1, 2), keepdims=True)
+                z /= _channel_std(z, scratch)
                 z *= sd[:, None, None]
                 z += mu[:, None, None]
             pyramid.append(z[None])
@@ -846,8 +867,11 @@ def run_ocl_demo(
                 f"{image_size[0]}x{image_size[1]} image"
             )
         _require_allocatable(config.d * h * w, f"a ({config.d}, {h}, {w}) level (--dim)")
-    mask_set = align_to_tokens(
-        build_masks(annotation, image_size, num_categories), list(level_shapes)
+    # the (C, H, W) pixel masks go once aligned: only the token masks and the
+    # present flags are read from here on
+    mask_set = replace(
+        align_to_tokens(build_masks(annotation, image_size, num_categories), list(level_shapes)),
+        per_category=None,
     )
     if not mask_set.present.any():
         raise ValueError("annotation has no present category; the contrastive loss needs one")

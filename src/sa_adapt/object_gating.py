@@ -62,7 +62,7 @@ class AnnotationRecord:
 class GatingMaskSet:
     """Per-category pixel masks plus (once aligned) token-level masks."""
 
-    per_category: np.ndarray  # (C, H, W) bool
+    per_category: np.ndarray | None  # (C, H, W) bool; None once dropped after alignment
     present: np.ndarray  # (C,) bool, True iff the category has boxes
     image_size: tuple[int, int]
     token_masks: np.ndarray | None = None  # (C, N) bool

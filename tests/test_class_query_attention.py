@@ -174,6 +174,22 @@ class TestCrossAttend:
         huge = cross_attend(q, with_unattended(1e300), masks, params, heads=2)
         np.testing.assert_array_equal(huge, zeroed)
 
+    def test_masked_logits_never_read_even_when_they_overflow(self):
+        # token 0 is attended by category 0 alone, and its key's logit with
+        # category 1 overflows to inf; category 1's attendable logits are finite
+        tokens = np.array([[1e200, 0.0], [1.0, 2.0], [-1.0, 1.0]])
+        seq = TokenSequence(tokens, np.zeros_like(tokens), [0, 3])
+        token_masks = np.array([[True, True, False], [False, True, True]])
+        params = AttentionParams(*[np.eye(2)] * 4)
+        q = np.array([[1e-200, 1.0], [1e200, 0.0]])
+        with np.errstate(over="ignore"):  # the dense product of all logits overflows
+            assert np.isinf((q @ params.w_q) @ (tokens @ params.w_k).T).any()
+            out = cross_attend(q, seq, make_masks(token_masks), params, heads=1)
+            want = oracles.dense_masked_attention(
+                q, seq.tokens, seq.positions, token_masks, params, heads=1
+            )
+        assert out.tobytes() == want.tobytes()
+
     def test_overflowing_attendable_logits_raise(self):
         rng = np.random.default_rng(16)
         q, seq, masks, params = random_setup(rng)

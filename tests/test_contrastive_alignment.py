@@ -142,7 +142,7 @@ def stacked_loss(q_source, q_augmented):
     """Losses of (m, n, d) stacks, from the loss tail of an (n, n, m) logits stack
     formed as the loss forms one pair's logits."""
     logits = q_source @ np.swapaxes(q_augmented, -1, -2)
-    return ca_mod._tail(np.moveaxis(logits, 0, -1))[2]
+    return ca_mod._loss(ca_mod._tail(np.moveaxis(logits, 0, -1))[2])
 
 
 class TestStackedLoss:

@@ -14,6 +14,7 @@ from sa_adapt.contrastive_alignment import ContrastiveBatch, contrastive_loss
 from sa_adapt.object_gating import Annotation
 import sa_adapt.contrastive_alignment as ca_mod
 import sa_adapt.harness as harness_mod
+import sa_adapt.tensor_core as tensor_core
 from sa_adapt.harness import (
     Report,
     StyleCluster,
@@ -143,6 +144,22 @@ class TestGenerateStream:
             assert got_label == label
             assert [a.tobytes() for a in got_pyramid] == [a.tobytes() for a in pyramid]
         assert next(got, None) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 40), st.integers(1, 40)),
+        block_rows=st.integers(1, 12),
+        scale=st.sampled_from([0.0, 1e-3, 1.0, 1e100]),
+    )
+    def test_channel_std_in_blocks_equals_numpys_std(self, seed, shape, block_rows, scale):
+        """Blocks of 1..12 channel rows, so most maps take more than one."""
+        c, h, w = shape
+        z = scale * np.random.default_rng(seed).normal(size=shape)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor_core, "_BLOCK_BYTES", block_rows * h * w * 8)
+            got = harness_mod._channel_std(z, np.empty(min(block_rows, c) * h * w))
+        assert got.tobytes() == z.std(axis=(1, 2), keepdims=True).tobytes()
 
     def test_zero_spread_reproduces_cluster_center(self):
         spec = small_spec(clusters=2, samples=5)
@@ -946,8 +963,9 @@ class TestOclDemo:
 
     def test_a_benchmark_size_pair_holds_at_most_seven_token_matrices(self):
         # the ocl-gated shape: N = 5,440 tokens of d = 256. This run peaks at
-        # ~6.4 (N, d) float64 matrices; keeping both pyramids alive, a second
-        # attention array and two token gathers per projection read ~8.5
+        # ~6.0 (N, d) float64 matrices; keeping the (C, H, W) pixel masks
+        # alive read ~6.5, and keeping both pyramids alive, a second attention
+        # array and two token gathers per projection as well ~8.5
         import tracemalloc
 
         cfg = RunConfig(seed=11)
@@ -996,23 +1014,43 @@ def fd_cases(draw):
     return batch, draw(st.booleans()), copies
 
 
-def stacked_fd(s, a, source):
+def stacked_fd(s, a, source, chunk_bytes=4 << 20):
     """The stacked-copies check of the same loss, from ``oracles``."""
     def loss(stack):
         return oracles.stacked_contrastive_loss(*((stack, a) if source else (s, stack)))
 
-    return oracles.stacked_fd_gradient(loss, s if source else a)
+    return oracles.stacked_fd_gradient(loss, s if source else a, chunk_bytes=chunk_bytes)
+
+
+@st.composite
+def augmented_fd_cases(draw):
+    """Present-row queries with n in each branch of numpy's pairwise sum over a
+    row (under 8, 8 to 128, above 128), and a bound of 1..2d (column, sign)
+    pairs per block of changed logits columns."""
+    n = draw(st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 140)))
+    d = draw(st.integers(1, 3 if n <= 128 else 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    s, a = scale * rng.normal(size=(n, d)), scale * rng.normal(size=(n, d))
+    return s, a, draw(st.integers(1, 2 * d))
 
 
 def spy_on_loss_tails(monkeypatch, seen):
-    """Record the copy count of every logits stack the check hands to the loss tail."""
+    """Record the shape and size of every logits block the check hands to the loss tail."""
     real = ca_mod._tail
 
     def spy(logits):
-        seen.append((logits.shape[2], logits.nbytes))
+        seen.append((logits.shape, logits.nbytes))
         return real(logits)
 
     monkeypatch.setattr(ca_mod, "_tail", spy)
+
+
+def perturbed_entries(seen, source):
+    """Perturbed entries of x in each block the spy saw: one per copy of a source
+    stack (n, n, copies), n per (column, sign) pair of an augmented block (n, n,
+    pairs). The augmented side's tail of the unperturbed (n, n) logits is no block."""
+    return [shape[2] * (1 if source else shape[0]) for shape, _ in seen if len(shape) == 3]
 
 
 class TestFdGradient:
@@ -1037,6 +1075,16 @@ class TestFdGradient:
         s, a = rng.normal(size=(19, 256)), rng.normal(size=(19, 256))
         assert fd_gradient(s, a, source).tobytes() == stacked_fd(s, a, source).tobytes()
 
+    @settings(deadline=None, max_examples=60)
+    @given(augmented_fd_cases())
+    def test_augmented_side_equals_the_stacked_copies_check(self, case):
+        s, a, pairs = case
+        n = len(s)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ca_mod, "_FD_CHUNK_BYTES", pairs * n * n * 8)
+            got = fd_gradient(s, a, source=False)
+        assert got.tobytes() == stacked_fd(s, a, False, chunk_bytes=1 << 16).tobytes()
+
     @pytest.mark.parametrize("n, d", [(19, 256), (300, 2)])
     def test_logits_stacks_stay_within_the_chunk_bound(self, monkeypatch, n, d):
         # at n=300 one whole (n, n, n) stack of a column's copies would take 216 MB
@@ -1052,17 +1100,19 @@ class TestFdGradient:
                 spy_on_loss_tails(mp, seen)
                 grad = fd_gradient(s, a, source)
             assert 0 < max(nbytes for _, nbytes in seen) <= bound
-            assert sum(copies for copies, _ in seen) == 2 * n * d
+            assert sum(perturbed_entries(seen, source)) == 2 * n * d
             assert oracles.relative_gap(grad, analytic) < 1e-6
         assert (s.tobytes(), a.tobytes()) == before
 
-    def test_a_copy_larger_than_the_bound_goes_alone(self, monkeypatch):
+    @pytest.mark.parametrize("source, entries", [(True, [1] * 12), (False, [3] * 4)])
+    def test_a_copy_larger_than_the_bound_goes_alone(self, monkeypatch, source, entries):
+        # a source copy, or an augmented (column, sign) pair with its n = 3 copies
         monkeypatch.setattr(ca_mod, "_FD_CHUNK_BYTES", 8)
         seen = []
         spy_on_loss_tails(monkeypatch, seen)
         s = np.arange(6.0).reshape(3, 2)
-        fd_gradient(s, s[::-1], source=False)
-        assert [copies for copies, _ in seen] == [1] * 12
+        fd_gradient(s, s[::-1], source)
+        assert perturbed_entries(seen, source) == entries
 
     @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
     @pytest.mark.parametrize("source", [True, False])
