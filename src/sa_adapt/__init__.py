@@ -27,6 +27,7 @@ from .object_gating import (
     Annotation,
     AnnotationRecord,
     GatingMaskSet,
+    PixelMaskSet,
     align_to_tokens,
     build_masks,
     parse_annotations,
@@ -48,6 +49,7 @@ __all__ = [
     "FormatError",
     "GatingMaskSet",
     "LossReport",
+    "PixelMaskSet",
     "ProjectionResult",
     "RunConfig",
     "StateError",

@@ -7,19 +7,19 @@ content alone, and the update is residual,
 
     Q_out = Q + MultiHead(query=Q, key=T + P, value=T, mask per category).
 
-Keys and values are projected once per token sequence, and only for the
-tokens that some category attends; the logits of all categories and heads
-then go through one masked softmax, in which masked positions get weight
-exactly 0. A category with no attendable tokens passes through unchanged
-(bit for bit). Queries are plain (C, d) float arrays; projection
-parameters are four bias-free d x d matrices.
+Masks and tokens must have equal (h, w) level shapes. Keys and values are
+projected once per token sequence, and only for the tokens that some
+category attends; the logits of all categories and heads then go through
+one masked softmax, in which masked positions get weight exactly 0. A
+category with no attendable tokens passes through unchanged (bit for
+bit). Queries are plain (C, d) float arrays; projection parameters are
+four bias-free d x d matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -32,13 +32,13 @@ from .tensor_core import DTYPE, require_finite
 class TokenSequence:
     """Multi-scale feature tokens with sine positional encodings.
 
-    ``level_boundaries`` holds the cumulative token offsets, rising strictly
-    from 0 to N = sum(H_l * W_l), since every level has at least one token.
+    ``level_shapes`` holds each level's positive (h, w), in token order;
+    together they hold all N = sum(h * w) tokens.
     """
 
     tokens: np.ndarray  # (N, d)
     positions: np.ndarray  # (N, d)
-    level_boundaries: list[int]
+    level_shapes: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=DTYPE)
@@ -50,11 +50,11 @@ class TokenSequence:
             )
         require_finite(self.tokens, "tokens")
         require_finite(self.positions, "positions")
-        bounds = self.level_boundaries
-        if not bounds or bounds[0] != 0 or bounds[-1] != len(self.tokens):
-            raise ValueError("level boundaries must span [0, N]")
-        if any(a >= b for a, b in zip(bounds, bounds[1:])):
-            raise ValueError(f"level boundaries must increase strictly, got {bounds}")
+        shapes = self.level_shapes = tuple(map(tuple, self.level_shapes))
+        if not shapes or any(h < 1 or w < 1 for h, w in shapes):
+            raise ValueError(f"level shapes must be non-empty and positive, got {shapes}")
+        if sum(h * w for h, w in shapes) != len(self.tokens):
+            raise ValueError(f"level shapes {shapes} do not hold {len(self.tokens)} tokens")
 
 
 @dataclass
@@ -148,10 +148,7 @@ def tokens_from_pyramid(pyramid: list[np.ndarray]) -> TokenSequence:
     """
     tokens, shapes = _flat_tokens(pyramid)
     positions = sine_positions(shapes, tokens.shape[1])
-    boundaries = [0]
-    for h, w in shapes:
-        boundaries.append(boundaries[-1] + h * w)
-    return TokenSequence(tokens=tokens, positions=positions, level_boundaries=boundaries)
+    return TokenSequence(tokens=tokens, positions=positions, level_shapes=shapes)
 
 
 class KeyValues(NamedTuple):
@@ -181,20 +178,12 @@ def project_keys_values(
 
 
 def _token_masks(masks: GatingMaskSet, seq: TokenSequence) -> np.ndarray:
-    """The masks' (C, N) token masks, checked against the sequence's layout.
-
-    The masks must come from :func:`align_to_tokens`, and the cumulative
-    offsets of their level shapes must equal ``seq.level_boundaries``.
-    Layouts with equal offsets stay indistinguishable (one 4x16 level against
-    one 8x8 level), because a TokenSequence keeps offsets, not shapes.
-    """
-    if masks.token_masks is None or masks.level_shapes is None:
-        raise ValueError("mask set has no token alignment; call align_to_tokens first")
-    offsets = list(accumulate((h * w for h, w in masks.level_shapes), initial=0))
-    if offsets != list(seq.level_boundaries):
+    """The masks' (C, N) token masks, checked against the sequence's layout:
+    their level shapes must equal ``seq.level_shapes``."""
+    if masks.level_shapes != seq.level_shapes:
         raise ValueError(
-            f"masks aligned to levels {masks.level_shapes} (offsets {offsets}) "
-            f"do not match token level offsets {list(seq.level_boundaries)}"
+            f"masks aligned to levels {masks.level_shapes} do not match "
+            f"token levels {seq.level_shapes}"
         )
     n_tokens = len(seq.tokens)
     if masks.token_masks.shape[1:] != (n_tokens,):

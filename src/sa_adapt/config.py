@@ -52,7 +52,7 @@ class RunConfig:
         if self.k < 1:
             raise ValueError(f"k (--k) must be at least 1, got {self.k!r}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed (--seed) must be >= 0, got {self.seed!r}")
         if not self.alpha > 0:
             raise ValueError(f"alpha (--alpha) must be positive, got {self.alpha!r}")
         if not 0 < self.momentum < 1:

@@ -105,7 +105,7 @@ class SyntheticDomainSpec:
 
     def __post_init__(self):
         if not self.style_clusters:
-            raise ValueError("need at least one style cluster (--clusters)")
+            raise ValueError("style_clusters (--clusters) must be non-empty, got []")
         if self.samples_per_cluster < 1:
             raise ValueError(
                 "samples_per_cluster (--samples-per-cluster) must be at least 1, "
@@ -121,7 +121,10 @@ class SyntheticDomainSpec:
                     f"invalid pyramid shape ({c}, {h}, {w}) from --channels and --levels"
                 )
             if h * w < 2:
-                raise ValueError("levels need H*W >= 2 so content can carry exact stats")
+                raise ValueError(
+                    "pyramid_shapes (--levels) must have H*W >= 2 at every level so content "
+                    f"can carry exact stats, got {self.pyramid_shapes!r}"
+                )
             _require_allocatable(c * h * w, f"a ({c}, {h}, {w}) level (--channels, --levels)")
 
 
@@ -867,12 +870,7 @@ def run_ocl_demo(
                 f"{image_size[0]}x{image_size[1]} image"
             )
         _require_allocatable(config.d * h * w, f"a ({config.d}, {h}, {w}) level (--dim)")
-    # the (C, H, W) pixel masks go once aligned: only the token masks and the
-    # present flags are read from here on
-    mask_set = replace(
-        align_to_tokens(build_masks(annotation, image_size, num_categories), list(level_shapes)),
-        per_category=None,
-    )
+    mask_set = align_to_tokens(build_masks(annotation, image_size, num_categories), level_shapes)
     if not mask_set.present.any():
         raise ValueError("annotation has no present category; the contrastive loss needs one")
 

@@ -6,10 +6,11 @@ y_min <= y <= y_max. Coordinates are continuous; a pixel is identified
 with the integer lattice point at its index, so a box (0, 0, 1, 1) covers
 exactly the 2x2 top-left pixels.
 
-Token alignment downsamples each image-resolution mask onto every pyramid
-level by max pooling over floor-partition cells (a token cell is
-attendable iff ANY covered pixel is set, so small objects survive), then
-concatenates the levels in pyramid order, row-major within a level.
+Token alignment downsamples each image-resolution mask (``PixelMaskSet``)
+onto every pyramid level by max pooling over floor-partition cells (a token
+cell is attendable iff ANY covered pixel is set, so small objects survive),
+then concatenates the levels in pyramid order, row-major within a level,
+into a ``GatingMaskSet`` that keeps the level shapes as its token layout.
 
 Mask polarity: True marks a token the category's query may attend; False
 positions are ignored by the attention (key-padding semantics).
@@ -23,7 +24,7 @@ whitespace-separated, ``#`` starts a comment line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,23 +60,25 @@ class AnnotationRecord:
 
 
 @dataclass
-class GatingMaskSet:
-    """Per-category pixel masks plus (once aligned) token-level masks."""
+class PixelMaskSet:
+    """Per-category masks at image resolution; the image is (H, W)."""
 
-    per_category: np.ndarray | None  # (C, H, W) bool; None once dropped after alignment
+    per_category: np.ndarray  # (C, H, W) bool
     present: np.ndarray  # (C,) bool, True iff the category has boxes
-    image_size: tuple[int, int]
-    token_masks: np.ndarray | None = None  # (C, N) bool
-    level_shapes: list[tuple[int, int]] | None = None
 
-    @property
-    def num_categories(self) -> int:
-        return self.per_category.shape[0]
+
+@dataclass
+class GatingMaskSet:
+    """Per-category token masks over the levels of one token layout."""
+
+    token_masks: np.ndarray  # (C, N) bool, N = sum(h * w for h, w in level_shapes)
+    present: np.ndarray  # (C,) bool, True iff the category has boxes
+    level_shapes: tuple[tuple[int, int], ...]
 
 
 def build_masks(
     ann: Annotation, image_size: tuple[int, int], num_categories: int
-) -> GatingMaskSet:
+) -> PixelMaskSet:
     """Rasterize per-category union-of-boxes masks at image resolution."""
     h, w = image_size
     if h < 1 or w < 1:
@@ -93,7 +96,7 @@ def build_masks(
         col = (xs >= x_min) & (xs <= x_max)
         row = (ys >= y_min) & (ys <= y_max)
         masks[cat] |= row[:, None] & col[None, :]
-    return GatingMaskSet(per_category=masks, present=present, image_size=(h, w))
+    return PixelMaskSet(per_category=masks, present=present)
 
 
 def _floor_partition(full: int, cells: int) -> np.ndarray:
@@ -104,9 +107,9 @@ def _floor_partition(full: int, cells: int) -> np.ndarray:
 
 
 def align_to_tokens(
-    mask_set: GatingMaskSet, level_shapes: list[tuple[int, int]]
+    pixels: PixelMaskSet, level_shapes: tuple[tuple[int, int], ...]
 ) -> GatingMaskSet:
-    """Fill the token-level masks for a multi-scale token sequence.
+    """The token-level masks of ``pixels`` for a multi-scale token sequence.
 
     Levels are concatenated in the given order; within a level tokens run
     row-major. Token count equals sum(H_l * W_l). A cell's token is the
@@ -114,8 +117,8 @@ def align_to_tokens(
     """
     if not level_shapes:
         raise ValueError("level_shapes must be non-empty")
-    h, w = mask_set.image_size
-    masks, c = mask_set.per_category, mask_set.num_categories
+    masks = pixels.per_category
+    c, h, w = masks.shape
     per_level = []
     for h_l, w_l in level_shapes:
         rows = _floor_partition(h, h_l).tolist() + [h]
@@ -124,9 +127,7 @@ def align_to_tokens(
         pooled = np.stack([by_rows[:, :, c0:c1].any(axis=2) for c0, c1 in zip(cols, cols[1:])], 2)
         per_level.append(pooled.reshape(c, h_l * w_l))
     token_masks = np.concatenate(per_level, axis=1)
-    return replace(
-        mask_set, token_masks=token_masks, level_shapes=[tuple(s) for s in level_shapes]
-    )
+    return GatingMaskSet(token_masks, pixels.present, tuple(map(tuple, level_shapes)))
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ class StyleMemoryBank:
     def __init__(self, capacity=4, alpha=0.7, momentum=0.9, mode="train", step=0, prototypes=()):
         _count("capacity (--k)", capacity, 1, _U32_LIMIT)
         if not 0.0 < alpha < np.inf:
-            raise ValueError("alpha must be positive and finite")
+            raise ValueError(f"alpha (--alpha) must be positive and finite, got {alpha!r}")
         if alpha > ALPHA_LIMIT:
             raise ValueError(
                 f"alpha (--alpha) must be at most {ALPHA_LIMIT:g}, got {alpha!r}: above 1 a "

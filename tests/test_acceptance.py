@@ -215,7 +215,7 @@ def test_c08_attention_mask_soundness_and_oracle():
         for trial in range(20):
             tokens = rng.normal(size=(20, 8))
             positions = rng.normal(size=(20, 8))
-            seq = TokenSequence(tokens=tokens, positions=positions, level_boundaries=[0, 20])
+            seq = TokenSequence(tokens=tokens, positions=positions, level_shapes=[(1, 20)])
             token_masks = rng.random((3, 20)) < 0.4
             token_masks[2, :] = False  # a fully masked category every trial
             masks = make_masks(token_masks)
@@ -232,7 +232,7 @@ def test_c08_attention_mask_soundness_and_oracle():
             zeroed[~token_masks.any(axis=0)] = 0.0
             out_zeroed = cross_attend(
                 q,
-                TokenSequence(tokens=zeroed, positions=positions, level_boundaries=[0, 20]),
+                TokenSequence(tokens=zeroed, positions=positions, level_shapes=[(1, 20)]),
                 masks,
                 params,
                 heads=2,

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -20,21 +21,15 @@ import sa_adapt.class_query_attention as cqa_mod
 import oracles
 
 
-def make_masks(token_masks, image_size=(8, 8)):
-    c, n = token_masks.shape
-    return GatingMaskSet(
-        per_category=np.zeros((c, *image_size), dtype=bool),
-        present=token_masks.any(axis=1),
-        image_size=image_size,
-        token_masks=token_masks,
-        level_shapes=[(1, n)],
-    )
+def make_masks(token_masks):
+    """Masks aligned to one 1 x N level, the layout of ``random_setup``'s tokens."""
+    return GatingMaskSet(token_masks, token_masks.any(axis=1), ((1, token_masks.shape[1]),))
 
 
 def random_setup(rng, c=3, n=20, d=8, attendable=0.5):
     tokens = rng.normal(size=(n, d))
     positions = rng.normal(size=(n, d))
-    seq = TokenSequence(tokens=tokens, positions=positions, level_boundaries=[0, n])
+    seq = TokenSequence(tokens=tokens, positions=positions, level_shapes=[(1, n)])
     token_masks = rng.random((c, n)) < attendable
     token_masks[0, 0] = True  # at least one attendable row
     params = AttentionParams.init_random(d, rng)
@@ -154,7 +149,7 @@ class TestCrossAttend:
         zeroed = TokenSequence(
             tokens=zeroed_tokens,
             positions=seq.positions,
-            level_boundaries=seq.level_boundaries,
+            level_shapes=seq.level_shapes,
         )
         out2 = cross_attend(q, zeroed, masks, params, heads=2)
         assert np.abs(out - out2).max() < 1e-12
@@ -168,7 +163,7 @@ class TestCrossAttend:
         def with_unattended(value):
             tokens = seq.tokens.copy()
             tokens[unattended] = value
-            return TokenSequence(tokens, seq.positions, seq.level_boundaries)
+            return TokenSequence(tokens, seq.positions, seq.level_shapes)
 
         zeroed = cross_attend(q, with_unattended(0.0), masks, params, heads=2)
         huge = cross_attend(q, with_unattended(1e300), masks, params, heads=2)
@@ -178,7 +173,7 @@ class TestCrossAttend:
         # token 0 is attended by category 0 alone, and its key's logit with
         # category 1 overflows to inf; category 1's attendable logits are finite
         tokens = np.array([[1e200, 0.0], [1.0, 2.0], [-1.0, 1.0]])
-        seq = TokenSequence(tokens, np.zeros_like(tokens), [0, 3])
+        seq = TokenSequence(tokens, np.zeros_like(tokens), [(1, 3)])
         token_masks = np.array([[True, True, False], [False, True, True]])
         params = AttentionParams(*[np.eye(2)] * 4)
         q = np.array([[1e-200, 1.0], [1e200, 0.0]])
@@ -226,20 +221,14 @@ class TestCrossAttend:
     @pytest.mark.parametrize(
         "case, message",
         [
-            ("unaligned", "mask set has no token alignment"),
-            ("no-level-shapes", "mask set has no token alignment"),
             ("1-D", r"queries must be \(C, d\), got \(8,\)"),
             ("query-dim", "query dim 4 does not match parameter dim 8"),
             ("categories", r"token masks \(3, 20\) do not match 2 categories"),
         ],
-        ids=["unaligned", "no-level-shapes", "1-D", "query-dim", "categories"],
+        ids=["1-D", "query-dim", "categories"],
     )
     def test_queries_and_masks_of_another_layout_rejected(self, case, message):
         q, seq, masks, params = random_setup(np.random.default_rng(8))
-        if case == "unaligned":
-            masks = replace(masks, token_masks=None)
-        elif case == "no-level-shapes":
-            masks = replace(masks, level_shapes=None)
         q = {"1-D": q[0], "query-dim": q[:, :4], "categories": q[:2]}.get(case, q)
         with pytest.raises(ValueError, match=message):
             cross_attend(q, seq, masks, params, heads=2)
@@ -313,12 +302,12 @@ class TestEncoderSide:
 
 
 class TestTokensFromPyramid:
-    def test_shapes_and_boundaries(self):
+    def test_token_and_level_shapes(self):
         rng = np.random.default_rng(13)
         pyramid = [rng.normal(size=(1, 8, 4, 4)), rng.normal(size=(1, 8, 2, 2))]
         seq = tokens_from_pyramid(pyramid)
         assert seq.tokens.shape == (20, 8)
-        assert seq.level_boundaries == [0, 16, 20]
+        assert seq.level_shapes == ((4, 4), (2, 2))
         # token 0 of level 1 is the feature column at (h=0, w=0)
         np.testing.assert_array_equal(seq.tokens[16], pyramid[1][0, :, 0, 0])
 
@@ -338,33 +327,52 @@ class TestTokensFromPyramid:
 
     def test_tokens_and_positions_of_different_shapes_rejected(self):
         with pytest.raises(ValueError, match=r"must share an \(N, d\) shape"):
-            TokenSequence(np.zeros((4, 2)), np.zeros((4, 3)), level_boundaries=[0, 4])
+            TokenSequence(np.zeros((4, 2)), np.zeros((4, 3)), level_shapes=[(2, 2)])
 
-    def test_empty_level_boundaries_rejected(self):
-        with pytest.raises(ValueError, match="level boundaries"):
-            TokenSequence(np.zeros((2, 4)), np.zeros((2, 4)), level_boundaries=[])
+    @pytest.mark.parametrize("n", [2, 0], ids=["two-tokens", "no-tokens"])
+    def test_empty_level_shapes_rejected(self, n):
+        t = np.zeros((n, 4))
+        with pytest.raises(ValueError, match=r"must be non-empty and positive, got \(\)"):
+            TokenSequence(t, t, level_shapes=[])
 
-    @pytest.mark.parametrize("bounds", [[0, 15, 5, 20], [0, 5, 5, 20]])
-    def test_non_increasing_level_boundaries_rejected(self, bounds):
+    @pytest.mark.parametrize(
+        "shapes, message",
+        [([(4, 5), (0, 3)], r"non-empty and positive, got \(\(4, 5\), \(0, 3\)\)"),
+         ([(-4, -5)], "non-empty and positive"),
+         ([(4, 4)], r"level shapes \(\(4, 4\),\) do not hold 20 tokens"),
+         ([(4, 4), (2, 3)], "do not hold 20 tokens"),
+         ([(5, 4), (1, 1)], "do not hold 20 tokens")],
+        ids=["zero-side", "negative-sides", "too-few", "too-many", "one-level-too-many"],
+    )
+    def test_level_shapes_that_are_not_positive_or_do_not_hold_n_tokens_rejected(
+        self, shapes, message
+    ):
         t = np.zeros((20, 4))
-        with pytest.raises(ValueError, match="increase strictly"):
-            TokenSequence(t, t, level_boundaries=bounds)
+        with pytest.raises(ValueError, match=message):
+            TokenSequence(t, t, level_shapes=shapes)
 
-    def test_masks_of_another_level_layout_rejected(self):
-        # both layouts hold 80 tokens, at offsets [0, 64, 80] and [0, 16, 80]
+    @pytest.mark.parametrize(
+        "mask_levels, token_levels",
+        [(((8, 8), (4, 4)), ((4, 4), (8, 8))), (((4, 16),), ((8, 8),))],
+        ids=["level-order", "same-offsets"],
+    )
+    def test_masks_of_another_level_layout_rejected(self, mask_levels, token_levels):
+        # both layouts hold the same number of tokens; one 4x16 and one 8x8
+        # level even share their offsets, [0, 64]
         rng = np.random.default_rng(17)
         ann = Annotation(boxes=[(0.0, 0.0, 20.0, 20.0)], categories=[0])
-        masks = align_to_tokens(build_masks(ann, (32, 32), 2), [(8, 8), (4, 4)])
-        seq = tokens_from_pyramid([rng.normal(size=(1, 8, 4, 4)), rng.normal(size=(1, 8, 8, 8))])
+        masks = align_to_tokens(build_masks(ann, (32, 32), 2), mask_levels)
+        seq = tokens_from_pyramid([rng.normal(size=(1, 8, h, w)) for h, w in token_levels])
         params = AttentionParams.init_random(8, rng)
         q = init_class_queries(2, 8, rng)
-        with pytest.raises(ValueError, match=r"\[0, 64, 80\].*\[0, 16, 80\]"):
-            cross_attend(q, seq, masks, params, heads=2)
-        with pytest.raises(ValueError, match="do not match token level offsets"):
-            project_keys_values(seq, masks, params)
-        matching = tokens_from_pyramid(
-            [rng.normal(size=(1, 8, 8, 8)), rng.normal(size=(1, 8, 4, 4))]
+        layouts = re.escape(
+            f"masks aligned to levels {mask_levels} do not match token levels {token_levels}"
         )
+        with pytest.raises(ValueError, match=layouts):
+            cross_attend(q, seq, masks, params, heads=2)
+        with pytest.raises(ValueError, match=layouts):
+            project_keys_values(seq, masks, params)
+        matching = tokens_from_pyramid([rng.normal(size=(1, 8, h, w)) for h, w in mask_levels])
         assert cross_attend(q, matching, masks, params, heads=2).shape == (2, 8)
 
 

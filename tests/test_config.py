@@ -56,7 +56,7 @@ class TestValidation:
         assert (cfg.k, cfg.heads, cfg.d, cfg.seed) == (3, 4, 64, 7)
 
     def test_negative_seed_is_rejected(self):
-        with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
+        with pytest.raises(ValueError, match=re.escape("seed (--seed) must be >= 0, got -1")):
             RunConfig(seed=-1)
         assert RunConfig(seed=0).seed == 0
 

@@ -958,7 +958,7 @@ class TestOclDemo:
         for seq, want in zip(pair, expected):
             assert seq.tokens.tobytes() == want.tokens.tobytes()
             assert seq.positions.tobytes() == want.positions.tobytes()
-            assert seq.level_boundaries == want.level_boundaries
+            assert seq.level_shapes == want.level_shapes
         assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_a_benchmark_size_pair_holds_at_most_seven_token_matrices(self):
@@ -1296,9 +1296,26 @@ class TestCli:
         assert f"--image-size expects one HxW shape such as 64x64, got {value!r}" in err
         assert not any(tmp_path.iterdir())
 
-    def test_negative_seed_is_a_user_error(self, tmp_path, capsys):
-        argv = ["train-bank", "--seed", "-1", "--out-dir", str(tmp_path)]
-        assert "seed must be >= 0, got -1" in self.user_error(capsys, argv)
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1", "seed (--seed) must be >= 0, got -1"),
+            ("--alpha", "inf", "alpha (--alpha) must be positive and finite, got inf"),
+            ("--clusters", "0", "style_clusters (--clusters) must be non-empty, got []"),
+            (
+                "--levels",
+                "8x8,1x1",
+                "pyramid_shapes (--levels) must have H*W >= 2 at every level so content can "
+                "carry exact stats, got [(64, 8, 8), (64, 1, 1)]",
+            ),
+        ],
+        ids=["seed", "alpha", "clusters", "levels"],
+    )
+    def test_a_bad_train_value_names_its_field_flag_and_value(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        argv = ["train-bank", flag, value, "--out-dir", str(tmp_path)]
+        assert self.user_error(capsys, argv) == f"sa-adapt: error: {message}\n"
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sa_adapt.object_gating import (
     Annotation,
-    GatingMaskSet,
+    PixelMaskSet,
     align_to_tokens,
     build_masks,
     parse_annotations,
@@ -143,7 +143,7 @@ class TestAlignToTokens:
         h, w = size
         shapes = [(1 + int(fh * (h - 1)), 1 + int(fw * (w - 1))) for fh, fw in cells]
         per_category = np.random.default_rng(seed).random((3, h, w)) < density
-        ms = GatingMaskSet(per_category, per_category.any(axis=(1, 2)), (h, w))
+        ms = PixelMaskSet(per_category, per_category.any(axis=(1, 2)))
         aligned = align_to_tokens(ms, shapes)
         expected = oracles.token_align_any(per_category, shapes)
         assert aligned.token_masks.dtype == bool
