@@ -99,6 +99,8 @@ def build_domain_spec(cfg: config_mod.RunConfig, args: argparse.Namespace) -> ha
     shapes = [(args.channels, h, w) for h, w in _parse_hw_list(args.levels, "--levels")]
     if args.style_salt < 0:
         raise ValueError(f"--style-salt must be >= 0, got {args.style_salt}")
+    if args.clusters < 1:
+        raise ValueError(f"clusters (--clusters) must be at least 1, got {args.clusters}")
     base = cfg.seed * 1_000_003 + args.style_salt * 10_007
     clusters = [
         harness.StyleCluster(

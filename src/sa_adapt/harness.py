@@ -165,7 +165,10 @@ def generate_stream(spec: SyntheticDomainSpec):
     """Yield (pyramid, cluster label) pairs, deterministic under the seed.
 
     Pyramids are lists of (1, C, H, W) maps. Sample order is a seeded
-    shuffle of the per-cluster sample list.
+    shuffle of the per-cluster sample list. The consumer owns each yielded
+    list and its maps: the generator never reads or reuses them, and holds
+    none of them while it draws the next pyramid. So a consumer that takes
+    each map out of the list as it reads it holds one pyramid, not two.
     """
     rng = np.random.default_rng(spec.rng_seed)
     centers = cluster_centers(spec)
@@ -188,6 +191,7 @@ def generate_stream(spec: SyntheticDomainSpec):
                 z *= sd[:, None, None]
                 z += mu[:, None, None]
             pyramid.append(z[None])
+        del z
         yield pyramid, int(label)
 
 
@@ -547,20 +551,6 @@ def format_report(records: list[tuple[str, float, str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_report(text: str) -> list[tuple[str, float, str]]:
-    records = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"report line {lineno}: expected 'name value unit'")
-        name, value, unit = parts
-        records.append((name, int(value) if value.lstrip("-").isdigit() else float(value), unit))
-    return records
-
-
 def write_report(out_dir: Path, stem: str, report: Report) -> tuple[Path, Path]:
     """Write the text records and the JSON summary; returns both paths.
 
@@ -627,14 +617,16 @@ def run_train_phase(
         np.empty((n, *shape)) if n > 1 else None for n, shape in zip(chunks, spec.pyramid_shapes)
     ]
     for i, (pyramid, _) in enumerate(generate_stream(spec)):
-        for li, fmap in enumerate(pyramid):
+        for li in range(levels):
             j, buf = i % chunks[li], buffers[li]
+            chunk, pyramid[li] = pyramid[li], None  # the map dies once read
             if buf is not None:
-                buf[j] = fmap[0]
+                buf[j] = chunk[0]
+                chunk = buf[: j + 1]
             if j + 1 == chunks[li] or i + 1 == stream_size:
-                chunk = fmap if buf is None else buf[: j + 1]
                 stats = compute_stats(chunk, config.epsilon, out=points[li][i - j : i + 1])
                 decisions[li].extend(banks[li].observe(s) for s in stats)
+        del chunk
 
     report = Report()
     report.add("train.samples", stream_size, "count")
@@ -725,8 +717,8 @@ def run_tta_phase(
     samples = 0
     for pyramid, _ in generate_stream(spec):
         samples += 1
-        for li, fmap in enumerate(pyramid):
-            bank = banks[li]
+        for li, bank in enumerate(banks):
+            fmap, pyramid[li] = pyramid[li], None  # the map dies once read
             s = compute_stats(fmap, config.epsilon)[0]
             if observe_first:
                 decision = bank.observe(s)
@@ -738,6 +730,7 @@ def run_tta_phase(
                 decision = bank.observe(s)
             post = float(np.min(bank.distances(result.rectified_stats)))
             steps[li].append((decision, float(np.min(result.distances)), post))
+        del fmap
 
     report = Report()
     report.add("tta.samples", samples, "count")

@@ -75,6 +75,9 @@ class GatingMaskSet:
     present: np.ndarray  # (C,) bool, True iff the category has boxes
     level_shapes: tuple[tuple[int, int], ...]
 
+    def __post_init__(self):
+        self.level_shapes = tuple(map(tuple, self.level_shapes))
+
 
 def build_masks(
     ann: Annotation, image_size: tuple[int, int], num_categories: int

@@ -133,9 +133,3 @@ def _remap(sample: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarr
             block += shift[sl, None]
             _require_finite_block(block.sum(), src[sl])
     return out
-
-
-def rectified_stats(result: ProjectionResult) -> ChannelStats:
-    """Output statistics of a projection: those taken in its remap pass when it
-    built no map, else re-measured (convenience)."""
-    return result.rectified_stats or compute_stats(result.rectified)[0]

@@ -5,7 +5,8 @@ textbook algorithm), independent of the library code paths it checks. The
 whole-map formulas (``stats_whole_map``, ``affine_remap``), the stacked-copies
 finite differences, the dense masked attention, the sequential k-means and the
 per-sample train phase are the exception: they are the references that the
-faster forms reproduce bit for bit.
+faster forms reproduce bit for bit. ``parse_report`` and ``rectified_stats``
+are plain helpers that only the tests call.
 """
 
 from __future__ import annotations
@@ -514,3 +515,27 @@ def per_sample_train(config, spec):
     report.extra["tau_trajectory"] = [[rep.tau for rep, _ in level] for level in steps]
     report.extra["center_distances"] = center_distances
     return banks, report
+
+
+def parse_report(text):
+    """The (name, value, unit) records of a text report, the inverse of
+    ``harness.format_report``: an integer value reads back as int."""
+    records = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"report line {lineno}: expected 'name value unit'")
+        name, value, unit = parts
+        records.append((name, int(value) if value.lstrip("-").isdigit() else float(value), unit))
+    return records
+
+
+def rectified_stats(result):
+    """Output statistics of a projection: those taken in its remap pass when it
+    built no map, else re-measured."""
+    from sa_adapt.style_statistics import compute_stats
+
+    return result.rectified_stats or compute_stats(result.rectified)[0]

@@ -5,6 +5,7 @@ in a subprocess of its own, as the benchmark self-check runs.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -107,6 +108,22 @@ print(f"harness.generate_stream.s {seed / 10!r} s")
 metrics = {m: {"value": v, "unit": "x"} for m, v in values.items()}
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}))
 """
+
+
+def test_bench_pairs_default_malloc_runs_children_without_the_mmap_threshold(tmp_path):
+    (tmp_path / "side" / "benchmarks").mkdir(parents=True)
+    (tmp_path / "side" / "benchmarks" / "run.py").write_text(STUB_RUN)
+    (tmp_path / "side" / "src").mkdir()
+    out = tmp_path / "pairs.json"
+    args = ["--parent-dir", "side", "--change-dir", "side", "--pairs", "tta-reference=2",
+            "--first-seed", "1", "--seconds", "0.1", "--out", str(out), "--default-malloc"]
+    env = {k: v for k, v in os.environ.items() if k != "MALLOC_MMAP_THRESHOLD_"}
+    result = subprocess.run([sys.executable, str(ROOT / "tools" / "bench_pairs.py"), *args],
+                            cwd=tmp_path, capture_output=True, text=True, timeout=60, env=env)
+    assert result.returncode == 0, result.stderr
+    document = json.loads(out.read_text())
+    assert document["child_env"] == {}
+    assert [run["host"]["mmap_threshold"] for run in document["runs"]] == [None] * 4
 
 
 def test_bench_pairs_records_each_sides_resolved_checkout(tmp_path):

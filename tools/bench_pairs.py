@@ -17,7 +17,9 @@ kept in ``runs`` for its per-layer counts and left out of ``summary``.
 
 Every child runs with ``CHILD_ENV`` (``MALLOC_MMAP_THRESHOLD_=131072``) added
 to the environment, so that its ``peak_rss_mb`` does not follow glibc's moving
-mmap threshold. The output holds that setting (``child_env``), each side's
+mmap threshold. ``--default-malloc`` leaves it out: the children then run as
+the benchmark's own command runs, and read the ``peak_rss_mb`` it gates. The
+output holds the setting used (``child_env``), each side's
 resolved checkout path (``checkouts``; a process's ``peak_rss_mb`` has been
 seen to depend on the directory that holds its checkout), every run (side,
 checkout, workload, seed, trace flag, return code, the ``host`` line, the
@@ -85,13 +87,13 @@ def git_tree_hash(path: Path) -> str:
 
 
 def run_once(checkout: Path, side: str, workload: str, seed: int, seconds: float,
-             trace: int) -> dict:
+             trace: int, child_env: dict) -> dict:
     """One ``run.py`` process; its host line and final JSON line, parsed."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     print(f"{side:6} {workload} seed {seed} trace {trace}", file=sys.stderr, flush=True)
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False,
-                          env={**os.environ, **CHILD_ENV})
+                          env={**os.environ, **child_env})
     lines = proc.stdout.splitlines()
     host = next((json.loads(l[5:]) for l in lines if l.startswith("host ")), {})
     try:
@@ -182,6 +184,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace-seed", type=int, help="seed of one traced pair per workload")
     parser.add_argument("--about", default="", help="free text stored with the runs")
+    parser.add_argument("--default-malloc", action="store_true",
+                        help="run without CHILD_ENV, as the benchmark's command runs")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     dirs = {"parent": args.parent_dir.resolve(), "change": args.change_dir.resolve()}
@@ -189,8 +193,9 @@ def main(argv=None) -> int:
         if not (path / "benchmarks" / "run.py").is_file():
             parser.error(f"--{side}-dir {path} has no benchmarks/run.py")
 
+    child_env = {} if args.default_malloc else CHILD_ENV
     runs = [
-        run_once(dirs[side], side, workload, seed, args.seconds, trace)
+        run_once(dirs[side], side, workload, seed, args.seconds, trace, child_env)
         for workload, seed, trace, order in pair_plan(args.pairs, args.first_seed,
                                                       args.trace_seed)
         for side in order
@@ -202,7 +207,7 @@ def main(argv=None) -> int:
                    "--trace <0|1>",
         "parent": parent_commits.pop() if len(parent_commits) == 1 else "unknown",
         "checkouts": {side: str(path) for side, path in dirs.items()},
-        "child_env": CHILD_ENV,
+        "child_env": child_env,
         "change_src_tree": git_tree_hash(dirs["change"] / "src"),
         "runs": runs,
         "summary": summarize(runs, end_to_end_metrics()),
