@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .object_gating import GatingMaskSet
-from .tensor_core import DTYPE, require_finite
+from .tensor_core import DTYPE, _channel_blocks, require_finite
 
 
 @dataclass
@@ -122,8 +122,12 @@ def _interleaved(angles: np.ndarray) -> np.ndarray:
     return enc
 
 
-def _flat_tokens(pyramid: list[np.ndarray]) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """The (N, d) tokens of a single-sample pyramid and its level shapes."""
+def tokens_from_pyramid(pyramid: list[np.ndarray]) -> TokenSequence:
+    """Flatten a single-sample pyramid into a token sequence with encodings.
+
+    Each level must be (1, d, H, W) with a common channel count d, which
+    becomes the token dimension; tokens run row-major within a level.
+    """
     flats, shapes = [], []
     d = None
     for level in pyramid:
@@ -137,44 +141,58 @@ def _flat_tokens(pyramid: list[np.ndarray]) -> tuple[np.ndarray, list[tuple[int,
             raise ValueError(f"channel counts differ across levels: {d} vs {c}")
         flats.append(level[0].reshape(c, h * w).T)  # (H*W, d)
         shapes.append((h, w))
-    return np.concatenate(flats, axis=0), shapes
-
-
-def tokens_from_pyramid(pyramid: list[np.ndarray]) -> TokenSequence:
-    """Flatten a single-sample pyramid into a token sequence with encodings.
-
-    Each level must be (1, d, H, W) with a common channel count d, which
-    becomes the token dimension; tokens run row-major within a level.
-    """
-    tokens, shapes = _flat_tokens(pyramid)
-    positions = sine_positions(shapes, tokens.shape[1])
-    return TokenSequence(tokens=tokens, positions=positions, level_shapes=shapes)
+    return TokenSequence(np.concatenate(flats, axis=0), sine_positions(shapes, d), shapes)
 
 
 class KeyValues(NamedTuple):
-    """Key and value projections of the tokens that some category attends.
-
-    ``index`` holds the attended token positions in ascending order; row i
-    of ``keys`` and ``values`` belongs to token ``index[i]``.
-    """
+    """Key and value projections of the tokens that some category attends, and
+    the :func:`_layout` of the ``masks`` they were projected for. ``index`` holds
+    the attended tokens in ascending order; row i of ``keys`` and ``values``
+    belongs to token ``index[i]``."""
 
     index: np.ndarray  # (M,) int
     keys: np.ndarray  # (M, d)
     values: np.ndarray  # (M, d)
+    masks: GatingMaskSet
+    layout: tuple[np.ndarray, ...]
 
 
 def project_keys_values(
-    seq: TokenSequence, masks: GatingMaskSet, params: AttentionParams
+    seq: TokenSequence, masks: GatingMaskSet, params: AttentionParams, out: KeyValues | None = None
 ) -> KeyValues:
     """Project keys (token + position) and values (token) once for all categories.
 
-    Only tokens attended by at least one category are read.
+    Only tokens attended by at least one category are read. ``out``, a result
+    of this function for the same ``masks`` (the other sequence of a pair),
+    lends its index, layout and arrays; its keys and values are overwritten.
     """
-    index = np.flatnonzero(_token_masks(masks, seq).any(axis=0))
+    token_masks = _token_masks(masks, seq)
+    if out is None:
+        index = np.flatnonzero(token_masks.any(axis=0))
+        shape = (len(index), seq.tokens.shape[1])
+        out = KeyValues(index, np.empty(shape), np.empty(shape), masks, _layout(token_masks, index))
+    elif out.masks is not masks:
+        raise ValueError("out was projected for other masks")
+    index = out.index
     attended = seq.tokens[index]
-    values = attended @ params.w_v
-    attended += seq.positions[index]
-    return KeyValues(index, attended @ params.w_k, values)
+    np.matmul(attended, params.w_v, out=out.values)
+    for rows in _channel_blocks(len(index), attended.shape[1]):  # no (M, d) gather of positions
+        attended[rows] += seq.positions[index[rows]]
+    np.matmul(attended, params.w_k, out=out.keys)
+    return out
+
+
+def _layout(token_masks: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The categories with an attendable token among the ``index`` tokens (R
+    rows), the flat positions of their attendable tokens in an (R, M) array,
+    each row's count of them and the start of each row's run."""
+    live = token_masks[:, index]  # (C, M)
+    if live.sum() != token_masks.sum():
+        raise ValueError("projections do not cover every attended token")
+    rows = np.flatnonzero(live.any(axis=1))
+    live = live[rows]  # (R, M), every row has an attendable token
+    counts = live.sum(axis=1)
+    return rows, np.flatnonzero(live), counts, np.cumsum(counts) - counts
 
 
 def _token_masks(masks: GatingMaskSet, seq: TokenSequence) -> np.ndarray:
@@ -207,7 +225,8 @@ def cross_attend(
     rows with no attendable token are returned unchanged. Keys and values
     are projected once for the tokens any category attends (or taken from
     ``projections``, the :func:`project_keys_values` result for the same
-    sequence, masks and parameters); then the logits of all categories and
+    sequence, masks and parameters, with its layout if projected for this
+    ``masks`` object, unchanged since); then the logits of all categories and
     heads go through one masked softmax. It gathers the attendable logits,
     scales, shifts and exponentiates them alone, and scatters them into a
     zeroed array, so a masked logit is never read.
@@ -225,12 +244,8 @@ def cross_attend(
         raise ValueError(f"token masks {token_masks.shape} do not match {c_count} categories")
     if projections is None:
         projections = project_keys_values(seq, masks, params)
-    index, keys, values = projections
-    live = token_masks[:, index]  # (C, M)
-    if live.sum() != token_masks.sum():
-        raise ValueError("projections do not cover every attended token")
-    rows = np.flatnonzero(live.any(axis=1))
-    live = live[rows]  # (R, M), every row has an attendable token
+    index, keys, values, kv_masks, layout = projections
+    rows, attendable, counts, starts = layout if kv_masks is masks else _layout(token_masks, index)
     out = q.copy()
     if rows.size == 0:
         return out
@@ -242,12 +257,10 @@ def cross_attend(
     logits = qh @ keys.reshape(m, heads, d_head).transpose(1, 2, 0)
     # the softmax over the attendable logits alone, gathered row by row
     by_head = logits.reshape(heads, -1)  # (H, R * M) view
-    attendable = np.flatnonzero(live)
     lv = by_head.take(attendable, axis=1)  # (H, L)
     lv *= 1.0 / math.sqrt(d_head)
     require_finite(lv, "attention logits")
-    counts = live.sum(axis=1)
-    lv -= np.repeat(np.maximum.reduceat(lv, np.cumsum(counts) - counts, axis=1), counts, axis=1)
+    lv -= np.repeat(np.maximum.reduceat(lv, starts, axis=1), counts, axis=1)
     np.exp(lv, out=lv)
     logits.fill(0.0)
     by_head[:, attendable] = lv
@@ -265,14 +278,16 @@ def run_encoder_side(
     params: AttentionParams,
     heads: int,
     blocks: int,
+    projections: KeyValues | None = None,
 ) -> np.ndarray:
     """Apply cross_attend ``blocks`` times over ``seq``, carrying queries across.
 
-    All blocks share ``params``, so keys and values are projected once.
+    All blocks share ``params``, so keys and values are projected once (or
+    taken from ``projections``, as in :func:`cross_attend`).
     """
     if blocks < 1:
         raise ValueError(f"need at least one encoder block, got {blocks}")
-    kv = project_keys_values(seq, masks, params)
+    kv = project_keys_values(seq, masks, params) if projections is None else projections
     q = np.asarray(q0, dtype=DTYPE)
     for _ in range(blocks):
         q = cross_attend(q, seq, masks, params, heads, projections=kv)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +27,10 @@ import numpy as np
 from .class_query_attention import (
     AttentionParams,
     TokenSequence,
-    _flat_tokens,
     init_class_queries,
+    project_keys_values,
     run_encoder_side,
-    tokens_from_pyramid,
+    sine_positions,
 )
 from .config import RunConfig
 from .contrastive_alignment import (
@@ -106,6 +106,8 @@ class SyntheticDomainSpec:
     def __post_init__(self):
         if not self.style_clusters:
             raise ValueError("style_clusters (--clusters) must be non-empty, got []")
+        if not self.pyramid_shapes:
+            raise ValueError("pyramid_shapes (--levels) must be non-empty, got []")
         if self.samples_per_cluster < 1:
             raise ValueError(
                 "samples_per_cluster (--samples-per-cluster) must be at least 1, "
@@ -792,22 +794,23 @@ def synthetic_pair(
     augmented view: a per-channel affine style shift plus mild noise.
 
     Draws the source levels, the style scale and shift, and then each level's
-    noise. The pyramids die on return; the pair shares one positions array,
-    since its levels share their shapes.
+    noise, each as (d, h * w) and transposed into its rows of the (N, d) tokens.
+    The pair shares one positions array, since its levels share their shapes.
     """
-    source = [rng.normal(size=(1, d, h, w)) for h, w in level_shapes]
-    scale = rng.uniform(0.7, 1.3, size=d)[None, :, None, None]
-    shift = rng.normal(0.0, 0.5, size=d)[None, :, None, None]
-    augmented = []
-    for level in source:  # the steps of level * scale + shift + 0.05 * noise, so its bits
-        aug = level * scale
+    bounds = np.cumsum([0, *(h * w for h, w in level_shapes)]).tolist()
+    source, augmented = np.empty((bounds[-1], d)), np.empty((bounds[-1], d))
+    for lo, hi in zip(bounds, bounds[1:]):
+        source[lo:hi] = rng.normal(size=(d, hi - lo)).T
+    scale = rng.uniform(0.7, 1.3, size=d)
+    shift = rng.normal(0.0, 0.5, size=d)
+    for lo, hi in zip(bounds, bounds[1:]):  # level * scale + shift + 0.05 * noise, step by step
+        aug = np.multiply(source[lo:hi], scale, out=augmented[lo:hi])
         aug += shift
-        noise = rng.normal(size=level.shape)
+        noise = rng.normal(size=(d, hi - lo))
         noise *= 0.05
-        aug += noise
-        augmented.append(aug)
-    seq_src = tokens_from_pyramid(source)
-    return seq_src, replace(seq_src, tokens=_flat_tokens(augmented)[0])
+        aug += noise.T
+    positions = sine_positions(level_shapes, d)
+    return tuple(TokenSequence(t, positions, level_shapes) for t in (source, augmented))
 
 
 def fd_gradient(s: np.ndarray, a: np.ndarray, source: bool) -> np.ndarray:
@@ -870,8 +873,10 @@ def run_ocl_demo(
     seq_src, seq_aug = synthetic_pair(rng, config.d, level_shapes)
     params = AttentionParams.init_random(config.d, rng)
     q0 = init_class_queries(num_categories, config.d, rng)
-    q_source = run_encoder_side(q0, seq_src, mask_set, params, config.heads, blocks)
-    q_augmented = run_encoder_side(q0, seq_aug, mask_set, params, config.heads, blocks)
+    kv = project_keys_values(seq_src, mask_set, params)
+    q_source = run_encoder_side(q0, seq_src, mask_set, params, config.heads, blocks, kv)
+    kv = project_keys_values(seq_aug, mask_set, params, out=kv)  # into the source side's arrays
+    q_augmented = run_encoder_side(q0, seq_aug, mask_set, params, config.heads, blocks, kv)
 
     batch = ContrastiveBatch(q_source, q_augmented, mask_set.present)
     loss_rep = contrastive_loss(batch)

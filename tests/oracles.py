@@ -3,10 +3,11 @@
 Everything here is deliberately written as plain loops (or a separate
 textbook algorithm), independent of the library code paths it checks. The
 whole-map formulas (``stats_whole_map``, ``affine_remap``), the stacked-copies
-finite differences, the dense masked attention, the sequential k-means and the
-per-sample train phase are the exception: they are the references that the
-faster forms reproduce bit for bit. ``parse_report`` and ``rectified_stats``
-are plain helpers that only the tests call.
+finite differences, the dense masked attention, the whole key and value
+products, the sequential k-means and the per-sample train phase are the
+exception: they are the references that the faster forms reproduce bit for
+bit. ``parse_report`` and ``rectified_stats`` are plain helpers that only the
+tests call.
 """
 
 from __future__ import annotations
@@ -146,6 +147,17 @@ def dense_masked_attention(queries, tokens, positions, token_masks, params, head
     ctx = weights @ values.reshape(m, heads, d_head).transpose(1, 0, 2)
     out[rows] += ctx.transpose(1, 0, 2).reshape(len(rows), d) @ params.w_o
     return out
+
+
+def whole_key_value_products(tokens, positions, index, params):
+    """Keys ``(tokens + positions) @ w_k`` and values ``tokens @ w_v`` of the
+    ``index`` rows, each one product over all M gathered rows, the positions
+    gathered whole: ``class_query_attention.project_keys_values`` before it
+    added them in row blocks and could write into another projection's arrays."""
+    attended = tokens[index]
+    values = attended @ params.w_v
+    attended += positions[index]
+    return attended @ params.w_k, values
 
 
 def concatenated_sine_positions(level_shapes, d):

@@ -7,6 +7,7 @@ in a subprocess of its own, as the benchmark self-check runs.
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -102,6 +103,7 @@ values = {
     "setup_s": wide if side == "parent" else 0.5,  # as wide, but every change run is better
     "peak_rss_mb": 50.0,
 }
+touched = bytearray(4 << 20)  # page faults for the tool to count
 print("host " + json.dumps({"git_commit": "unknown",
                             "mmap_threshold": os.environ.get("MALLOC_MMAP_THRESHOLD_")}))
 print(f"harness.generate_stream.s {seed / 10!r} s")
@@ -160,3 +162,11 @@ def test_bench_pairs_records_each_sides_resolved_checkout(tmp_path):
         "setup_s": (pytest.approx(1 / 1.5), True, "4/4"),
         "peak_rss_mb": (0.0, True, "0/4"),
     }
+    # each child's minor page faults, per run and summarized beside the metrics
+    assert all(isinstance(run["minor_faults"], int) and run["minor_faults"] > 0
+               for run in document["runs"])
+    for name in ("minor_faults", "minor_faults_per_item"):
+        for side in ("parent", "change"):
+            runs = [run["minor_faults"] for run in document["runs"] if run["side"] == side]
+            assert summary[name][side]["runs"] == runs  # one attempted item a run
+            assert summary[name][side]["median"] == statistics.median(runs)

@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +303,60 @@ class TestEncoderSide:
         q, seq, masks, params = random_setup(rng)
         with pytest.raises(ValueError, match="need at least one encoder block, got 0"):
             run_encoder_side(q, seq, masks, params, heads=2, blocks=0)
+
+
+class TestKeyValueProducts:
+    """Keys and values are each one product over all M attended rows. A row
+    can get other bits in a product of another row count: with numpy 2.4.6 and
+    OpenBLAS 0.3.31 on an AVX-512 CPU, 512-row blocks changed them at d = 17-20,
+    25-28, 33-36, 41-44 and every d from 193 to 255 that is not a multiple of 8."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 256),
+        st.one_of(
+            st.integers(1, 2048),
+            st.builds(lambda k, r: 512 * k + r, st.integers(1, 3), st.integers(1, 7)),
+        ),
+        st.integers(0, 40),
+    )
+    def test_keys_and_values_have_the_bits_of_whole_products(self, seed, d, m, unattended):
+        rng = np.random.default_rng(seed)
+        n = m + unattended
+        token_masks = np.zeros((2, n), dtype=bool)
+        attended = rng.choice(n, size=m, replace=False)
+        token_masks[rng.integers(0, 2, size=m), attended] = True
+        masks = make_masks(token_masks)
+        params = AttentionParams.init_random(d, rng)
+        pair = [TokenSequence(rng.normal(size=(n, d)), rng.normal(size=(n, d)), [(1, n)])
+                for _ in range(2)]
+        kv = project_keys_values(pair[0], masks, params)
+        np.testing.assert_array_equal(kv.index, np.sort(attended))
+        for seq in pair:  # the second side is projected into the first side's arrays
+            kv = project_keys_values(seq, masks, params, out=None if seq is pair[0] else kv)
+            keys, values = oracles.whole_key_value_products(
+                seq.tokens, seq.positions, kv.index, params
+            )
+            assert kv.keys.tobytes() == keys.tobytes()
+            assert kv.values.tobytes() == values.tobytes()
+
+    def test_keys_and_values_have_the_bits_of_whole_products_at_one_blas_thread(self):
+        node = (f"tests/{Path(__file__).name}::TestKeyValueProducts::"
+                "test_keys_and_values_have_the_bits_of_whole_products")
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+            cwd=Path(__file__).resolve().parent.parent, capture_output=True, text=True,
+            timeout=300,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+
+    def test_out_projected_for_other_masks_rejected(self):
+        q, seq, masks, params = random_setup(np.random.default_rng(19))
+        kv = project_keys_values(seq, masks, params)
+        with pytest.raises(ValueError, match="out was projected for other masks"):
+            project_keys_values(seq, make_masks(masks.token_masks.copy()), params, out=kv)
 
 
 class TestTokensFromPyramid:

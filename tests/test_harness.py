@@ -198,6 +198,9 @@ class TestGenerateStream:
             small_spec(levels=((1, 1),))  # too small to carry exact stats
         with pytest.raises(ValueError):
             SyntheticDomainSpec([], [(4, 4, 4)], 5, 0)
+        message = "pyramid_shapes (--levels) must be non-empty, got []"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SyntheticDomainSpec([StyleCluster(1, 2)], [], 3, 0)
         message = "samples_per_cluster (--samples-per-cluster) must be at least 1, got 0"
         with pytest.raises(ValueError, match=re.escape(message)):
             SyntheticDomainSpec([StyleCluster(0, 0)], [(4, 4, 4)], 0, 0)
@@ -903,6 +906,14 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+BENCHMARK_OCL_LEVELS = ((64, 64), (32, 32), (16, 16), (8, 8))
+
+
+def token_matrix_bytes(d: int) -> int:
+    """Bytes of one (N, d) float64 token matrix of the ocl-gated levels."""
+    return sum(h * w for h, w in BENCHMARK_OCL_LEVELS) * d * 8
+
+
 @pytest.mark.parametrize("kept", [False, True], ids=["plain", "kept-items"])
 class TestOnePyramidPerStreamLoop:
     """Each phase takes every map out of the yielded pyramid as it reads it, so
@@ -977,12 +988,11 @@ class TestOclDemo:
                 assert coverage == 0.0
 
     def test_the_pair_shares_one_positions_array(self, monkeypatch):
-        import sa_adapt.class_query_attention as cqa
-
         made, encoded = [], []
-        real_positions, real_run = cqa.sine_positions, harness_mod.run_encoder_side
+        real_positions, real_run = harness_mod.sine_positions, harness_mod.run_encoder_side
         monkeypatch.setattr(
-            cqa, "sine_positions", lambda *args: made.append(real_positions(*args)) or made[-1]
+            harness_mod, "sine_positions",
+            lambda *args: made.append(real_positions(*args)) or made[-1],
         )
         monkeypatch.setattr(
             harness_mod, "run_encoder_side",
@@ -1012,25 +1022,24 @@ class TestOclDemo:
             assert seq.level_shapes == want.level_shapes
         assert rng.bit_generator.state == reference.bit_generator.state
 
-    def test_a_benchmark_size_pair_holds_at_most_seven_token_matrices(self):
+    def test_a_benchmark_size_pair_holds_at_most_six_and_a_quarter_token_matrices(self):
         # the ocl-gated shape: N = 5,440 tokens of d = 256. This run peaks at
-        # ~6.0 (N, d) float64 matrices; keeping the (C, H, W) pixel masks
-        # alive read ~6.5, and keeping both pyramids alive, a second attention
-        # array and two token gathers per projection as well ~8.5
-        import tracemalloc
-
+        # ~6.0 (N, d) float64 matrices while keys and values are projected: the
+        # two token sequences and their positions, the gathered tokens (alive
+        # through the key product, which stays one product over all attended
+        # rows for its bits), the values and the keys. Keeping the (C, H, W)
+        # pixel masks alive read ~6.5, and keeping both pyramids alive, a
+        # second attention array and two token gathers per projection as well ~8.5
         cfg = RunConfig(seed=11)
-        levels = ((64, 64), (32, 32), (16, 16), (8, 8))
-        token_matrix = sum(h * w for h, w in levels) * cfg.d * 8
-        tracemalloc.start()
-        try:
-            run_ocl_demo(
-                cfg, num_categories=20, image_size=(512, 512), level_shapes=levels, blocks=6
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 7 * token_matrix, peak / token_matrix
+        peak = traced_peak(run_ocl_demo, cfg, 20, (512, 512), BENCHMARK_OCL_LEVELS, 6)
+        assert peak <= 6.25 * token_matrix_bytes(cfg.d), peak / token_matrix_bytes(cfg.d)
+
+    def test_a_benchmark_size_pair_is_drawn_in_at_most_three_and_a_half_token_matrices(self):
+        # the two token sequences and their positions, plus one level's draw;
+        # drawing both pyramids as lists and then flattening them read 5.14
+        d = 256
+        peak = traced_peak(synthetic_pair, np.random.default_rng(11), d, BENCHMARK_OCL_LEVELS)
+        assert peak <= 3.5 * token_matrix_bytes(d), peak / token_matrix_bytes(d)
 
     def test_fd_agreement_below_tolerance(self):
         cfg = small_config(d=16, heads=2)

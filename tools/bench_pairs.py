@@ -23,9 +23,13 @@ output holds the setting used (``child_env``), each side's
 resolved checkout path (``checkouts``; a process's ``peak_rss_mb`` has been
 seen to depend on the directory that holds its checkout), every run (side,
 checkout, workload, seed, trace flag, return code, the ``host`` line, the
-final JSON line of ``run.py`` and, under ``printed``, the value of each ``name
-value unit`` line it printed) and, per workload, a summary of the untraced
-runs: for each end-to-end metric both sides' runs with median, quartiles and
+final JSON line of ``run.py``, under ``printed`` the value of each ``name
+value unit`` line it printed, and ``minor_faults``, the child's minor page
+faults: the ``ru_minflt`` growth of ``getrusage(RUSAGE_CHILDREN)`` across the
+run) and, per workload, a summary of the untraced runs: both sides'
+``minor_faults`` and ``minor_faults_per_item`` (over the run's attempted items;
+set-up faults included) with median, quartiles and 95th percentile, and for
+each end-to-end metric both sides' runs with median, quartiles and
 95th percentile (``statistics.quantiles``, inclusive method, which is numpy's
 linear percentile), the change/parent ratio of the medians, ``change_wins``,
 the pairs in which the change read better (ties count for neither side), the
@@ -43,6 +47,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -92,8 +97,10 @@ def run_once(checkout: Path, side: str, workload: str, seed: int, seconds: float
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     print(f"{side:6} {workload} seed {seed} trace {trace}", file=sys.stderr, flush=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False,
                           env={**os.environ, **child_env})
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.splitlines()
     host = next((json.loads(l[5:]) for l in lines if l.startswith("host ")), {})
     try:
@@ -107,7 +114,7 @@ def run_once(checkout: Path, side: str, workload: str, seed: int, seconds: float
         "side": side, "checkout": str(checkout), "workload": workload, "seed": seed,
         "seconds": seconds, "trace": trace,
         "commit": side if commit == "unknown" else commit, "host": host,
-        "returncode": proc.returncode, "result": result,
+        "returncode": proc.returncode, "result": result, "minor_faults": faults,
         "printed": {r[0]: float(r[1]) for r in records if len(r) == 3},
     }
 
@@ -133,6 +140,12 @@ def summarize(runs: list[dict], metrics: dict[str, tuple[bool, float]]) -> dict:
         if ok:
             for key, name in (("attempted", "attempted_items"), ("failed", "failed_items")):
                 summary[name] = {side: sum(by[side, s][key] for s in seeds) for side in SIDES}
+            faults = {side: [r["minor_faults"] for r in plain if r["side"] == side]
+                      for side in SIDES}
+            per_item = {side: [r["minor_faults"] / max(r["result"]["attempted"], 1)
+                               for r in plain if r["side"] == side] for side in SIDES}
+            for name, values in (("minor_faults", faults), ("minor_faults_per_item", per_item)):
+                summary[name] = {side: spread(values[side]) for side in SIDES}
             for metric, (higher, bound) in metrics.items():
                 sign = 1.0 if higher else -1.0  # the better value has the larger sign * value
                 values = {side: [by[side, s]["metrics"][metric]["value"] for s in seeds]
