@@ -33,28 +33,32 @@ class TokenSequence:
     """Multi-scale feature tokens with sine positional encodings.
 
     ``level_shapes`` holds each level's positive (h, w), in token order;
-    together they hold all N = sum(h * w) tokens.
+    together they hold all N = sum(h * w) tokens. ``positions`` is an explicit
+    (N, d) array or a :class:`SineEncoding` of the same level shapes and d.
     """
 
     tokens: np.ndarray  # (N, d)
-    positions: np.ndarray  # (N, d)
+    positions: np.ndarray | SineEncoding  # (N, d)
     level_shapes: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=DTYPE)
-        self.positions = np.asarray(self.positions, dtype=DTYPE)
+        if not isinstance(self.positions, SineEncoding):  # an encoding checks its own tables
+            self.positions = np.asarray(self.positions, dtype=DTYPE)
+            require_finite(self.positions, "positions")
         if self.tokens.shape != self.positions.shape or self.tokens.ndim != 2:
             raise ValueError(
                 f"tokens {self.tokens.shape} and positions {self.positions.shape} "
                 "must share an (N, d) shape"
             )
         require_finite(self.tokens, "tokens")
-        require_finite(self.positions, "positions")
         shapes = self.level_shapes = tuple(map(tuple, self.level_shapes))
         if not shapes or any(h < 1 or w < 1 for h, w in shapes):
             raise ValueError(f"level shapes must be non-empty and positive, got {shapes}")
         if sum(h * w for h, w in shapes) != len(self.tokens):
             raise ValueError(f"level shapes {shapes} do not hold {len(self.tokens)} tokens")
+        if isinstance(self.positions, SineEncoding) and self.positions.level_shapes != shapes:
+            raise ValueError(f"positions encode levels {self.positions.level_shapes}, not {shapes}")
 
 
 @dataclass
@@ -87,32 +91,52 @@ class AttentionParams:
         return cls(*mats)
 
 
-def sine_positions(level_shapes: list[tuple[int, int]], d: int) -> np.ndarray:
-    """Deterministic 2-D sine/cosine encodings for every level, concatenated.
+class SineEncoding:
+    """Deterministic 2-D sine/cosine encodings of a token layout, held as each
+    level's (h, d/2) row table and (w, d/2) column table, not as (N, d) rows.
 
-    Half of the d dimensions encode the row coordinate, half the column,
-    each as interleaved sin/cos over a geometric frequency ladder
-    (base 10000). Rows depend only on (h, w, level shape), never on content.
+    Half of the d dimensions encode the row coordinate, half the column, each
+    as interleaved sin/cos over a geometric frequency ladder (base 10000).
+    Rows depend only on (h, w, level shape), never on content. ``enc[index]``
+    gives the rows of the ``index`` tokens, ``np.asarray(enc)`` all N rows.
     """
-    if d % 2 != 0:
-        raise ValueError(f"encoding dim must be even, got {d}")
-    if not level_shapes:
-        raise ValueError("level_shapes must be non-empty")
-    for h, w in level_shapes:
-        if h < 1 or w < 1:
-            raise ValueError(f"invalid level shape ({h}, {w})")
-    half = d // 2
-    dim_t = 10000.0 ** (2.0 * (np.arange(half) // 2) / half)
-    out = np.empty((sum(h * w for h, w in level_shapes), d), dtype=DTYPE)
-    start = 0
-    for h, w in level_shapes:
-        ys = (np.arange(h, dtype=DTYPE) + 0.5) / h * (2.0 * math.pi)
-        xs = (np.arange(w, dtype=DTYPE) + 0.5) / w * (2.0 * math.pi)
-        grid = out[start : start + h * w].reshape(h, w, d)  # row-major: h varies slowly
-        grid[:, :, :half] = _interleaved(ys[:, None] / dim_t[None, :])[:, None, :]
-        grid[:, :, half:] = _interleaved(xs[:, None] / dim_t[None, :])[None, :, :]
-        start += h * w
-    return out
+
+    def __init__(self, level_shapes: list[tuple[int, int]], d: int):
+        if d % 2 != 0:
+            raise ValueError(f"encoding dim must be even, got {d}")
+        if not level_shapes:
+            raise ValueError("level_shapes must be non-empty")
+        for h, w in level_shapes:
+            if h < 1 or w < 1:
+                raise ValueError(f"invalid level shape ({h}, {w})")
+        shapes = self.level_shapes = tuple(map(tuple, level_shapes))
+        dim_t = 10000.0 ** (2.0 * (np.arange(d // 2) // 2) / (d // 2))
+        tables = []
+        for sides in zip(*shapes):  # every level's h rows, then its w columns
+            angles = [(np.arange(n, dtype=DTYPE) + 0.5) / n * (2.0 * math.pi) for n in sides]
+            tables.append(np.concatenate([_interleaved(a[:, None] / dim_t) for a in angles]))
+            require_finite(tables[-1], "positions")
+        self.rows, self.cols = tables
+        # each token's row of ``rows`` and of ``cols``, row-major within a level
+        starts = np.cumsum([(0, 0), *shapes], axis=0)
+        cells = [np.indices(s).reshape(2, -1) + at[:, None] for s, at in zip(shapes, starts)]
+        self._row_of, self._col_of = np.hstack(cells)
+        self.shape = (len(self._row_of), d)
+
+    def __getitem__(self, index) -> np.ndarray:
+        out = np.empty((len(index), self.shape[1]), dtype=DTYPE)
+        half = self.shape[1] // 2
+        out[:, :half] = self.rows[self._row_of[index]]
+        out[:, half:] = self.cols[self._col_of[index]]
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self[np.arange(self.shape[0])], dtype=dtype)
+
+
+def sine_positions(level_shapes: list[tuple[int, int]], d: int) -> np.ndarray:
+    """The (N, d) matrix of the :class:`SineEncoding` of ``level_shapes``."""
+    return np.asarray(SineEncoding(level_shapes, d))
 
 
 def _interleaved(angles: np.ndarray) -> np.ndarray:
@@ -141,7 +165,7 @@ def tokens_from_pyramid(pyramid: list[np.ndarray]) -> TokenSequence:
             raise ValueError(f"channel counts differ across levels: {d} vs {c}")
         flats.append(level[0].reshape(c, h * w).T)  # (H*W, d)
         shapes.append((h, w))
-    return TokenSequence(np.concatenate(flats, axis=0), sine_positions(shapes, d), shapes)
+    return TokenSequence(np.concatenate(flats, axis=0), SineEncoding(shapes, d), shapes)
 
 
 class KeyValues(NamedTuple):
@@ -227,9 +251,9 @@ def cross_attend(
     ``projections``, the :func:`project_keys_values` result for the same
     sequence, masks and parameters, with its layout if projected for this
     ``masks`` object, unchanged since); then the logits of all categories and
-    heads go through one masked softmax. It gathers the attendable logits,
-    scales, shifts and exponentiates them alone, and scatters them into a
-    zeroed array, so a masked logit is never read.
+    heads go through one masked softmax. It gathers the attendable logits and
+    scales, shifts, exponentiates and divides them alone (by dense row sums),
+    so a masked logit is never read.
     """
     q = np.asarray(queries, dtype=DTYPE)
     if q.ndim != 2:
@@ -264,7 +288,8 @@ def cross_attend(
     np.exp(lv, out=lv)
     logits.fill(0.0)
     by_head[:, attendable] = lv
-    logits /= logits.sum(axis=2, keepdims=True)  # now the attention weights
+    lv /= np.repeat(logits.sum(axis=2), counts, axis=1)  # the dense row sums
+    by_head[:, attendable] = lv  # now the attention weights; a masked one stays 0.0
 
     ctx = logits @ values.reshape(m, heads, d_head).transpose(1, 0, 2)  # (H, R, d_head)
     out[rows] += ctx.transpose(1, 0, 2).reshape(len(rows), d) @ params.w_o

@@ -26,11 +26,11 @@ import numpy as np
 
 from .class_query_attention import (
     AttentionParams,
+    SineEncoding,
     TokenSequence,
     init_class_queries,
     project_keys_values,
     run_encoder_side,
-    sine_positions,
 )
 from .config import RunConfig
 from .contrastive_alignment import (
@@ -795,7 +795,7 @@ def synthetic_pair(
 
     Draws the source levels, the style scale and shift, and then each level's
     noise, each as (d, h * w) and transposed into its rows of the (N, d) tokens.
-    The pair shares one positions array, since its levels share their shapes.
+    The pair shares one positions encoding, since its levels share their shapes.
     """
     bounds = np.cumsum([0, *(h * w for h, w in level_shapes)]).tolist()
     source, augmented = np.empty((bounds[-1], d)), np.empty((bounds[-1], d))
@@ -809,7 +809,7 @@ def synthetic_pair(
         noise = rng.normal(size=(d, hi - lo))
         noise *= 0.05
         aug += noise.T
-    positions = sine_positions(level_shapes, d)
+    positions = SineEncoding(level_shapes, d)
     return tuple(TokenSequence(t, positions, level_shapes) for t in (source, augmented))
 
 

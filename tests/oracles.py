@@ -121,10 +121,11 @@ def naive_masked_attention(queries, tokens, positions, token_masks, params, head
     return out
 
 
-def dense_masked_attention(queries, tokens, positions, token_masks, params, heads):
-    """Masked cross-attention with one dense softmax over all categories and
-    heads, masked logits set to -inf first; returns the output. The earlier
-    whole-array form of ``cross_attend``."""
+def dense_masked_softmax(queries, tokens, positions, token_masks, params, heads):
+    """The rows with an attendable token, the (H, R, M) attention weights of one
+    dense softmax over all categories and heads, masked logits set to -inf
+    first, and the (M, d) values. The earlier whole-array form of the softmax
+    of ``cross_attend``."""
     q = np.asarray(queries, dtype=float)
     d = q.shape[1]
     index = np.flatnonzero(token_masks.any(axis=0))
@@ -133,9 +134,6 @@ def dense_masked_attention(queries, tokens, positions, token_masks, params, head
     live = token_masks[:, index]
     rows = np.flatnonzero(live.any(axis=1))
     live = live[rows]
-    out = q.copy()
-    if rows.size == 0:
-        return out
     d_head, m = d // heads, len(index)
     qh = (q[rows] @ params.w_q).reshape(len(rows), heads, d_head).transpose(1, 0, 2)
     logits = qh @ keys.reshape(m, heads, d_head).transpose(1, 2, 0)
@@ -144,6 +142,19 @@ def dense_masked_attention(queries, tokens, positions, token_masks, params, head
     logits -= logits.max(axis=2, keepdims=True)
     weights = np.exp(logits, out=logits)
     weights /= weights.sum(axis=2, keepdims=True)
+    return rows, weights, values
+
+
+def dense_masked_attention(queries, tokens, positions, token_masks, params, heads):
+    """Masked cross-attention through :func:`dense_masked_softmax`; returns the
+    output. The earlier whole-array form of ``cross_attend``."""
+    q = np.asarray(queries, dtype=float)
+    out = q.copy()
+    if not token_masks.any():
+        return out
+    rows, weights, values = dense_masked_softmax(q, tokens, positions, token_masks, params, heads)
+    d = q.shape[1]
+    d_head, m = d // heads, len(values)
     ctx = weights @ values.reshape(m, heads, d_head).transpose(1, 0, 2)
     out[rows] += ctx.transpose(1, 0, 2).reshape(len(rows), d) @ params.w_o
     return out

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sa_adapt.class_query_attention import (
     AttentionParams,
+    SineEncoding,
     TokenSequence,
     cross_attend,
     init_class_queries,
@@ -87,6 +88,23 @@ class TestSinePositions:
         expected = oracles.concatenated_sine_positions(shapes, d)
         assert sine_positions(shapes, d).tobytes() == expected.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=4),
+        st.integers(1, 128).map(lambda half: 2 * half),
+        st.data(),
+    )
+    @example(shapes=[(1, 1)], d=2, data=None)
+    @example(shapes=[(5, 3), (1, 1), (2, 7)], d=256, data=None)
+    def test_encoding_rows_equal_the_concatenated_blocks(self, shapes, d, data):
+        # any index array: empty, repeated or unsorted; the examples take every row
+        expected = oracles.concatenated_sine_positions(shapes, d)
+        n = len(expected)
+        index = np.arange(n) if data is None else np.array(
+            data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n)), dtype=np.intp
+        )
+        assert SineEncoding(shapes, d)[index].tobytes() == expected[index].tobytes()
+
 
 @st.composite
 def attention_cases(draw):
@@ -142,6 +160,26 @@ class TestCrossAttend:
             q, seq.tokens, seq.positions, token_masks, params, heads
         )
         assert out.tobytes() == want.tobytes()
+
+    def test_weights_equal_the_dense_divide(self):
+        # the weighted-sum product's left operand, caught by a values view that
+        # sees the product, against the dense softmax that divides every entry
+        caught = []
+
+        class Spy(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    caught.append(np.array(inputs[0]))
+                return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+        for seed in range(20):
+            q, seq, masks, params = random_setup(np.random.default_rng(seed), c=4, d=8)
+            kv = project_keys_values(seq, masks, params)
+            cross_attend(q, seq, masks, params, 2, kv._replace(values=kv.values.view(Spy)))
+            _, want, _ = oracles.dense_masked_softmax(
+                q, seq.tokens, seq.positions, masks.token_masks, params, 2
+            )
+            assert caught.pop().tobytes() == want.tobytes()
 
     def test_masked_content_never_read(self):
         rng = np.random.default_rng(3)
@@ -372,7 +410,7 @@ class TestTokensFromPyramid:
     def test_positions_are_the_sine_encodings_of_the_levels(self):
         rng = np.random.default_rng(14)
         seq = tokens_from_pyramid([rng.normal(size=(1, 8, 4, 4)), rng.normal(size=(1, 8, 2, 2))])
-        assert seq.positions.tobytes() == sine_positions([(4, 4), (2, 2)], 8).tobytes()
+        assert np.asarray(seq.positions).tobytes() == sine_positions([(4, 4), (2, 2)], 8).tobytes()
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -386,6 +424,18 @@ class TestTokensFromPyramid:
     def test_tokens_and_positions_of_different_shapes_rejected(self):
         with pytest.raises(ValueError, match=r"must share an \(N, d\) shape"):
             TokenSequence(np.zeros((4, 2)), np.zeros((4, 3)), level_shapes=[(2, 2)])
+
+    @pytest.mark.parametrize(
+        "shapes, d, message",
+        [([(2, 8)], 4, r"positions encode levels \(\(2, 8\),\), not \(\(4, 4\),\)"),
+         ([(2, 2), (2, 6)], 4, "positions encode levels"),
+         ([(4, 4)], 6, r"tokens \(16, 4\) and positions \(16, 6\) must share an \(N, d\) shape"),
+         ([(4, 5)], 4, r"must share an \(N, d\) shape")],
+        ids=["other-level", "other-levels-same-count", "other-dim", "other-count"],
+    )
+    def test_an_encoding_of_other_levels_or_dim_rejected(self, shapes, d, message):
+        with pytest.raises(ValueError, match=message):
+            TokenSequence(np.zeros((16, 4)), SineEncoding(shapes, d), level_shapes=[(4, 4)])
 
     @pytest.mark.parametrize("n", [2, 0], ids=["two-tokens", "no-tokens"])
     def test_empty_level_shapes_rejected(self, n):
