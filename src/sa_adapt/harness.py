@@ -21,6 +21,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -578,6 +579,14 @@ def write_report(out_dir: Path, stem: str, report: Report) -> tuple[Path, Path]:
     return text_path, json_path
 
 
+class _Step(NamedTuple):
+    """``steps[level][sample]``: the bank's decision and, in tta, the pre and post distances."""
+
+    update: UpdateReport
+    pre: float | None = None
+    post: float | None = None
+
+
 # ---------------------------------------------------------------------------
 # train phase
 
@@ -609,8 +618,7 @@ def run_train_phase(
         StyleMemoryBank(capacity=config.k, alpha=config.alpha, momentum=config.momentum)
         for _ in range(levels)
     ]
-    # one step per sample and level: the bank's decision and the style vector
-    decisions: list[list[UpdateReport]] = [[] for _ in range(levels)]
+    steps: list[list[_Step]] = [[] for _ in range(levels)]
     for c, _, _ in spec.pyramid_shapes:
         _require_allocatable(stream_size * 2 * c, "the style vectors (stream x --channels)")
     points = [np.empty((stream_size, 2 * c)) for c, _, _ in spec.pyramid_shapes]
@@ -627,50 +635,44 @@ def run_train_phase(
                 chunk = buf[: j + 1]
             if j + 1 == chunks[li] or i + 1 == stream_size:
                 stats = compute_stats(chunk, config.epsilon, out=points[li][i - j : i + 1])
-                decisions[li].extend(banks[li].observe(s) for s in stats)
+                steps[li].extend(_Step(banks[li].observe(s)) for s in stats)
         del chunk
 
+    report = _train_report(config, steps, points, banks)
+    if out_dir is not None:
+        write_report(Path(out_dir), "train", report)  # makes the directory
+        for li, bank in enumerate(banks):
+            (Path(out_dir) / BANK_FILE_PATTERN.format(level=li)).write_bytes(bank.save())
+    return banks, report
+
+
+def _train_report(
+    config: RunConfig, steps: list[list[_Step]],
+    points: list[np.ndarray], banks: list[StyleMemoryBank],
+) -> Report:
+    """The train report: the steps, and each level's k-means of ``points`` matched to its bank."""
     report = Report()
-    report.add("train.samples", stream_size, "count")
-    report.add("train.levels", levels, "count")
+    report.add("train.samples", len(steps[0]), "count")
+    report.add("train.levels", len(steps), "count")
     report.add("train.capacity", config.k, "count")
+    taus = [[step.update.tau for step in level] for level in steps]
     center_distances = []
-    for li, level_points in enumerate(points):
-        centers, assign, inertia = offline_kmeans(
-            level_points, config.k, restarts=50, seed=config.seed
-        )
-        prot = banks[li].vectors()
-        matched, dists = match_to_centers(prot, centers)
-        spreads = []
-        for j in range(config.k):
-            members = level_points[assign == j]  # none when k-means drew equal points as centers
-            spread = sq_distances(members, centers[j : j + 1]).mean() if len(members) else 0.0
-            spreads.append(float(spread))
+    for li, (vectors, bank) in enumerate(zip(points, banks)):
+        centers, assign, inertia = offline_kmeans(vectors, config.k, restarts=50, seed=config.seed)
+        matched, dists = match_to_centers(bank.vectors(), centers)
         center_distances.append(dists)
-        taus = [rep.tau for rep in decisions[li] if rep.tau is not None]
-        evictions = sum(rep.action == "replace" for rep in decisions[li])
+        level_taus = [tau for tau in taus[li] if tau is not None] or [0.0]
+        evictions = sum(step.update.action == "replace" for step in steps[li])
         report.add(f"train.level{li}.evictions", evictions, "count")
         report.add(f"train.level{li}.kmeans_inertia", inertia, "dist2")
-        report.add(
-            f"train.level{li}.tau_mean",
-            float(np.mean(taus)) if taus else 0.0,
-            "dist2",
-        )
-        for j, (center_idx, dist) in enumerate(zip(matched, dists)):
+        report.add(f"train.level{li}.tau_mean", float(np.mean(level_taus)), "dist2")
+        for j, (c, dist) in enumerate(zip(matched, dists)):
+            members = vectors[assign == c]  # none when k-means drew equal points as centers
+            spread = sq_distances(members, centers[c : c + 1]).mean() if len(members) else 0.0
             report.add(f"train.level{li}.proto{j}.center_distance", dist, "dist2")
-            report.add(
-                f"train.level{li}.proto{j}.cluster_spread", spreads[center_idx], "dist2"
-            )
-    report.extra["tau_trajectory"] = [[rep.tau for rep in level] for level in decisions]
-    report.extra["center_distances"] = center_distances
-
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for li, bank in enumerate(banks):
-            (out_dir / BANK_FILE_PATTERN.format(level=li)).write_bytes(bank.save())
-        write_report(out_dir, "train", report)
-    return banks, report
+            report.add(f"train.level{li}.proto{j}.cluster_spread", spread, "dist2")
+    report.extra.update(tau_trajectory=taus, center_distances=center_distances)
+    return report
 
 
 def load_banks(bank_dir: str | Path, levels: int) -> list[StyleMemoryBank]:
@@ -712,13 +714,9 @@ def run_tta_phase(
     for bank in banks:
         bank.mode = "tta"
     counts_before = [len(b) for b in banks]
-    levels = len(banks)
     observe_first = config.tta_order == "observe-first"
-    # one (decision, pre distance, post distance) step per sample and level
-    steps: list[list[tuple[UpdateReport, float, float]]] = [[] for _ in range(levels)]
-    samples = 0
+    steps: list[list[_Step]] = [[] for _ in banks]
     for pyramid, _ in generate_stream(spec):
-        samples += 1
         for li, bank in enumerate(banks):
             fmap, pyramid[li] = pyramid[li], None  # the map dies once read
             s = compute_stats(fmap, config.epsilon)[0]
@@ -731,31 +729,34 @@ def run_tta_phase(
             if not observe_first:
                 decision = bank.observe(s)
             post = float(np.min(bank.distances(result.rectified_stats)))
-            steps[li].append((decision, float(np.min(result.distances)), post))
+            steps[li].append(_Step(decision, float(np.min(result.distances)), post))
         del fmap
 
-    report = Report()
-    report.add("tta.samples", samples, "count")
-    report.add("tta.levels", levels, "count")
-    for li, level_steps in enumerate(steps):
-        decisions, pres, posts = zip(*level_steps)
-        report.add(
-            f"tta.level{li}.prototype_count_change",
-            len(banks[li]) - counts_before[li],
-            "count",
-        )
-        report.add(f"tta.level{li}.pre_distance_mean", float(np.mean(pres)), "dist2")
-        report.add(f"tta.level{li}.post_distance_mean", float(np.mean(posts)), "dist2")
-        report.add(f"tta.level{li}.dmin_first", decisions[0].d_min, "dist2")
-        report.add(f"tta.level{li}.dmin_last", decisions[-1].d_min, "dist2")
-    report.extra["dmin_trajectory"] = [[rep.d_min for rep, _, _ in level] for level in steps]
-    report.extra["pre_distance"] = [[d for _, d, _ in level] for level in steps]
-    report.extra["post_distance"] = [[d for _, _, d in level] for level in steps]
-    # samples are consumed in generation order; recorded for reproducibility
-    report.extra["stream_order"] = "generation"
-    report.extra["tta_order"] = config.tta_order
+    report = _tta_report(config, steps, [len(b) - n for b, n in zip(banks, counts_before)])
     if out_dir is not None:
         write_report(Path(out_dir), "tta", report)
+    return report
+
+
+def _tta_report(config: RunConfig, steps: list[list[_Step]], count_changes: list[int]) -> Report:
+    """The tta report from the stream's steps and each bank's prototype-count change."""
+    dmins = [[step.update.d_min for step in level] for level in steps]
+    pres = [[step.pre for step in level] for level in steps]
+    posts = [[step.post for step in level] for level in steps]
+    report = Report()
+    report.add("tta.samples", len(steps[0]), "count")
+    report.add("tta.levels", len(steps), "count")
+    for li, change in enumerate(count_changes):
+        report.add(f"tta.level{li}.prototype_count_change", change, "count")
+        report.add(f"tta.level{li}.pre_distance_mean", float(np.mean(pres[li])), "dist2")
+        report.add(f"tta.level{li}.post_distance_mean", float(np.mean(posts[li])), "dist2")
+        report.add(f"tta.level{li}.dmin_first", dmins[li][0], "dist2")
+        report.add(f"tta.level{li}.dmin_last", dmins[li][-1], "dist2")
+    # samples are consumed in generation order; recorded for reproducibility
+    report.extra.update(
+        dmin_trajectory=dmins, pre_distance=pres, post_distance=posts,
+        stream_order="generation", tta_order=config.tta_order,
+    )
     return report
 
 

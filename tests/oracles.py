@@ -483,17 +483,14 @@ class ReferenceBank:
         return blob
 
 
-def per_sample_train(config, spec):
-    """The train phase one sample and level at a time, as it ran before the
+def per_sample_train_steps(config, spec):
+    """The train stream one sample and level at a time, as it ran before the
     stream was taken in chunks: one ``compute_stats`` call per map and one
-    ``style_vector`` per step. Returns (banks, report), the reference for
-    ``harness.run_train_phase`` (which also writes the files)."""
-    from sa_adapt.harness import (
-        Report, StyleMemoryBank, compute_stats, generate_stream, match_to_centers,
-    )
-    from sa_adapt.style_statistics import sq_distances, style_vector
+    ``style_vector`` per step. Returns (banks, steps), with ``steps[level][sample]``
+    the (UpdateReport, style vector) of that observation."""
+    from sa_adapt.harness import StyleMemoryBank, compute_stats, generate_stream
+    from sa_adapt.style_statistics import style_vector
 
-    stream_size = len(spec.style_clusters) * spec.samples_per_cluster
     levels = len(spec.pyramid_shapes)
     banks = [
         StyleMemoryBank(capacity=config.k, alpha=config.alpha, momentum=config.momentum)
@@ -504,6 +501,19 @@ def per_sample_train(config, spec):
         for li, fmap in enumerate(pyramid):
             s = compute_stats(fmap, config.epsilon)[0]
             steps[li].append((banks[li].observe(s), style_vector(s)))
+    return banks, steps
+
+
+def per_sample_train(config, spec):
+    """The train phase over ``per_sample_train_steps``, with the pre-lockstep
+    k-means (``sequential_kmeans``). Returns (banks, report), the reference for
+    ``harness.run_train_phase`` (which also writes the files)."""
+    from sa_adapt.harness import Report, match_to_centers
+    from sa_adapt.style_statistics import sq_distances
+
+    stream_size = len(spec.style_clusters) * spec.samples_per_cluster
+    levels = len(spec.pyramid_shapes)
+    banks, steps = per_sample_train_steps(config, spec)
 
     report = Report()
     report.add("train.samples", stream_size, "count")
@@ -538,6 +548,32 @@ def per_sample_train(config, spec):
     report.extra["tau_trajectory"] = [[rep.tau for rep, _ in level] for level in steps]
     report.extra["center_distances"] = center_distances
     return banks, report
+
+
+def per_sample_tta(config, banks, spec):
+    """The tta stream one sample and level at a time, each projection building
+    its map and its output statistics measured again from it; switches
+    ``banks`` to tta mode. Returns ``steps[level][sample]``, the (UpdateReport,
+    pre, post) of that sample: the input's nearest-prototype distance to the
+    bank the projection used and the output's to the bank after the update."""
+    from sa_adapt.harness import compute_stats, generate_stream
+    from sa_adapt.style_projection import project
+
+    for bank in banks:
+        bank.mode = "tta"
+    steps = [[] for _ in banks]
+    for pyramid, _ in generate_stream(spec):
+        for li, (bank, fmap) in enumerate(zip(banks, pyramid)):
+            s = compute_stats(fmap, config.epsilon)[0]
+            if config.tta_order == "observe-first":
+                update = bank.observe(s)
+            pre = float(np.min(bank.distances(s)))
+            (result,) = project(bank, fmap, config.softmax_temperature, [s], config.epsilon)
+            if config.tta_order == "project-first":
+                update = bank.observe(s)
+            post = float(np.min(bank.distances(rectified_stats(result))))
+            steps[li].append((update, pre, post))
+    return steps
 
 
 def parse_report(text):

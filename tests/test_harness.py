@@ -784,6 +784,44 @@ class TestTrainChunks:
         assert not any(tmp_path.iterdir())
 
 
+class TestStepRecords:
+    """Each phase's report is built from its step list alone, plus what the phase
+    takes after the stream: for train each level's style vectors and final bank,
+    for tta each bank's prototype-count change. The steps here come from the
+    oracles' per-sample loops."""
+
+    # (clusters, samples per cluster, k, alpha): a stream whose banks only fuse
+    # after bootstrap, a churned one (low alpha: replaces) and a one-sample stream
+    STREAMS = [(3, 5, 3, 1.5), (4, 6, 2, 0.05), (1, 1, 1, 0.7)]
+
+    @pytest.mark.parametrize("clusters, samples, k, alpha", STREAMS)
+    def test_train_report_from_the_per_sample_steps(self, clusters, samples, k, alpha):
+        config = RunConfig(k=k, alpha=alpha, seed=4)
+        spec = stream_spec(4, clusters, samples, 3, [(4, 3), (2, 2)], spread=0.8)
+        banks, steps = oracles.per_sample_train_steps(config, spec)
+        records = [[harness_mod._Step(update) for update, _ in level] for level in steps]
+        points = [np.stack([vector for _, vector in level]) for level in steps]
+        rebuilt = harness_mod._train_report(config, records, points, banks)
+        assert report_key(rebuilt) == report_key(run_train_phase(config, spec)[1])
+        replaces = sum(u.action == "replace" for level in steps for u, _ in level)
+        assert (replaces > 0) == (alpha < 0.1)
+
+    @pytest.mark.parametrize("clusters, samples, k, alpha", STREAMS)
+    @pytest.mark.parametrize("order", TTA_ORDERS)
+    def test_tta_report_from_the_per_sample_steps(self, order, clusters, samples, k, alpha):
+        config = RunConfig(k=k, alpha=alpha, seed=4, tta_order=order)
+        trained, _ = run_train_phase(config, stream_spec(4, clusters, samples, 3, [(4, 3), (2, 2)]))
+        saved = [bank.save() for bank in trained]
+        spec = stream_spec(9, clusters, samples, 3, [(4, 3), (2, 2)], spread=0.8)
+        report = run_tta_phase(config, [load(blob) for blob in saved], spec)
+        banks = [load(blob) for blob in saved]
+        steps = oracles.per_sample_tta(config, banks, spec)
+        records = [[harness_mod._Step(*step) for step in level] for level in steps]
+        changes = [len(bank) - len(load(blob)) for bank, blob in zip(banks, saved)]
+        rebuilt = harness_mod._tta_report(config, records, changes)
+        assert report_key(rebuilt) == report_key(report)
+
+
 class TestTtaPhase:
     def test_known_style_projects_to_zero_distance_immediately(self, tmp_path):
         cfg = small_config()
