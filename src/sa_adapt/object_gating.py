@@ -24,6 +24,7 @@ whitespace-separated, ``#`` starts a comment line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,15 +91,13 @@ def build_masks(
         raise ValueError("num_categories must be >= 1")
     masks = np.zeros((num_categories, h, w), dtype=bool)
     present = np.zeros(num_categories, dtype=bool)
-    xs = np.arange(w, dtype=float)
-    ys = np.arange(h, dtype=float)
     for (x_min, y_min, x_max, y_max), cat in zip(ann.boxes, ann.categories):
         if not 0 <= cat < num_categories:
             raise ValueError(f"category id {cat} out of range [0, {num_categories})")
         present[cat] = True
-        col = (xs >= x_min) & (xs <= x_max)
-        row = (ys >= y_min) & (ys <= y_max)
-        masks[cat] |= row[:, None] & col[None, :]
+        rows = slice(max(0, math.ceil(y_min)), max(0, math.floor(y_max) + 1))
+        cols = slice(max(0, math.ceil(x_min)), max(0, math.floor(x_max) + 1))
+        masks[cat, rows, cols] = True
     return PixelMaskSet(per_category=masks, present=present)
 
 

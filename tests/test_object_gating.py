@@ -47,6 +47,31 @@ class TestBuildMasks:
             )
             np.testing.assert_array_equal(ms.per_category, expected)
 
+    # fractional, negative and out-of-image coordinates, signed zeros and huge values
+    coordinate = st.floats(-3, 12) | st.sampled_from([0.0, -0.0, 1e300, -1e300])
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        image_size=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        num_categories=st.integers(1, 3),
+        boxes=st.lists(st.tuples(coordinate, coordinate, coordinate, coordinate,
+                                 st.integers(0, 2)), max_size=6),
+    )
+    @example(image_size=(3, 4), num_categories=2,
+             boxes=[(-0.0, 0.0, -0.0, 0.0, 0), (-1e300, 2.5, 1e300, 1e300, 1)])
+    def test_box_slices_match_point_in_box_oracle(self, image_size, num_categories, boxes):
+        ann = Annotation(
+            boxes=[(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+                   for x0, y0, x1, y1, _ in boxes],
+            categories=[cat % num_categories for *_, cat in boxes],
+        )
+        ms = build_masks(ann, image_size, num_categories)
+        expected = oracles.masks_point_in_box(
+            ann.boxes, ann.categories, image_size, num_categories
+        )
+        np.testing.assert_array_equal(ms.per_category, expected)
+        np.testing.assert_array_equal(ms.present, np.isin(np.arange(num_categories), ann.categories))
+
     def test_fractional_corner_pixels_by_center(self):
         # box (0.3, 0.2, 1.7, 2.2): pixels with integer coordinate inside
         ann = Annotation(boxes=[(0.3, 0.2, 1.7, 2.2)], categories=[0])
