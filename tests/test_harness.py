@@ -793,11 +793,12 @@ class TestStepRecords:
     # (clusters, samples per cluster, k, alpha): a stream whose banks only fuse
     # after bootstrap, a churned one (low alpha: replaces) and a one-sample stream
     STREAMS = [(3, 5, 3, 1.5), (4, 6, 2, 0.05), (1, 1, 1, 0.7)]
+    LEVELS = [(4, 3), (2, 2)]
 
     @pytest.mark.parametrize("clusters, samples, k, alpha", STREAMS)
     def test_train_report_from_the_per_sample_steps(self, clusters, samples, k, alpha):
         config = RunConfig(k=k, alpha=alpha, seed=4)
-        spec = stream_spec(4, clusters, samples, 3, [(4, 3), (2, 2)], spread=0.8)
+        spec = stream_spec(4, clusters, samples, 3, self.LEVELS, spread=0.8)
         banks, steps = oracles.per_sample_train_steps(config, spec)
         records = [[harness_mod._Step(update) for update, _ in level] for level in steps]
         points = [np.stack([vector for _, vector in level]) for level in steps]
@@ -810,9 +811,9 @@ class TestStepRecords:
     @pytest.mark.parametrize("order", TTA_ORDERS)
     def test_tta_report_from_the_per_sample_steps(self, order, clusters, samples, k, alpha):
         config = RunConfig(k=k, alpha=alpha, seed=4, tta_order=order)
-        trained, _ = run_train_phase(config, stream_spec(4, clusters, samples, 3, [(4, 3), (2, 2)]))
+        trained, _ = run_train_phase(config, stream_spec(4, clusters, samples, 3, self.LEVELS))
         saved = [bank.save() for bank in trained]
-        spec = stream_spec(9, clusters, samples, 3, [(4, 3), (2, 2)], spread=0.8)
+        spec = stream_spec(9, clusters, samples, 3, self.LEVELS, spread=0.8)
         report = run_tta_phase(config, [load(blob) for blob in saved], spec)
         banks = [load(blob) for blob in saved]
         steps = oracles.per_sample_tta(config, banks, spec)

@@ -70,7 +70,8 @@ class TestBuildMasks:
             ann.boxes, ann.categories, image_size, num_categories
         )
         np.testing.assert_array_equal(ms.per_category, expected)
-        np.testing.assert_array_equal(ms.present, np.isin(np.arange(num_categories), ann.categories))
+        present = np.isin(np.arange(num_categories), ann.categories)
+        np.testing.assert_array_equal(ms.present, present)
 
     def test_fractional_corner_pixels_by_center(self):
         # box (0.3, 0.2, 1.7, 2.2): pixels with integer coordinate inside

@@ -29,10 +29,15 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
-from numpy._core import _multiarray_umath as umath
+
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x, whose digests would not match anyway
+    from numpy.core import _multiarray_umath as umath
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
@@ -46,25 +51,24 @@ UP_TO_AVX2 = {
 }
 
 
-def numeric_environment() -> dict:
-    """numpy's version and its BLAS build, as the digests record them."""
+def blas_build() -> str:
+    """numpy's BLAS library and its build configuration."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {
-        "numpy": np.__version__,
-        "blas": f"{blas['name']} {blas.get('openblas configuration', blas.get('version'))}",
-    }
+    return f"{blas['name']} {blas.get('openblas configuration', blas.get('version'))}"
 
 
 def unpinnable(recorded: dict) -> str | None:
-    """Why this host cannot reproduce digests recorded in ``recorded``, or None."""
+    """Why this host cannot reproduce digests made in the ``recorded``
+    environment ({"numpy": version, "blas": build}), or None."""
     if platform.machine().lower() not in ("x86_64", "amd64"):
         return f"the digests need an x86-64 host; this one is {platform.machine()}"
     if not umath.__cpu_features__.get("AVX2"):
         return "the digests need AVX2, which this CPU lacks"
-    here = numeric_environment()
-    for key, value in recorded.items():
-        if here.get(key) != value:
-            return f"the digests were made with {key} {value!r}; this host has {here.get(key)!r}"
+    made = "the digests were made with"
+    if np.__version__ != recorded["numpy"]:
+        return f"{made} numpy {recorded['numpy']}; this host has {np.__version__}"
+    if blas_build() != recorded["blas"]:
+        return f"{made} BLAS {recorded['blas']!r}; this host has {blas_build()!r}"
     return None
 
 
@@ -112,24 +116,24 @@ def run_examples(work: Path) -> dict[str, str]:
 
 def changed_files(recorded: dict[str, str], found: dict[str, str]) -> list[str]:
     """Each file whose digest differs, or that only one side has, labelled."""
-    return [
-        f"{name} ({'missing' if name not in found else 'new' if name not in recorded else 'changed'})"
-        for name in sorted(recorded.keys() | found.keys())
-        if recorded.get(name) != found.get(name)
-    ]
+    changed = []
+    for name in sorted(recorded.keys() | found.keys()):
+        if recorded.get(name) != found.get(name):
+            state = "missing" if name not in found else "new" if name not in recorded else "changed"
+            changed.append(f"{name} ({state})")
+    return changed
 
 
 def main() -> int:
-    import tempfile
-
-    reason = unpinnable({})
+    environment = {"numpy": np.__version__, "blas": blas_build()}
+    reason = unpinnable(environment)
     if reason:
         print(f"golden: {reason}", file=sys.stderr)
         return 1
     with tempfile.TemporaryDirectory() as work:
         files = run_examples(Path(work))
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"environment": numeric_environment(), "pinned": PINNED, "files": files}
+    payload = {"environment": environment, "pinned": PINNED, "files": files}
     GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"golden: {len(files)} digests written to {GOLDEN.relative_to(ROOT)}")
     return 0
