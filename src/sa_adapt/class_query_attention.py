@@ -182,13 +182,23 @@ class KeyValues(NamedTuple):
 
 
 def project_keys_values(
-    seq: TokenSequence, masks: GatingMaskSet, params: AttentionParams, out: KeyValues | None = None
+    seq: TokenSequence,
+    masks: GatingMaskSet,
+    params: AttentionParams,
+    out: KeyValues | None = None,
+    *,
+    consume: bool = False,
 ) -> KeyValues:
     """Project keys (token + position) and values (token) once for all categories.
 
     Only tokens attended by at least one category are read. ``out``, a result
     of this function for the same ``masks`` (the other sequence of a pair),
     lends its index, layout and arrays; its keys and values are overwritten.
+    By default the attended tokens are gathered into a new (M, d) array. With
+    ``consume``, they are moved to the first M rows of ``seq.tokens`` instead
+    and projected there, with the same bits: ``seq`` is spent, and only
+    :func:`cross_attend` and :func:`run_encoder_side` with ``seq=None`` may
+    follow.
     """
     token_masks = _token_masks(masks, seq)
     if out is None:
@@ -198,7 +208,12 @@ def project_keys_values(
     elif out.masks is not masks:
         raise ValueError("out was projected for other masks")
     index = out.index
-    attended = seq.tokens[index]
+    if consume:  # row i takes row index[i] >= i, so no row is read after it is written
+        for rows in _channel_blocks(len(index), seq.tokens.shape[1]):
+            seq.tokens[rows] = seq.tokens[index[rows]]
+        attended = seq.tokens[: len(index)]
+    else:
+        attended = seq.tokens[index]
     np.matmul(attended, params.w_v, out=out.values)
     for rows in _channel_blocks(len(index), attended.shape[1]):  # no (M, d) gather of positions
         attended[rows] += seq.positions[index[rows]]
@@ -235,9 +250,17 @@ def _token_masks(masks: GatingMaskSet, seq: TokenSequence) -> np.ndarray:
     return masks.token_masks
 
 
+def _require_own_projections(masks: GatingMaskSet, projections: KeyValues | None) -> None:
+    """Without a sequence, keys, values and layout all come from ``projections``."""
+    if projections is None:
+        raise ValueError("seq=None needs projections")
+    if projections.masks is not masks:
+        raise ValueError("seq=None needs projections made for these masks, not for other masks")
+
+
 def cross_attend(
     queries: np.ndarray,
-    seq: TokenSequence,
+    seq: TokenSequence | None,
     masks: GatingMaskSet,
     params: AttentionParams,
     heads: int,
@@ -253,8 +276,11 @@ def cross_attend(
     ``masks`` object, unchanged since); then the logits of all categories and
     heads go through one masked softmax. It gathers the attendable logits and
     scales, shifts, exponentiates and divides them alone (by dense row sums),
-    so a masked logit is never read.
+    so a masked logit is never read. ``seq`` may be None (a sequence spent by
+    ``consume``) only with ``projections`` made for this ``masks`` object.
     """
+    if seq is None:
+        _require_own_projections(masks, projections)
     q = np.asarray(queries, dtype=DTYPE)
     if q.ndim != 2:
         raise ValueError(f"queries must be (C, d), got {q.shape}")
@@ -263,7 +289,7 @@ def cross_attend(
         raise ValueError(f"query dim {d} does not match parameter dim {params.dim}")
     if heads < 1 or d % heads != 0:
         raise ValueError(f"heads={heads} must divide d={d}")
-    token_masks = _token_masks(masks, seq)
+    token_masks = masks.token_masks if seq is None else _token_masks(masks, seq)
     if token_masks.shape[0] != c_count:
         raise ValueError(f"token masks {token_masks.shape} do not match {c_count} categories")
     if projections is None:
@@ -298,7 +324,7 @@ def cross_attend(
 
 def run_encoder_side(
     q0: np.ndarray,
-    seq: TokenSequence,
+    seq: TokenSequence | None,
     masks: GatingMaskSet,
     params: AttentionParams,
     heads: int,
@@ -308,8 +334,10 @@ def run_encoder_side(
     """Apply cross_attend ``blocks`` times over ``seq``, carrying queries across.
 
     All blocks share ``params``, so keys and values are projected once (or
-    taken from ``projections``, as in :func:`cross_attend`).
+    taken from ``projections``, as in :func:`cross_attend`, also for ``seq=None``).
     """
+    if seq is None:
+        _require_own_projections(masks, projections)
     if blocks < 1:
         raise ValueError(f"need at least one encoder block, got {blocks}")
     kv = project_keys_values(seq, masks, params) if projections is None else projections

@@ -874,10 +874,14 @@ def run_ocl_demo(
     seq_src, seq_aug = synthetic_pair(rng, config.d, level_shapes)
     params = AttentionParams.init_random(config.d, rng)
     q0 = init_class_queries(num_categories, config.d, rng)
-    kv = project_keys_values(seq_src, mask_set, params)
-    q_source = run_encoder_side(q0, seq_src, mask_set, params, config.heads, blocks, kv)
-    kv = project_keys_values(seq_aug, mask_set, params, out=kv)  # into the source side's arrays
-    q_augmented = run_encoder_side(q0, seq_aug, mask_set, params, config.heads, blocks, kv)
+    # each side's projection spends its tokens, which die before its attention;
+    # the augmented side projects into the source side's arrays
+    kv = project_keys_values(seq_src, mask_set, params, consume=True)
+    del seq_src
+    q_source = run_encoder_side(q0, None, mask_set, params, config.heads, blocks, kv)
+    kv = project_keys_values(seq_aug, mask_set, params, out=kv, consume=True)
+    del seq_aug
+    q_augmented = run_encoder_side(q0, None, mask_set, params, config.heads, blocks, kv)
 
     batch = ContrastiveBatch(q_source, q_augmented, mask_set.present)
     loss_rep = contrastive_loss(batch)

@@ -21,6 +21,7 @@ from sa_adapt.class_query_attention import (
     tokens_from_pyramid,
 )
 from sa_adapt.object_gating import Annotation, GatingMaskSet, align_to_tokens, build_masks
+from sa_adapt.tensor_core import _channel_blocks
 import sa_adapt.class_query_attention as cqa_mod
 
 import oracles
@@ -343,6 +344,49 @@ class TestEncoderSide:
             run_encoder_side(q, seq, masks, params, heads=2, blocks=0)
 
 
+class TestSpentSequence:
+    """``seq=None`` stands for a sequence spent by ``consume``: keys, values and
+    layout then come from projections made for the same masks object."""
+
+    def test_projections_of_a_spent_sequence_give_the_same_queries(self):
+        q, seq, masks, params = random_setup(np.random.default_rng(20))
+        want_step = cross_attend(q, seq, masks, params, heads=2)
+        want = run_encoder_side(q, seq, masks, params, heads=2, blocks=3)
+        kv = project_keys_values(seq, masks, params, consume=True)
+        step = cross_attend(q, None, masks, params, heads=2, projections=kv)
+        got = run_encoder_side(q, None, masks, params, heads=2, blocks=3, projections=kv)
+        assert step.tobytes() == want_step.tobytes()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("attend", ["cross_attend", "run_encoder_side"])
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("none", "seq=None needs projections$"),
+            ("other", "seq=None needs projections made for these masks, not for other masks"),
+        ],
+        ids=["no-projections", "other-masks"],
+    )
+    def test_without_own_projections_rejected_before_any_work(
+        self, monkeypatch, attend, case, message
+    ):
+        q, seq, masks, params = random_setup(np.random.default_rng(21))
+        kv = None if case == "none" else project_keys_values(
+            seq, make_masks(masks.token_masks.copy()), params
+        )
+        fn, blocks = getattr(cqa_mod, attend), {"run_encoder_side": (1,)}.get(attend, ())
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran")
+
+        for name in ("project_keys_values", "_layout", "_token_masks", "cross_attend"):
+            monkeypatch.setattr(cqa_mod, name, no_work)
+        # 1-D queries would be rejected too, but only after this check
+        with pytest.raises(ValueError, match=message) as raised:
+            fn(q[0], None, masks, params, 2, *blocks, kv)
+        assert "\n" not in str(raised.value)
+
+
 class TestKeyValueProducts:
     """Keys and values are each one product over all M attended rows. A row
     can get other bits in a product of another row count: with numpy 2.4.6 and
@@ -389,6 +433,40 @@ class TestKeyValueProducts:
             env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
         )
         assert result.returncode == 0, result.stdout + result.stderr
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.integers(2, 256), st.integers(17, 20), st.integers(193, 255)),
+        st.integers(0, 2),
+        st.integers(1, 64),
+        st.one_of(st.just(0), st.integers(0, 64), st.integers(0, 2**16)),
+    )
+    @example(seed=1, d=193, n_blocks=2, extra=7, missing=0)  # the identity over three blocks
+    @example(seed=2, d=20, n_blocks=1, extra=9, missing=5)  # M = N - 5 crosses a block boundary
+    @example(seed=3, d=2, n_blocks=0, extra=1, missing=0)  # M = N = 1
+    def test_consumed_tokens_give_the_bits_of_the_gathered_ones(
+        self, seed, d, n_blocks, extra, missing
+    ):
+        # N spans n_blocks whole row blocks of the move and ``extra`` rows; M = N - missing % N
+        rng = np.random.default_rng(seed)
+        n = n_blocks * _channel_blocks(1 << 16, d)[0].stop + extra  # a block holds < 2**16 rows
+        m = n - missing % n
+        token_masks = np.zeros((2, n), dtype=bool)
+        token_masks[rng.integers(0, 2, size=m), rng.choice(n, size=m, replace=False)] = True
+        masks = make_masks(token_masks)
+        params = AttentionParams.init_random(d, rng)
+        positions = rng.normal(size=(n, d))
+        gathered = consumed = None
+        for tokens in (rng.normal(size=(n, d)) for _ in range(2)):
+            # the second side is projected into the first side's arrays
+            seq = TokenSequence(tokens, positions, [(1, n)])
+            gathered = project_keys_values(seq, masks, params, out=gathered)
+            assert seq.tokens.tobytes() == tokens.tobytes()  # the default path reads only
+            spent = TokenSequence(tokens.copy(), positions, [(1, n)])
+            consumed = project_keys_values(spent, masks, params, out=consumed, consume=True)
+            assert consumed.keys.tobytes() == gathered.keys.tobytes()
+            assert consumed.values.tobytes() == gathered.values.tobytes()
 
     def test_out_projected_for_other_masks_rejected(self):
         q, seq, masks, params = random_setup(np.random.default_rng(19))
