@@ -8,11 +8,12 @@ both over synthetic multi-domain streams.
 
 from .class_query_attention import (
     AttentionParams,
+    KeyValues,
     TokenSequence,
     cross_attend,
     init_class_queries,
+    project_keys_values,
     run_encoder_side,
-    sine_positions,
     tokens_from_pyramid,
 )
 from .config import RunConfig
@@ -48,6 +49,7 @@ __all__ = [
     "EPSILON",
     "FormatError",
     "GatingMaskSet",
+    "KeyValues",
     "LossReport",
     "PixelMaskSet",
     "ProjectionResult",
@@ -66,8 +68,8 @@ __all__ = [
     "load",
     "parse_annotations",
     "project",
+    "project_keys_values",
     "run_encoder_side",
-    "sine_positions",
     "softmax",
     "style_distance",
     "tokens_from_pyramid",

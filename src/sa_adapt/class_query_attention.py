@@ -8,12 +8,12 @@ content alone, and the update is residual,
     Q_out = Q + MultiHead(query=Q, key=T + P, value=T, mask per category).
 
 Masks and tokens must have equal (h, w) level shapes. Keys and values are
-projected once per token sequence, and only for the tokens that some
-category attends; the logits of all categories and heads then go through
-one masked softmax, in which masked positions get weight exactly 0. A
-category with no attendable tokens passes through unchanged (bit for
-bit). Queries are plain (C, d) float arrays; projection parameters are
-four bias-free d x d matrices.
+projected once per token sequence, only for the tokens that some category
+attends, and the projection spends the sequence; the logits of all
+categories and heads then go through one masked softmax, in which masked
+positions get weight exactly 0. A category with no attendable tokens
+passes through unchanged (bit for bit). Queries are plain (C, d) float
+arrays; projection parameters are four bias-free d x d matrices.
 """
 
 from __future__ import annotations
@@ -35,9 +35,11 @@ class TokenSequence:
     ``level_shapes`` holds each level's positive (h, w), in token order;
     together they hold all N = sum(h * w) tokens. ``positions`` is an explicit
     (N, d) array or a :class:`SineEncoding` of the same level shapes and d.
+    A float64 ``tokens`` array is held, not copied, and :func:`project_keys_values`
+    moves its rows and then sets ``tokens`` to None.
     """
 
-    tokens: np.ndarray  # (N, d)
+    tokens: np.ndarray | None  # (N, d), None once projected
     positions: np.ndarray | SineEncoding  # (N, d)
     level_shapes: tuple[tuple[int, int], ...]
 
@@ -134,11 +136,6 @@ class SineEncoding:
         return np.asarray(self[np.arange(self.shape[0])], dtype=dtype)
 
 
-def sine_positions(level_shapes: list[tuple[int, int]], d: int) -> np.ndarray:
-    """The (N, d) matrix of the :class:`SineEncoding` of ``level_shapes``."""
-    return np.asarray(SineEncoding(level_shapes, d))
-
-
 def _interleaved(angles: np.ndarray) -> np.ndarray:
     enc = np.empty_like(angles)
     enc[:, 0::2] = np.sin(angles[:, 0::2])
@@ -186,20 +183,18 @@ def project_keys_values(
     masks: GatingMaskSet,
     params: AttentionParams,
     out: KeyValues | None = None,
-    *,
-    consume: bool = False,
 ) -> KeyValues:
     """Project keys (token + position) and values (token) once for all categories.
 
-    Only tokens attended by at least one category are read. ``out``, a result
-    of this function for the same ``masks`` (the other sequence of a pair),
-    lends its index, layout and arrays; its keys and values are overwritten.
-    By default the attended tokens are gathered into a new (M, d) array. With
-    ``consume``, they are moved to the first M rows of ``seq.tokens`` instead
-    and projected there, with the same bits: ``seq`` is spent, and only
-    :func:`cross_attend` and :func:`run_encoder_side` with ``seq=None`` may
-    follow.
+    Only tokens attended by at least one category are read. They are moved to
+    the first M rows of ``seq.tokens`` in place and projected there; then
+    ``seq.tokens`` is set to None, since the sequence is spent (and the array
+    it was built from holds moved rows). ``out``, a result of this function
+    for the same ``masks`` (the other sequence of a pair), lends its index,
+    layout and arrays; its keys and values are overwritten.
     """
+    if seq.tokens is None:
+        raise ValueError("seq was spent by an earlier projection")
     token_masks = _token_masks(masks, seq)
     if out is None:
         index = np.flatnonzero(token_masks.any(axis=0))
@@ -208,12 +203,11 @@ def project_keys_values(
     elif out.masks is not masks:
         raise ValueError("out was projected for other masks")
     index = out.index
-    if consume:  # row i takes row index[i] >= i, so no row is read after it is written
-        for rows in _channel_blocks(len(index), seq.tokens.shape[1]):
-            seq.tokens[rows] = seq.tokens[index[rows]]
-        attended = seq.tokens[: len(index)]
-    else:
-        attended = seq.tokens[index]
+    # row i takes row index[i] >= i, so no row is read after it is written
+    for rows in _channel_blocks(len(index), seq.tokens.shape[1]):
+        seq.tokens[rows] = seq.tokens[index[rows]]
+    attended = seq.tokens[: len(index)]
+    seq.tokens = None
     np.matmul(attended, params.w_v, out=out.values)
     for rows in _channel_blocks(len(index), attended.shape[1]):  # no (M, d) gather of positions
         attended[rows] += seq.positions[index[rows]]
@@ -226,8 +220,6 @@ def _layout(token_masks: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, ...
     rows), the flat positions of their attendable tokens in an (R, M) array,
     each row's count of them and the start of each row's run."""
     live = token_masks[:, index]  # (C, M)
-    if live.sum() != token_masks.sum():
-        raise ValueError("projections do not cover every attended token")
     rows = np.flatnonzero(live.any(axis=1))
     live = live[rows]  # (R, M), every row has an attendable token
     counts = live.sum(axis=1)
@@ -250,37 +242,25 @@ def _token_masks(masks: GatingMaskSet, seq: TokenSequence) -> np.ndarray:
     return masks.token_masks
 
 
-def _require_own_projections(masks: GatingMaskSet, projections: KeyValues | None) -> None:
-    """Without a sequence, keys, values and layout all come from ``projections``."""
-    if projections is None:
-        raise ValueError("seq=None needs projections")
-    if projections.masks is not masks:
-        raise ValueError("seq=None needs projections made for these masks, not for other masks")
-
-
 def cross_attend(
     queries: np.ndarray,
-    seq: TokenSequence | None,
+    kv: KeyValues,
     masks: GatingMaskSet,
     params: AttentionParams,
     heads: int,
-    projections: KeyValues | None = None,
 ) -> np.ndarray:
     """One residual masked cross-attention update of the (C, d) query matrix.
 
     Category c attends only over tokens with ``masks.token_masks[c]`` True;
-    rows with no attendable token are returned unchanged. Keys and values
-    are projected once for the tokens any category attends (or taken from
-    ``projections``, the :func:`project_keys_values` result for the same
-    sequence, masks and parameters, with its layout if projected for this
-    ``masks`` object, unchanged since); then the logits of all categories and
-    heads go through one masked softmax. It gathers the attendable logits and
+    rows with no attendable token are returned unchanged. Keys, values and
+    layout come from ``kv``, the :func:`project_keys_values` result for this
+    ``masks`` object and ``params``; the logits of all categories and heads
+    go through one masked softmax. It gathers the attendable logits and
     scales, shifts, exponentiates and divides them alone (by dense row sums),
-    so a masked logit is never read. ``seq`` may be None (a sequence spent by
-    ``consume``) only with ``projections`` made for this ``masks`` object.
+    so a masked logit is never read.
     """
-    if seq is None:
-        _require_own_projections(masks, projections)
+    if kv.masks is not masks:
+        raise ValueError("kv holds projections for other masks")
     q = np.asarray(queries, dtype=DTYPE)
     if q.ndim != 2:
         raise ValueError(f"queries must be (C, d), got {q.shape}")
@@ -289,13 +269,10 @@ def cross_attend(
         raise ValueError(f"query dim {d} does not match parameter dim {params.dim}")
     if heads < 1 or d % heads != 0:
         raise ValueError(f"heads={heads} must divide d={d}")
-    token_masks = masks.token_masks if seq is None else _token_masks(masks, seq)
+    token_masks = masks.token_masks
     if token_masks.shape[0] != c_count:
         raise ValueError(f"token masks {token_masks.shape} do not match {c_count} categories")
-    if projections is None:
-        projections = project_keys_values(seq, masks, params)
-    index, keys, values, kv_masks, layout = projections
-    rows, attendable, counts, starts = layout if kv_masks is masks else _layout(token_masks, index)
+    index, keys, values, _, (rows, attendable, counts, starts) = kv
     out = q.copy()
     if rows.size == 0:
         return out
@@ -324,26 +301,19 @@ def cross_attend(
 
 def run_encoder_side(
     q0: np.ndarray,
-    seq: TokenSequence | None,
+    kv: KeyValues,
     masks: GatingMaskSet,
     params: AttentionParams,
     heads: int,
     blocks: int,
-    projections: KeyValues | None = None,
 ) -> np.ndarray:
-    """Apply cross_attend ``blocks`` times over ``seq``, carrying queries across.
-
-    All blocks share ``params``, so keys and values are projected once (or
-    taken from ``projections``, as in :func:`cross_attend`, also for ``seq=None``).
-    """
-    if seq is None:
-        _require_own_projections(masks, projections)
+    """Apply :func:`cross_attend` ``blocks`` times over ``kv``, carrying queries
+    across. All blocks share ``params``, and so one projection."""
     if blocks < 1:
         raise ValueError(f"need at least one encoder block, got {blocks}")
-    kv = project_keys_values(seq, masks, params) if projections is None else projections
     q = np.asarray(q0, dtype=DTYPE)
     for _ in range(blocks):
-        q = cross_attend(q, seq, masks, params, heads, projections=kv)
+        q = cross_attend(q, kv, masks, params, heads)
     return q
 
 

@@ -876,12 +876,10 @@ def run_ocl_demo(
     q0 = init_class_queries(num_categories, config.d, rng)
     # each side's projection spends its tokens, which die before its attention;
     # the augmented side projects into the source side's arrays
-    kv = project_keys_values(seq_src, mask_set, params, consume=True)
-    del seq_src
-    q_source = run_encoder_side(q0, None, mask_set, params, config.heads, blocks, kv)
-    kv = project_keys_values(seq_aug, mask_set, params, out=kv, consume=True)
-    del seq_aug
-    q_augmented = run_encoder_side(q0, None, mask_set, params, config.heads, blocks, kv)
+    kv = project_keys_values(seq_src, mask_set, params)
+    q_source = run_encoder_side(q0, kv, mask_set, params, config.heads, blocks)
+    kv = project_keys_values(seq_aug, mask_set, params, out=kv)
+    q_augmented = run_encoder_side(q0, kv, mask_set, params, config.heads, blocks)
 
     batch = ContrastiveBatch(q_source, q_augmented, mask_set.present)
     loss_rep = contrastive_loss(batch)

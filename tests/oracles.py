@@ -3,11 +3,11 @@
 Everything here is deliberately written as plain loops (or a separate
 textbook algorithm), independent of the library code paths it checks. The
 whole-map formulas (``stats_whole_map``, ``affine_remap``), the stacked-copies
-finite differences, the dense masked attention, the whole key and value
-products, the sequential k-means and the per-sample train phase are the
-exception: they are the references that the faster forms reproduce bit for
-bit. ``parse_report`` and ``rectified_stats`` are plain helpers that only the
-tests call.
+finite differences, the dense masked attention, the whole and the gathered
+key and value products, the sequential k-means and the per-sample train
+phase are the exception: they are the references that the faster forms
+reproduce bit for bit. ``parse_report`` and ``rectified_stats`` are plain
+helpers that only the tests call.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -171,10 +172,31 @@ def whole_key_value_products(tokens, positions, index, params):
     return attended @ params.w_k, values
 
 
+class GatheredKeyValues(NamedTuple):
+    keys: np.ndarray
+    values: np.ndarray
+
+
+def gathered_key_values(tokens, positions, index, params, out=None):
+    """Keys and values of the ``index`` rows, gathered into a new (M, d) array:
+    the value product of the gathered rows, then the positions added to them
+    in place, then the key product. ``out``, an earlier result, receives both
+    products. ``tokens`` is only read. The earlier default path of
+    ``class_query_attention.project_keys_values``, which now moves the rows
+    within the tokens instead."""
+    attended = tokens[index]
+    if out is None:
+        out = GatheredKeyValues(np.empty_like(attended), np.empty_like(attended))
+    np.matmul(attended, params.w_v, out=out.values)
+    attended += positions[index]
+    np.matmul(attended, params.w_k, out=out.keys)
+    return out
+
+
 def concatenated_sine_positions(level_shapes, d):
     """The sine encodings of every level built as whole blocks: each level's
     row half by ``repeat`` and column half by ``tile``, joined by two
-    ``concatenate`` calls. The earlier form of ``sine_positions``."""
+    ``concatenate`` calls. The earlier form of ``np.asarray(SineEncoding(...))``."""
     half = d // 2
     dim_t = 10000.0 ** (2.0 * (np.arange(half) // 2) / half)
 

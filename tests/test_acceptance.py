@@ -26,6 +26,7 @@ from sa_adapt.class_query_attention import (
     TokenSequence,
     cross_attend,
     init_class_queries,
+    project_keys_values,
 )
 from sa_adapt.object_gating import Annotation, align_to_tokens, build_masks
 from sa_adapt.style_memory_bank import StyleMemoryBank, load
@@ -215,13 +216,14 @@ def test_c08_attention_mask_soundness_and_oracle():
         for trial in range(20):
             tokens = rng.normal(size=(20, 8))
             positions = rng.normal(size=(20, 8))
-            seq = TokenSequence(tokens=tokens, positions=positions, level_shapes=[(1, 20)])
+            # the projection moves rows of the tokens it is given, so it gets a copy
+            seq = TokenSequence(tokens=tokens.copy(), positions=positions, level_shapes=[(1, 20)])
             token_masks = rng.random((3, 20)) < 0.4
             token_masks[2, :] = False  # a fully masked category every trial
             masks = make_masks(token_masks)
             params = AttentionParams.init_random(8, rng)
             q = init_class_queries(3, 8, rng)
-            out = cross_attend(q, seq, masks, params, heads=2)
+            out = cross_attend(q, project_keys_values(seq, masks, params), masks, params, heads=2)
             # naive-loop oracle agreement
             want = oracles.naive_masked_attention(
                 q, tokens, positions, token_masks, params, 2
@@ -232,7 +234,11 @@ def test_c08_attention_mask_soundness_and_oracle():
             zeroed[~token_masks.any(axis=0)] = 0.0
             out_zeroed = cross_attend(
                 q,
-                TokenSequence(tokens=zeroed, positions=positions, level_shapes=[(1, 20)]),
+                project_keys_values(
+                    TokenSequence(tokens=zeroed, positions=positions, level_shapes=[(1, 20)]),
+                    masks,
+                    params,
+                ),
                 masks,
                 params,
                 heads=2,

@@ -17,7 +17,6 @@ from sa_adapt.class_query_attention import (
     init_class_queries,
     project_keys_values,
     run_encoder_side,
-    sine_positions,
     tokens_from_pyramid,
 )
 from sa_adapt.object_gating import Annotation, GatingMaskSet, align_to_tokens, build_masks
@@ -43,14 +42,21 @@ def random_setup(rng, c=3, n=20, d=8, attendable=0.5):
     return q, seq, make_masks(token_masks), params
 
 
+def projected(seq, masks, params):
+    """The projections of a copy of ``seq``'s tokens, so ``seq`` stays unspent."""
+    return project_keys_values(
+        TokenSequence(seq.tokens.copy(), seq.positions, seq.level_shapes), masks, params
+    )
+
+
 class TestSinePositions:
     def test_deterministic(self):
-        a = sine_positions([(4, 4), (2, 2)], 16)
-        b = sine_positions([(4, 4), (2, 2)], 16)
+        a = np.asarray(SineEncoding([(4, 4), (2, 2)], 16))
+        b = np.asarray(SineEncoding([(4, 4), (2, 2)], 16))
         np.testing.assert_array_equal(a, b)
 
     def test_no_collisions_on_16x16_grid(self):
-        enc = sine_positions([(16, 16)], 64)
+        enc = np.asarray(SineEncoding([(16, 16)], 64))
         assert enc.shape == (256, 64)
         distinct = {tuple(row) for row in enc.round(12)}
         assert len(distinct) == 256
@@ -58,13 +64,13 @@ class TestSinePositions:
     def test_rows_depend_only_on_shape_not_context(self):
         # the (2, 2) block is the same whether it appears alone or after
         # another level
-        alone = sine_positions([(2, 2)], 32)
-        stacked = sine_positions([(4, 4), (2, 2)], 32)
+        alone = np.asarray(SineEncoding([(2, 2)], 32))
+        stacked = np.asarray(SineEncoding([(4, 4), (2, 2)], 32))
         np.testing.assert_array_equal(stacked[16:], alone)
 
     def test_odd_dim_rejected(self):
         with pytest.raises(ValueError):
-            sine_positions([(4, 4)], 63)
+            np.asarray(SineEncoding([(4, 4)], 63))
 
     @pytest.mark.parametrize(
         "shapes, message",
@@ -74,10 +80,10 @@ class TestSinePositions:
     )
     def test_missing_or_empty_level_rejected(self, shapes, message):
         with pytest.raises(ValueError, match=message):
-            sine_positions(shapes, 4)
+            np.asarray(SineEncoding(shapes, 4))
 
     def test_token_count(self):
-        enc = sine_positions([(4, 6), (2, 3)], 8)
+        enc = np.asarray(SineEncoding([(4, 6), (2, 3)], 8))
         assert enc.shape == (24 + 6, 8)
 
     @settings(max_examples=100, deadline=None)
@@ -87,7 +93,7 @@ class TestSinePositions:
     )
     def test_equals_the_concatenated_blocks(self, shapes, d):
         expected = oracles.concatenated_sine_positions(shapes, d)
-        assert sine_positions(shapes, d).tobytes() == expected.tobytes()
+        assert np.asarray(SineEncoding(shapes, d)).tobytes() == expected.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -128,7 +134,7 @@ class TestCrossAttend:
         rng = np.random.default_rng(0)
         q, seq, masks, params = random_setup(rng)
         masks.token_masks[1, :] = False
-        out = cross_attend(q, seq, masks, params, heads=2)
+        out = cross_attend(q, projected(seq, masks, params), masks, params, heads=2)
         np.testing.assert_array_equal(out[1], q[1])
 
     def test_single_token_single_head_closed_form(self):
@@ -137,7 +143,7 @@ class TestCrossAttend:
         q, seq, masks, params = random_setup(rng, c=1, n=5, d=d)
         masks.token_masks[:] = False
         masks.token_masks[0, 3] = True
-        out = cross_attend(q, seq, masks, params, heads=1)
+        out = cross_attend(q, projected(seq, masks, params), masks, params, heads=1)
         # one key forces the attention weight to 1
         expected = q[0] + (seq.tokens[3] @ params.w_v) @ params.w_o
         np.testing.assert_allclose(out[0], expected, atol=1e-12)
@@ -146,7 +152,7 @@ class TestCrossAttend:
         rng = np.random.default_rng(2)
         for heads in (1, 2, 4):
             q, seq, masks, params = random_setup(rng, c=3, n=20, d=8)
-            got = cross_attend(q, seq, masks, params, heads=heads)
+            got = cross_attend(q, projected(seq, masks, params), masks, params, heads=heads)
             want = oracles.naive_masked_attention(
                 q, seq.tokens, seq.positions, masks.token_masks, params, heads
             )
@@ -156,7 +162,8 @@ class TestCrossAttend:
     @given(attention_cases())
     def test_equals_the_dense_masked_softmax(self, case):
         q, seq, token_masks, params, heads = case
-        out = cross_attend(q, seq, make_masks(token_masks), params, heads)
+        masks = make_masks(token_masks)
+        out = cross_attend(q, projected(seq, masks, params), masks, params, heads)
         want = oracles.dense_masked_attention(
             q, seq.tokens, seq.positions, token_masks, params, heads
         )
@@ -175,8 +182,8 @@ class TestCrossAttend:
 
         for seed in range(20):
             q, seq, masks, params = random_setup(np.random.default_rng(seed), c=4, d=8)
-            kv = project_keys_values(seq, masks, params)
-            cross_attend(q, seq, masks, params, 2, kv._replace(values=kv.values.view(Spy)))
+            kv = projected(seq, masks, params)
+            cross_attend(q, kv._replace(values=kv.values.view(Spy)), masks, params, 2)
             _, want, _ = oracles.dense_masked_softmax(
                 q, seq.tokens, seq.positions, masks.token_masks, params, 2
             )
@@ -185,7 +192,7 @@ class TestCrossAttend:
     def test_masked_content_never_read(self):
         rng = np.random.default_rng(3)
         q, seq, masks, params = random_setup(rng)
-        out = cross_attend(q, seq, masks, params, heads=2)
+        out = cross_attend(q, projected(seq, masks, params), masks, params, heads=2)
         any_mask = masks.token_masks.any(axis=0)
         zeroed_tokens = seq.tokens.copy()
         zeroed_tokens[~any_mask] = 0.0
@@ -194,7 +201,7 @@ class TestCrossAttend:
             positions=seq.positions,
             level_shapes=seq.level_shapes,
         )
-        out2 = cross_attend(q, zeroed, masks, params, heads=2)
+        out2 = cross_attend(q, projected(zeroed, masks, params), masks, params, heads=2)
         assert np.abs(out - out2).max() < 1e-12
 
     def test_unattended_tokens_never_read_even_when_huge(self):
@@ -208,8 +215,12 @@ class TestCrossAttend:
             tokens[unattended] = value
             return TokenSequence(tokens, seq.positions, seq.level_shapes)
 
-        zeroed = cross_attend(q, with_unattended(0.0), masks, params, heads=2)
-        huge = cross_attend(q, with_unattended(1e300), masks, params, heads=2)
+        zeroed = cross_attend(
+            q, projected(with_unattended(0.0), masks, params), masks, params, heads=2
+        )
+        huge = cross_attend(
+            q, projected(with_unattended(1e300), masks, params), masks, params, heads=2
+        )
         np.testing.assert_array_equal(huge, zeroed)
 
     def test_masked_logits_never_read_even_when_they_overflow(self):
@@ -222,7 +233,8 @@ class TestCrossAttend:
         q = np.array([[1e-200, 1.0], [1e200, 0.0]])
         with np.errstate(over="ignore"):  # the dense product of all logits overflows
             assert np.isinf((q @ params.w_q) @ (tokens @ params.w_k).T).any()
-            out = cross_attend(q, seq, make_masks(token_masks), params, heads=1)
+            masks = make_masks(token_masks)
+            out = cross_attend(q, projected(seq, masks, params), masks, params, heads=1)
             want = oracles.dense_masked_attention(
                 q, seq.tokens, seq.positions, token_masks, params, heads=1
             )
@@ -234,7 +246,7 @@ class TestCrossAttend:
         params.w_q = params.w_q * 1e200
         params.w_k = params.w_k * 1e200  # finite keys, logits overflow to inf
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-            cross_attend(q, seq, masks, params, heads=2)
+            cross_attend(q, projected(seq, masks, params), masks, params, heads=2)
 
     def test_projections_missing_an_attended_token_rejected(self):
         rng = np.random.default_rng(17)
@@ -243,22 +255,24 @@ class TestCrossAttend:
         fewer[:, np.flatnonzero(fewer.any(axis=0))[-1]] = False
         kv = project_keys_values(seq, make_masks(fewer), params)
         with pytest.raises(ValueError, match="projections"):
-            cross_attend(q, seq, masks, params, heads=2, projections=kv)
+            cross_attend(q, kv, masks, params, heads=2)
 
     def test_category_permutation_equivariance(self):
         rng = np.random.default_rng(4)
         q, seq, masks, params = random_setup(rng, c=4)
         perm = np.array([2, 0, 3, 1])
-        out = cross_attend(q, seq, masks, params, heads=2)
+        out = cross_attend(q, projected(seq, masks, params), masks, params, heads=2)
         permuted_masks = make_masks(masks.token_masks[perm])
-        out_perm = cross_attend(q[perm], seq, permuted_masks, params, heads=2)
+        out_perm = cross_attend(
+            q[perm], projected(seq, permuted_masks, params), permuted_masks, params, heads=2
+        )
         np.testing.assert_allclose(out_perm, out[perm], atol=0)
 
     def test_zero_output_projection_is_identity(self):
         rng = np.random.default_rng(6)
         q, seq, masks, params = random_setup(rng)
         params.w_o = np.zeros_like(params.w_o)
-        out = cross_attend(q, seq, masks, params, heads=2)
+        out = cross_attend(q, projected(seq, masks, params), masks, params, heads=2)
         np.testing.assert_array_equal(out, q)
 
     @pytest.mark.parametrize(
@@ -274,17 +288,18 @@ class TestCrossAttend:
         q, seq, masks, params = random_setup(np.random.default_rng(8))
         q = {"1-D": q[0], "query-dim": q[:, :4], "categories": q[:2]}.get(case, q)
         with pytest.raises(ValueError, match=message):
-            cross_attend(q, seq, masks, params, heads=2)
+            cross_attend(q, projected(seq, masks, params), masks, params, heads=2)
 
     def test_dimension_errors(self):
         rng = np.random.default_rng(7)
         q, seq, masks, params = random_setup(rng)
         with pytest.raises(ValueError):
-            cross_attend(q, seq, masks, params, heads=3)  # 3 does not divide 8
+            # 3 does not divide 8
+            cross_attend(q, projected(seq, masks, params), masks, params, heads=3)
         # a hand-built set whose token masks do not match its level shapes
         bad = replace(masks, token_masks=masks.token_masks[:, :10])
         with pytest.raises(ValueError, match=r"token masks \(3, 10\) do not match 20 tokens"):
-            cross_attend(q, seq, bad, params, heads=2)
+            cross_attend(q, projected(seq, bad, params), bad, params, heads=2)
 
 
 class TestEncoderSide:
@@ -292,8 +307,8 @@ class TestEncoderSide:
         rng = np.random.default_rng(8)
         q, seq, masks, params = random_setup(rng)
         np.testing.assert_array_equal(
-            run_encoder_side(q, seq, masks, params, heads=2, blocks=1),
-            cross_attend(q, seq, masks, params, heads=2),
+            run_encoder_side(q, projected(seq, masks, params), masks, params, heads=2, blocks=1),
+            cross_attend(q, projected(seq, masks, params), masks, params, heads=2),
         )
 
     def test_shared_params_equal_chained_cross_attend(self):
@@ -302,88 +317,62 @@ class TestEncoderSide:
         q, seq, masks, params = random_setup(rng)
         chained = q
         for _ in range(3):
-            chained = cross_attend(chained, seq, masks, params, heads=2)
-        got = run_encoder_side(q, seq, masks, params, heads=2, blocks=3)
+            chained = cross_attend(chained, projected(seq, masks, params), masks, params, heads=2)
+        got = run_encoder_side(q, projected(seq, masks, params), masks, params, heads=2, blocks=3)
         np.testing.assert_array_equal(got, chained)
 
     def test_all_absent_through_six_blocks(self):
         rng = np.random.default_rng(9)
         q, seq, masks, params = random_setup(rng)
         masks.token_masks[:] = False
-        out = run_encoder_side(q, seq, masks, params, heads=2, blocks=6)
+        out = run_encoder_side(q, projected(seq, masks, params), masks, params, heads=2, blocks=6)
         np.testing.assert_array_equal(out, q)
 
     def test_queries_carry_across_blocks(self):
         rng = np.random.default_rng(11)
         q, seq, masks, params = random_setup(rng)
-        two = run_encoder_side(q, seq, masks, params, heads=2, blocks=2)
-        one = run_encoder_side(q, seq, masks, params, heads=2, blocks=1)
+        two = run_encoder_side(q, projected(seq, masks, params), masks, params, heads=2, blocks=2)
+        one = run_encoder_side(q, projected(seq, masks, params), masks, params, heads=2, blocks=1)
         assert np.abs(two - one).max() > 1e-9  # second block does something
-
-    def test_keys_and_values_are_projected_once_per_call(self, monkeypatch):
-        rng = np.random.default_rng(13)
-        q, seq, masks, params = random_setup(rng)
-        chained = q
-        for _ in range(5):
-            chained = cross_attend(chained, seq, masks, params, heads=2)
-        projected = []
-
-        def recording(seq, *args):
-            projected.append(seq)
-            return project_keys_values(seq, *args)
-
-        monkeypatch.setattr(cqa_mod, "project_keys_values", recording)
-        got = run_encoder_side(q, seq, masks, params, heads=2, blocks=5)
-        assert [id(s) for s in projected] == [id(seq)]
-        assert got.tobytes() == chained.tobytes()
 
     def test_zero_blocks_rejected(self):
         rng = np.random.default_rng(12)
         q, seq, masks, params = random_setup(rng)
         with pytest.raises(ValueError, match="need at least one encoder block, got 0"):
-            run_encoder_side(q, seq, masks, params, heads=2, blocks=0)
+            run_encoder_side(q, projected(seq, masks, params), masks, params, heads=2, blocks=0)
 
 
-class TestSpentSequence:
-    """``seq=None`` stands for a sequence spent by ``consume``: keys, values and
-    layout then come from projections made for the same masks object."""
+class TestProjectionOwnership:
+    """A projection spends its sequence, and attention takes keys, values and
+    layout only from projections made for the same masks object."""
 
-    def test_projections_of_a_spent_sequence_give_the_same_queries(self):
+    def test_a_spent_sequence_is_not_projected_again(self):
         q, seq, masks, params = random_setup(np.random.default_rng(20))
-        want_step = cross_attend(q, seq, masks, params, heads=2)
-        want = run_encoder_side(q, seq, masks, params, heads=2, blocks=3)
-        kv = project_keys_values(seq, masks, params, consume=True)
-        step = cross_attend(q, None, masks, params, heads=2, projections=kv)
-        got = run_encoder_side(q, None, masks, params, heads=2, blocks=3, projections=kv)
-        assert step.tobytes() == want_step.tobytes()
-        assert got.tobytes() == want.tobytes()
+        project_keys_values(seq, masks, params)
+        assert seq.tokens is None
+        with pytest.raises(ValueError, match="^seq was spent by an earlier projection$") as raised:
+            project_keys_values(seq, masks, params)
+        assert "\n" not in str(raised.value)
 
     @pytest.mark.parametrize("attend", ["cross_attend", "run_encoder_side"])
-    @pytest.mark.parametrize(
-        "case, message",
-        [
-            ("none", "seq=None needs projections$"),
-            ("other", "seq=None needs projections made for these masks, not for other masks"),
-        ],
-        ids=["no-projections", "other-masks"],
-    )
-    def test_without_own_projections_rejected_before_any_work(
-        self, monkeypatch, attend, case, message
+    def test_projections_for_equal_but_distinct_masks_rejected_before_any_work(
+        self, monkeypatch, attend
     ):
         q, seq, masks, params = random_setup(np.random.default_rng(21))
-        kv = None if case == "none" else project_keys_values(
-            seq, make_masks(masks.token_masks.copy()), params
-        )
+        equal = make_masks(masks.token_masks.copy())
+        kv = project_keys_values(seq, equal, params)
         fn, blocks = getattr(cqa_mod, attend), {"run_encoder_side": (1,)}.get(attend, ())
 
         def no_work(*args, **kwargs):
             raise AssertionError("work ran")
 
-        for name in ("project_keys_values", "_layout", "_token_masks", "cross_attend"):
+        # projection, layout and the finite check of the attention logits
+        for name in ("project_keys_values", "_layout", "_token_masks", "_channel_blocks",
+                     "require_finite"):
             monkeypatch.setattr(cqa_mod, name, no_work)
         # 1-D queries would be rejected too, but only after this check
-        with pytest.raises(ValueError, match=message) as raised:
-            fn(q[0], None, masks, params, 2, *blocks, kv)
+        with pytest.raises(ValueError, match="^kv holds projections for other masks$") as raised:
+            fn(q[0], kv, masks, params, 2, *blocks)
         assert "\n" not in str(raised.value)
 
 
@@ -413,13 +402,13 @@ class TestKeyValueProducts:
         params = AttentionParams.init_random(d, rng)
         pair = [TokenSequence(rng.normal(size=(n, d)), rng.normal(size=(n, d)), [(1, n)])
                 for _ in range(2)]
-        kv = project_keys_values(pair[0], masks, params)
+        kv = projected(pair[0], masks, params)
         np.testing.assert_array_equal(kv.index, np.sort(attended))
         for seq in pair:  # the second side is projected into the first side's arrays
-            kv = project_keys_values(seq, masks, params, out=None if seq is pair[0] else kv)
             keys, values = oracles.whole_key_value_products(
                 seq.tokens, seq.positions, kv.index, params
             )
+            kv = project_keys_values(seq, masks, params, out=None if seq is pair[0] else kv)
             assert kv.keys.tobytes() == keys.tobytes()
             assert kv.values.tobytes() == values.tobytes()
 
@@ -457,20 +446,23 @@ class TestKeyValueProducts:
         masks = make_masks(token_masks)
         params = AttentionParams.init_random(d, rng)
         positions = rng.normal(size=(n, d))
+        index = np.flatnonzero(token_masks.any(axis=0))
         gathered = consumed = None
         for tokens in (rng.normal(size=(n, d)) for _ in range(2)):
             # the second side is projected into the first side's arrays
             seq = TokenSequence(tokens, positions, [(1, n)])
-            gathered = project_keys_values(seq, masks, params, out=gathered)
-            assert seq.tokens.tobytes() == tokens.tobytes()  # the default path reads only
+            gathered = oracles.gathered_key_values(
+                seq.tokens, seq.positions, index, params, out=gathered
+            )
+            assert seq.tokens.tobytes() == tokens.tobytes()  # the gather reads only
             spent = TokenSequence(tokens.copy(), positions, [(1, n)])
-            consumed = project_keys_values(spent, masks, params, out=consumed, consume=True)
+            consumed = project_keys_values(spent, masks, params, out=consumed)
             assert consumed.keys.tobytes() == gathered.keys.tobytes()
             assert consumed.values.tobytes() == gathered.values.tobytes()
 
     def test_out_projected_for_other_masks_rejected(self):
         q, seq, masks, params = random_setup(np.random.default_rng(19))
-        kv = project_keys_values(seq, masks, params)
+        kv = projected(seq, masks, params)
         with pytest.raises(ValueError, match="out was projected for other masks"):
             project_keys_values(seq, make_masks(masks.token_masks.copy()), params, out=kv)
 
@@ -488,7 +480,8 @@ class TestTokensFromPyramid:
     def test_positions_are_the_sine_encodings_of_the_levels(self):
         rng = np.random.default_rng(14)
         seq = tokens_from_pyramid([rng.normal(size=(1, 8, 4, 4)), rng.normal(size=(1, 8, 2, 2))])
-        assert np.asarray(seq.positions).tobytes() == sine_positions([(4, 4), (2, 2)], 8).tobytes()
+        want = np.asarray(SineEncoding([(4, 4), (2, 2)], 8))
+        assert np.asarray(seq.positions).tobytes() == want.tobytes()
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -555,11 +548,12 @@ class TestTokensFromPyramid:
             f"masks aligned to levels {mask_levels} do not match token levels {token_levels}"
         )
         with pytest.raises(ValueError, match=layouts):
-            cross_attend(q, seq, masks, params, heads=2)
+            cross_attend(q, projected(seq, masks, params), masks, params, heads=2)
         with pytest.raises(ValueError, match=layouts):
             project_keys_values(seq, masks, params)
         matching = tokens_from_pyramid([rng.normal(size=(1, 8, h, w)) for h, w in mask_levels])
-        assert cross_attend(q, matching, masks, params, heads=2).shape == (2, 8)
+        kv = project_keys_values(matching, masks, params)
+        assert cross_attend(q, kv, masks, params, heads=2).shape == (2, 8)
 
     def test_masks_built_with_a_list_of_level_shapes_match_a_sequence_of_those_shapes(self):
         # both records store their shapes as a tuple of tuples, however given
@@ -567,7 +561,8 @@ class TestTokensFromPyramid:
         token_masks = np.ones((3, 20), dtype=bool)
         masks = GatingMaskSet(token_masks, token_masks.any(axis=1), [(1, 20)])
         assert masks.level_shapes == seq.level_shapes == ((1, 20),)
-        assert cross_attend(q, seq, masks, params, heads=2).shape == (3, 8)
+        kv = projected(seq, masks, params)
+        assert cross_attend(q, kv, masks, params, heads=2).shape == (3, 8)
         project_keys_values(seq, masks, params)
 
 

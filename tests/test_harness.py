@@ -984,7 +984,8 @@ class TestOclDemo:
         # coincide row-wise and the loss reduces to the softmax cross-entropy
         # of the queries' own Gram matrix
         from sa_adapt.class_query_attention import (
-            AttentionParams, init_class_queries, run_encoder_side, tokens_from_pyramid,
+            AttentionParams, init_class_queries, project_keys_values, run_encoder_side,
+            tokens_from_pyramid,
         )
         from sa_adapt.object_gating import align_to_tokens, build_masks
 
@@ -997,8 +998,10 @@ class TestOclDemo:
         q0 = init_class_queries(5, d, rng)
         seq_src = tokens_from_pyramid(levels)
         seq_aug = tokens_from_pyramid([level.copy() for level in levels])
-        q_s = run_encoder_side(q0, seq_src, masks, params, heads, blocks=2)
-        q_a = run_encoder_side(q0, seq_aug, masks, params, heads, blocks=2)
+        kv_src = project_keys_values(seq_src, masks, params)
+        q_s = run_encoder_side(q0, kv_src, masks, params, heads, blocks=2)
+        kv_aug = project_keys_values(seq_aug, masks, params)
+        q_a = run_encoder_side(q0, kv_aug, masks, params, heads, blocks=2)
         assert q_s.tobytes() == q_a.tobytes()
         rep = contrastive_loss(ContrastiveBatch(q_s, q_a, masks.present))
         gram = q_s[masks.present] @ q_s[masks.present].T
@@ -1033,15 +1036,30 @@ class TestOclDemo:
             harness_mod, "SineEncoding",
             lambda *args: made.append(real_encoding(*args)) or made[-1],
         )
+        # the projection spends the tokens, so the spy keeps their bytes first
         monkeypatch.setattr(
             harness_mod, "project_keys_values",
-            lambda seq, *args, **kw: encoded.append(seq) or real_project(seq, *args, **kw),
+            lambda seq, *args, **kw: encoded.append((seq, seq.tokens.tobytes()))
+            or real_project(seq, *args, **kw),
         )
         run_ocl_demo(small_config(d=16, heads=2))
-        seq_src, seq_aug = encoded
+        (seq_src, tokens_src), (seq_aug, tokens_aug) = encoded
         assert len(made) == 1
         assert seq_src.positions is seq_aug.positions is made[0]
-        assert seq_src.tokens.tobytes() != seq_aug.tokens.tobytes()
+        assert tokens_src != tokens_aug
+
+    def test_each_side_is_projected_once_into_the_source_sides_arrays(self, monkeypatch):
+        calls, real_project = [], harness_mod.project_keys_values
+
+        def recording(seq, masks, params, out=None):
+            calls.append((out, real_project(seq, masks, params, out=out)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(harness_mod, "project_keys_values", recording)
+        run_ocl_demo(small_config(d=16, heads=2))
+        (out_src, kv_src), (out_aug, kv_aug) = calls
+        assert out_src is None
+        assert out_aug is kv_src and kv_aug is kv_src
 
     @settings(max_examples=50, deadline=None)
     @given(
