@@ -354,6 +354,41 @@ class TestProjectionOwnership:
             project_keys_values(seq, masks, params)
         assert "\n" not in str(raised.value)
 
+    def test_a_spent_sequence_is_not_projected_into_the_other_sides_arrays(self):
+        q, seq, masks, params = random_setup(np.random.default_rng(22))
+        kv = projected(seq, masks, params)
+        keys, values = kv.keys.tobytes(), kv.values.tobytes()
+        project_keys_values(seq, masks, params)
+        with pytest.raises(ValueError, match="^seq was spent by an earlier projection$"):
+            project_keys_values(seq, masks, params, out=kv)
+        assert kv.keys.tobytes() == keys
+        assert kv.values.tobytes() == values
+
+    def test_a_rejected_projection_leaves_the_sequence_unspent(self):
+        q, seq, masks, params = random_setup(np.random.default_rng(23))
+        tokens = seq.tokens
+        before = tokens.tobytes()
+        kv = projected(seq, masks, params)
+        with pytest.raises(ValueError, match="out was projected for other masks"):
+            project_keys_values(seq, make_masks(masks.token_masks.copy()), params, out=kv)
+        assert seq.tokens is tokens
+        assert tokens.tobytes() == before
+        again = project_keys_values(seq, masks, params)
+        assert again.keys.tobytes() == kv.keys.tobytes()
+        assert again.values.tobytes() == kv.values.tobytes()
+
+    def test_a_projection_moves_the_attended_rows_to_the_front_of_the_callers_array(self):
+        q, seq, masks, params = random_setup(np.random.default_rng(24))
+        tokens = seq.tokens
+        original = tokens.copy()
+        kv = project_keys_values(seq, masks, params)
+        m = len(kv.index)
+        # the first M rows held the attended tokens and then got their positions added
+        np.testing.assert_array_equal(
+            tokens[:m], original[kv.index] + seq.positions[kv.index]
+        )
+        np.testing.assert_array_equal(tokens[m:], original[m:])
+
     @pytest.mark.parametrize("attend", ["cross_attend", "run_encoder_side"])
     def test_projections_for_equal_but_distinct_masks_rejected_before_any_work(
         self, monkeypatch, attend
